@@ -1,0 +1,125 @@
+"""Golden corpus: the `solve --json` output of a fixed list of equations,
+with `elapsed_ms` removed, compared byte for byte.  Together the entries
+reach every path string `solve` can reach (`constant-ends` cannot be
+reached: two constant monomials merge before dispatch).
+
+Regenerate the files after an intended change of output, and name every
+changed entry and its reason in CHANGES.md:
+
+    PYTHONPATH=src python tests/test_golden.py --regenerate
+"""
+
+import contextlib
+import io
+import json
+import os
+import sys
+
+import pytest
+
+from trisolve.cli import main
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+# (entry name, solve arguments).  Lower bounds keep the Runge path and the
+# bounded base-equation searches fast; a budget of 1 makes the
+# sufficient-condition decision give up (`feasibility-unknown`).
+CASES = [
+    ("zero-x", ["x - x = 0"]),
+    ("zero-xy", ["x*y = y*x"]),
+    ("zero-constant", ["3 = 3"]),
+    ("constant", ["5 = 0"]),
+    ("one-monomial-2var", ["3*x^2*y = 0"]),
+    ("one-monomial-3var", ["x*y*z = 0"]),
+    ("univariate-cubic", ["x^3 - 6*x^2 + 11*x - 6 = 0"]),
+    ("univariate-rational", ["2*x^2 - 3*x + 1 = 0"]),
+    ("univariate-none", ["x^2 + 1 = 0"]),
+    ("univariate-trinomial", ["x^4 + x + 3 = 0"]),
+    ("two-monomial-mixed", ["x^2*y - z^3 = 0"]),
+    ("two-monomial-irrational", ["x^2 - 2*y^2 = 0"]),
+    ("two-monomial-4var", ["x*y + z*t = 0"]),
+    ("two-monomial-finite", ["x^2*y^2 = 4"]),
+    ("two-monomial-power", ["2*x^3 = 16*y^6"]),
+    ("two-monomial-4var-powers", ["x^3*y = z^2*t^4"]),
+    ("base-quartic", ["x^4 + 2*y^3 + 7 = 0"]),
+    ("base-mordell", ["y^2 - x^3 - 2 = 0"]),
+    ("base-linear", ["3*y = 2*x^2 + 1"]),
+    ("base-linear-gcd-cubic", ["6*y = 4*x^3 + 2"]),
+    ("base-linear-gcd-line", ["4*y = 6*x + 2"]),
+    ("base-linear-gcd-quadratic", ["10*y = 4*x^2 + 6"]),
+    ("base-linear-gcd-unsolvable", ["4*y = 6*x + 3"]),
+    ("base-pell", ["x^2 - 2*y^2 - 1 = 0"]),
+    ("base-circle", ["x^2 + y^2 - 25 = 0"]),
+    ("base-factorable-quadratic", ["x^2 - 4*y^2 - 5 = 0"]),
+    ("base-thue-quintic", ["x^5 - 4*y^5 - 1 = 0", "-B", "200"]),
+    ("base-bennett", ["x^3 + y^3 = 2"]),
+    ("divisor-branch-form", ["x^2*y + x + 5 = 0"]),
+    ("divisor-branch-const", ["x*y + 2*y + 3 = 0"]),
+    ("divisor-branch-powers", ["x^2*y^3 + x*y + 6 = 0"]),
+    ("strict-masser", ["x^4 + 2*x*y + y^3 = 0", "-B", "300"]),
+    ("strict-quintic", ["x^5 + x*y + y^2 = 0", "-B", "300"]),
+    ("strict-families", ["x^3 + 6*x*y + y^2 = 0", "-B", "300"]),
+    ("equality-definite", ["x^2 + x*y + y^2 = 0"]),
+    ("equality-lines", ["x^2 - 3*x*y + 2*y^2 = 0"]),
+    ("equality-parabolas", ["x^4 - 5*x^2*y + 4*y^2 = 0"]),
+    ("runge-cubic", ["x^3*y + y^2 + x = 0", "-B", "100"]),
+    ("runge-hyperbola", ["x*y + x + y = 0", "-B", "100"]),
+    ("direct-cyclic", ["x*y + y*z + z*x = 0"]),
+    ("direct-icosahedral", ["x^2 + y^3 = z^5"]),
+    ("direct-mixed", ["x*y^2 = z^3 + z^2*x"]),
+    ("sufficient-xy-zt", ["x*y - z*t - 1 = 0"]),
+    ("sufficient-x2y", ["x^2*y - z^2 - 1 = 0"]),
+    ("sufficient-xyz", ["x*y*z - x - y = 0"]),
+    ("sufficient-coeffs", ["2*x*y + 3*z*t = 5"]),
+    ("reduction-cubes", ["3*x^3 + 4*y^3 + 5*z^3 = 0"]),
+    ("reduction-linear-block", ["x + x^2*y - y*z^2 = 0"]),
+    ("reduction-blocks", ["x^2*y^4 + z^6 = 5"]),
+    ("reduction-blocks-quartic", ["x^2*y^2 + z^4 = 2"]),
+    ("reduction-fermat", ["x^3 + y^3 + z^3 = 0", "--budget", "1"]),
+    ("reduction-mixed", ["x^2*y^3 + y*z^4 + z^2*x^5 = 0", "--budget", "3"]),
+    ("unknown-3var", ["y^5 + x^61*z^41 - z^40 = 0", "--budget", "1"]),
+    ("unknown-4var", ["x^9 + t^22 - z^45*t^24 = 0", "--budget", "1"]),
+]
+
+
+def render(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["solve", *argv, "--json"]) == 0
+    payload = json.loads(out.getvalue())
+    del payload["elapsed_ms"]
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def path_of(name: str) -> str:
+    return os.path.join(GOLDEN, f"{name}.json")
+
+
+@pytest.mark.parametrize("name,argv", CASES, ids=[c[0] for c in CASES])
+def test_golden(name, argv):
+    with open(path_of(name), encoding="utf-8") as fh:
+        expected = fh.read()
+    assert render(argv) == expected
+
+
+def test_golden_covers_every_reachable_path():
+    paths = set()
+    for name, _ in CASES:
+        with open(path_of(name), encoding="utf-8") as fh:
+            paths.update(json.load(fh)["path"])
+    assert paths == {
+        "identically-zero", "constant", "one-monomial", "univariate",
+        "two-monomial", "two-variable", "divisor-branch", "strict",
+        "equality", "runge", "base-equation", "n-variable",
+        "direct-formula", "sufficient-condition", "reduction",
+        "feasibility-unknown"}
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--regenerate"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py "
+                 "--regenerate")
+    os.makedirs(GOLDEN, exist_ok=True)
+    for name, argv in CASES:
+        with open(path_of(name), "w", encoding="utf-8") as fh:
+            fh.write(render(argv))
