@@ -15,17 +15,20 @@ import shlex
 import subprocess
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import comb, gcd, isqrt
 
 from . import expr as ex
 from .eqparse import Monomial, Polynomial
 from .intcore import (
+    divisors_k,
     exact_iroot,
     factorize,
+    iroot,
     rational_root_d,
     solve_univariate,
     valuation,
 )
+from .oracle import brute_force
 from .solset import (
     COMPLETE,
     AllIntegers,
@@ -34,6 +37,7 @@ from .solset import (
     SolutionSet,
     searched,
 )
+from .twomon import solve_two_monomial
 
 BENNETT_CITATION = ("uniqueness of the positive solution of |a*x^n - b*y^n| = 1 "
                     "(Bennett, J. reine angew. Math. 535, 2001)")
@@ -136,7 +140,7 @@ def solve_quadratic(A: int, B: int, C: int,
     N = -A * C
     if s0 is not None:
         # (Au - s0 v)(Au + s0 v) = N with N != 0
-        for d in _signed_divisors(N):
+        for d in divisors_k(N, 1):
             e = N // d
             if (d + e) % 2 or (e - d) % 2:
                 continue
@@ -225,13 +229,6 @@ def _ray_family(variables, p, q):
                variables[1]: ex.monomial_expr(q, [("t", 1)])},
         witness=witness, exact_box=True,
         note=f"ray ({p}t, {q}t)")
-
-
-def _signed_divisors(n: int) -> list[int]:
-    from .intcore import divisors
-
-    out = divisors(n)
-    return [-d for d in reversed(out)] + out
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +386,7 @@ def _twopower_factorable(tp: _TwoPower) -> list[tuple[int, int]] | None:
     out = set()
     if T == 0:
         return None  # C == 0 is not this shape's business
-    for d in _signed_divisors(T):
+    for d in divisors_k(T, 1):
         # U = V + d; (V + d)^D - V^D = T: polynomial in V
         coeffs = _binomial_shift_coeffs(d, D)
         coeffs[0] -= T
@@ -407,8 +404,6 @@ def _twopower_factorable(tp: _TwoPower) -> list[tuple[int, int]] | None:
 
 def _binomial_shift_coeffs(d: int, D: int) -> list[int]:
     """Coefficients of (V + d)^D - V^D as a polynomial in V."""
-    from math import comb
-
     coeffs = [comb(D, k) * d ** (D - k) for k in range(D + 1)]
     coeffs[D] -= 1
     return coeffs
@@ -420,7 +415,7 @@ def _twopower_definite(tp: _TwoPower) -> list[tuple[int, int]] | None:
     sign = 1 if tp.A > 0 else -1
     if tp.C * sign < 0:
         return []
-    limit = iroot_upper(abs(tp.C), abs(tp.A), tp.N)
+    limit = iroot(abs(tp.C) // abs(tp.A), tp.N) + 1
     out = set()
     for x in range(0, limit + 1):
         rem = tp.C - tp.A * x**tp.N
@@ -436,12 +431,6 @@ def _twopower_definite(tp: _TwoPower) -> list[tuple[int, int]] | None:
             for sy in {y, -y}:
                 out.add((sx, sy))
     return sorted(out)
-
-
-def iroot_upper(c: int, a: int, n: int) -> int:
-    from .intcore import iroot
-
-    return iroot(c // a, n) + 1
 
 
 def _twopower_bennett(tp: _TwoPower, found: list[tuple[int, int]]) -> bool:
@@ -507,8 +496,6 @@ def solve_superelliptic(a: int, b: int, c: int, n: int, m: int,
         return _superelliptic_univariate(a, b, c, n, m, poly, variables, record)
 
     if c == 0:
-        from .twomon import solve_two_monomial
-
         out = solve_two_monomial(poly)
         out.equation = poly
         out.add_finite((0, 0))
@@ -616,26 +603,27 @@ def _superelliptic_univariate(a, b, c, n, m, poly, variables, record):
 
 
 def _superelliptic_linear(a, b, c, n, poly, variables, record):
-    """a y = b x^n + c: one family per residue class r with a | b r^n + c."""
-    from math import comb
-
+    """a y = b x^n + c: no solutions unless g = gcd(a, b) divides c, else one
+    family per residue class r modulo |a/g| with a/g | (b/g) r^n + c/g."""
     out = SolutionSet(variables, status=COMPLETE, equation=poly)
-    aa = abs(a)
+    g = gcd(a, b)
+    ra, rb, rc = a // g, b // g, c // g
+    aa = abs(ra)
     vx, vy = variables
     count = 0
-    for r in range(aa):
-        if (b * pow(r, n, aa) + c) % aa:
+    for r in (range(aa) if c % g == 0 else ()):
+        if (rb * pow(r, n, aa) + rc) % aa:
             continue
         count += 1
         terms = []
         for k in range(n + 1):
-            coef = b * comb(n, k) * aa**k * r ** (n - k)
+            coef = rb * comb(n, k) * aa**k * r ** (n - k)
             if k == 0:
-                coef += c
+                coef += rc
             if coef:
                 terms.append(ex.monomial_expr(coef, [("w", k)] if k else []))
         y_expr = ex.ExactDiv(ex.Add(*terms) if terms else ex.const(0),
-                             ex.const(a))
+                             ex.const(ra))
         x_expr = ex.Add(ex.monomial_expr(aa, [("w", 1)]), ex.const(r))
 
         def witness(sol, _r=r):
@@ -706,8 +694,6 @@ def solve_runge_finite(poly: Polynomial, bound: int,
     status is Complete only when the caller certifies the bound effective."""
     if not check_runge_c1(poly):
         raise RungeConditionError("condition (C1) does not hold")
-    from .oracle import brute_force
-
     run = brute_force(poly, bound)
     out = SolutionSet(list(poly.variables),
                       status=COMPLETE if effective_bound else searched(bound),

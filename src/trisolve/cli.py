@@ -24,6 +24,7 @@ from .multivar import (
 )
 from .oracle import BoxTooLarge, brute_force
 from .solset import verify_against_oracle
+from .twovar import solve_masser, solve_two_var
 
 
 def _report_json(report) -> dict:
@@ -104,7 +105,8 @@ def cmd_oracle(args) -> int:
 
 def cmd_verify(args) -> int:
     poly = parse_equation(args.equation)
-    report = solve(args.equation, bound=args.bound, backend=args.backend)
+    report = solve(args.equation, bound=args.bound, backend=args.backend,
+                   budget=args.budget)
     run = brute_force(poly, args.bound_box)
     ver = verify_against_oracle(report.solutions, poly, run.solutions,
                                 args.bound_box)
@@ -191,8 +193,6 @@ def cmd_repro(args) -> int:
 
 
 def _repro_table1(args) -> int:
-    from .twovar import solve_masser
-
     mismatches = 0
     for a in range(1, 101):
         expected = fixtures.TABLE1.get(a, set())
@@ -210,8 +210,6 @@ def _repro_table1(args) -> int:
 
 
 def _repro_table2(args) -> int:
-    from .twovar import solve_two_var
-
     mismatches = 0
     for text in fixtures.TABLE2:
         eq = parse_trinomial(text)

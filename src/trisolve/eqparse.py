@@ -87,6 +87,13 @@ class Polynomial:
     def degree_in(self, var: str) -> int:
         return max((m.exp_of(var) for m in self.monomials), default=0)
 
+    def coefficients(self, var: str) -> list[int]:
+        """[c_0, ..., c_d] with P = sum(c_k * var**k), for P in var alone."""
+        coeffs = [0] * (self.degree_in(var) + 1)
+        for m in self.monomials:
+            coeffs[m.exp_of(var)] += m.coeff
+        return coeffs
+
     def substitute_zero(self, zero_vars: set[str]) -> "Polynomial":
         """Drop monomials containing any of zero_vars (i.e. set them to 0)."""
         kept = [m for m in self.monomials if not (m.variables() & zero_vars)]

@@ -3,6 +3,10 @@ suite: the x^4+axy+y^3 solution table, the quartic/quintic unit-coefficient
 table, the cubic/quartic family classification tables, and the random
 -equation proportions."""
 
+import re
+
+from .eqparse import parse_equation
+
 # Nontrivial solutions of x^4 + a*x*y + y^3 = 0 for 1 <= a <= 100 (rows with
 # no nontrivial solutions are omitted).
 TABLE1 = {
@@ -68,8 +72,6 @@ TABLE2 = {
 def table2_family(x_formula: str, y_formula: str):
     """Evaluate a Table-2 family at integer w (formulas are simple products
     of a power of w and a bracket polynomial)."""
-    import re
-
     def make(formula):
         m = re.fullmatch(
             r"(-?)w(?:\^(\d+))?\*\(1([+-])w(?:\^(\d+))?\)(?:\^(\d+))?",
@@ -280,8 +282,6 @@ TABLE6 = {
 def family_rows(text: str):
     """Exponent rows of a symbolic family 'a*M1+b*M2=c*M3' (or '+c*M3'),
     over first-appearance variable order."""
-    from .eqparse import parse_equation
-
     cleaned = text.replace("a*", "").replace("b*", "").replace("c*", "")
     poly = parse_equation(cleaned)
     if len(poly.monomials) != 3:
@@ -297,8 +297,6 @@ def family_orientation_rows(text: str):
     """(alpha, beta, gamma) rows in the orientation as written (left-hand
     monomials are alpha and beta, the right-hand one gamma), over the fixed
     variable order x, y, z, t used by the published exponent vectors."""
-    from .eqparse import parse_equation
-
     lhs_text, rhs_text = text.split("=")
     lhs = parse_equation(lhs_text.replace("a*", "").replace("b*", ""))
     rhs = parse_equation(rhs_text.replace("c*", ""))

@@ -380,10 +380,6 @@ def _poly_eval(coeffs: list[int], x: Fraction) -> Fraction:
     return acc
 
 
-def integer_roots(coeffs: list[int]) -> list[int]:
-    return solve_univariate(coeffs)[0]
-
-
 def integer_roots_bounded(coeffs: list[int], bound: int) -> list[int]:
     """Integer roots with |x| <= bound, found by scanning the divisors of the
     trailing coefficient up to the bound (no factorization).  Rejects the

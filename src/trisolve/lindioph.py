@@ -29,20 +29,6 @@ class TwoTermSolution:
     step_x: int = 0
     step_y: int = 0
 
-    def solutions_up_to(self, limit: int) -> list[tuple[int, int]]:
-        """All (x, y) with x + y <= limit."""
-        if not self.solvable:
-            return []
-        out = []
-        x, y = self.x0, self.y0
-        while x + y <= limit:
-            out.append((x, y))
-            if self.step_x == 0 and self.step_y == 0:
-                break
-            x += self.step_x
-            y += self.step_y
-        return out
-
 
 def solve_two_term(n: int, m: int, b: int) -> TwoTermSolution:
     """Solve n*x = m*y + b in non-negative integers.

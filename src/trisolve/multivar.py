@@ -11,7 +11,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 from . import expr as ex
 from .basesolve import BaseSolveRecord
@@ -24,7 +24,7 @@ from .eqparse import (
     parse_equation,
     poly_to_string,
 )
-from .intcore import factorize, valuation
+from .intcore import divisors, divisors_k, factorize, solve_univariate, valuation
 from .lindioph import (
     hilbert_basis,
     minimal_divisibility_set,
@@ -43,7 +43,9 @@ from .solset import (
     Status,
     searched,
 )
-from .twomon import solve_two_monomial
+from .oracle import BoxTooLarge, brute_force
+from .twomon import _enumerate_exact_products, _power_fiber, solve_two_monomial
+from .twovar import solve_two_var
 
 # re-exported surface
 __all__ = [
@@ -59,11 +61,10 @@ __all__ = [
 # trivial solutions (some variable = 0)
 # ---------------------------------------------------------------------------
 
-def trivial_solutions(eq: TrinomialEquation) -> SolutionSet:
+def trivial_solutions(poly: Polynomial) -> SolutionSet:
     """All solutions of the (uncancelled) equation with at least one zero
     variable, organized by the set of zeroed variables."""
-    poly = eq.full_polynomial()
-    variables = list(eq.variables)
+    variables = list(poly.variables)
     out = SolutionSet(variables, status=COMPLETE, equation=poly)
     n = len(variables)
     for mask in range(1, 1 << n):
@@ -76,12 +77,11 @@ def trivial_solutions(eq: TrinomialEquation) -> SolutionSet:
         if len(sub.monomials) == 1:
             continue  # single monomial cannot vanish with the rest nonzero
         if len(sub.monomials) == 2:
-            inner = solve_two_monomial(sub)
-            fam = _embed_family(variables, zeros, rest, inner,
-                                require_nonzero=True)
+            fam = _embed_family(variables, zeros, rest,
+                                solve_two_monomial(sub))
             if fam is not None:
                 out.families.append(fam)
-        # three monomials surviving would mean zeros hit no monomial at all,
+        # all monomials surviving would mean zeros hit no monomial at all,
         # impossible since every variable occurs somewhere
     return out
 
@@ -113,17 +113,16 @@ def _zero_family(variables, zeros):
         note=f"{'='.join(sorted(zeros))}=0, rest free")
 
 
-def _embed_family(variables, zeros, rest, inner: SolutionSet,
-                  require_nonzero: bool):
+def _embed_family(variables, zeros, rest, inner: SolutionSet):
     """Embed a solution set over `rest` into the full variable list with the
-    `zeros` pinned to 0; with require_nonzero, rest-coordinates must all be
-    nonzero (other zero patterns belong to other subsets)."""
+    `zeros` pinned to 0; rest-coordinates must all be nonzero (other zero
+    patterns belong to other subsets)."""
     if inner.is_empty_claim():
         return None
     rest_idx = [rest.index(v) if v in rest else None for v in variables]
 
-    def lift(point):
-        if require_nonzero and any(x == 0 for x in point):
+    def lift(point, bound):
+        if any(x == 0 for x in point):
             return []
         tup = []
         for v, ri in zip(variables, rest_idx):
@@ -132,7 +131,6 @@ def _embed_family(variables, zeros, rest, inner: SolutionSet,
 
     return MappedFamily(
         variables=list(variables), inner=inner, lift=lift,
-        inner_bound=lambda b: b,
         exact_box=all(f.exact_box for f in inner.families),
         note=f"{','.join(sorted(zeros))}=0")
 
@@ -267,8 +265,6 @@ def direct_formula(eq: TrinomialEquation, cert: Prop4Certificate
             g = gcd(lv, rv)
             if g == 0:
                 continue
-            from .intcore import divisors_k
-
             for w in divisors_k(g, 1):
                 env["w"] = w
                 try:
@@ -347,19 +343,12 @@ def solve_separated_linear(poly: Polynomial, limit: int = 1_000_000
         raise ResidueLimit(f"{aa}^{len(rest_vars)} residue classes")
     for res in itertools.product(range(aa), repeat=len(rest_vars)):
         env = dict(zip(rest_vars, res))
-        total = sum(m.coeff * _eval_mono(m, env) for m in rest)
+        total = sum(m.evaluate(env) for m in rest)
         if total % aa:
             continue
         out.families.append(_residue_family(variables, xvar, a, rest,
                                             rest_vars, res))
     return out
-
-
-def _eval_mono(mono: Monomial, env: dict[str, int]) -> int:
-    val = 1
-    for v, e in mono.exps:
-        val *= env[v] ** e
-    return val
 
 
 def _residue_family(variables, xvar, a, rest, rest_vars, residues):
@@ -373,8 +362,6 @@ def _residue_family(variables, xvar, a, rest, rest_vars, residues):
             if not e:
                 continue
             # (aa*w + r)^e expanded
-            from math import comb
-
             branch = {}
             for k in range(e + 1):
                 coef = comb(e, k) * aa**k * residues[pos] ** (e - k)
@@ -426,8 +413,7 @@ def _residue_family(variables, xvar, a, rest, rest_vars, residues):
 # form (20): a block x1^k * x2 inside a monomial
 # ---------------------------------------------------------------------------
 
-def solve_x1k_x2(poly: Polynomial, block_idx: int,
-                 subsolver=None) -> SolutionSet:
+def solve_x1k_x2(poly: Polynomial, block_idx: int) -> SolutionSet:
     """Solve an equation whose monomial `block_idx` contains a variable of
     exponent 1: substitute the whole block y := prod(vars^exps), solve the
     resulting separated-linear equation in y, then recover the block
@@ -448,7 +434,7 @@ def solve_x1k_x2(poly: Polynomial, block_idx: int,
         if j != block_idx:
             sub_monos.append(other)
     sub_poly = Polynomial(sub_monos, [yname] + other_vars)
-    inner = (subsolver or solve_separated_linear)(sub_poly)
+    inner = solve_separated_linear(sub_poly)
 
     variables = list(poly.variables)
     out = SolutionSet(variables, status=inner.status, equation=poly,
@@ -456,11 +442,6 @@ def solve_x1k_x2(poly: Polynomial, block_idx: int,
     for fam in inner.families:
         out.families.append(_unsub_block_family(
             fam, variables, yname, other_vars, exps, lin))
-    for tup in inner.finite:
-        # finite inner solutions fix the block value; expand via divisors
-        inner_env = dict(zip([yname] + other_vars, tup))
-        out.families.append(_finite_block_family(
-            variables, exps, lin, other_vars, inner_env))
     return out
 
 
@@ -511,46 +492,6 @@ def _unsub_block_family(fam: SolutionFamily, variables, yname, other_vars,
         variables=list(variables), params=params, exprs=exprs,
         witness=witness, exact_box=fam.exact_box, note=note)
 
-
-def _finite_block_family(variables, exps, lin, other_vars, inner_env):
-    yval = inner_env["y_block"]
-    params = []
-    exprs = {v: ex.const(inner_env[v]) for v in other_vars}
-    remaining_val = ex.const(yval)
-    denom_terms: list[ex.Expr] = []
-    for v, e in exps:
-        if v == lin:
-            continue
-        pname = f"d_{v}"
-        src = (ex.ExactDiv(ex.const(yval), ex.Mul(*denom_terms))
-               if denom_terms else ex.const(yval))
-        params.append((pname, DivisorSet(e, src)))
-        exprs[v] = ex.param(pname)
-        denom_terms.append(ex.Pow(ex.param(pname), e))
-    exprs[lin] = (ex.ExactDiv(ex.const(yval), ex.Mul(*denom_terms))
-                  if denom_terms else ex.const(yval))
-
-    def witness(sol):
-        env_sol = dict(zip(variables, sol))
-        for v in other_vars:
-            if env_sol[v] != inner_env[v]:
-                return None
-        env = {}
-        prod = 1
-        for v, e in exps:
-            if env_sol[v] == 0:
-                return None
-            if v != lin:
-                env[f"d_{v}"] = env_sol[v]
-            prod *= env_sol[v] ** e
-        if prod != yval:
-            return None
-        return env
-
-    return SolutionFamily(
-        variables=list(variables), params=params, exprs=exprs,
-        witness=witness, exact_box=True,
-        note=f"block value {yval}")
 
 # ---------------------------------------------------------------------------
 # reduction to independent monomials
@@ -605,7 +546,6 @@ class ReducedEquation:
     signs: tuple[int, int, int]
     particular: tuple[int, ...]              # P_i per source variable
     bases: tuple[tuple[tuple[int, ...], ...], ...]  # E/F/G basis row lists
-    primitive_only: bool = True
 
     def describe(self) -> str:
         out = ""
@@ -635,8 +575,6 @@ class ReducedEquation:
 def _block_term_options(coeff: Fraction, eks: list[int], prefix: str):
     """Transform the term coeff * prod(U_k^{e_k}) (e_k of any sign, coeff
     rational) into integral options per the three representability cases."""
-    from .intcore import rational_root_d as _root
-
     s, q = coeff.numerator, coeff.denominator
     nz = [e for e in eks if e != 0]
     free_idx = tuple(i for i, e in enumerate(eks) if e == 0)
@@ -650,17 +588,13 @@ def _block_term_options(coeff: Fraction, eks: list[int], prefix: str):
 
     if all(e < 0 for e in nz):
         # term = s / (q * prod U^{|e|}): enumerate integer values m
-        from .intcore import divisors
-
-        for m in [d for d in divisors(s)] + [-d for d in divisors(s)]:
+        for m in divisors(s) + [-d for d in divisors(s)]:
             num, den = s, q * m
             if num % den:
                 continue
             target = num // den
             if target == 0:
                 continue
-            from .twomon import _enumerate_exact_products
-
             side_exps = tuple(-e for e in eks)
             if not _enumerate_exact_products(
                     [e for e in side_exps if e], target):
@@ -678,7 +612,7 @@ def _block_term_options(coeff: Fraction, eks: list[int], prefix: str):
         qstar = 1
         for p, qp in factorize(q).factors:
             qstar *= p ** (-(-qp // d))
-        for v in [dv for dv in _pos_divisors(s) if s % dv**d == 0]:
+        for v in [dv for dv in divisors(s) if s % dv**d == 0]:
             new_coeff = s * qstar**d // (v**d * q)
             options.append(ReducedTerm(
                 coeff=new_coeff, exps=(d,), varnames=(f"{prefix}1",),
@@ -698,12 +632,6 @@ def _block_term_options(coeff: Fraction, eks: list[int], prefix: str):
             coeff=new_coeff, exps=tuple(eks), varnames=names,
             kind="case3", scales=tuple(scales), free_idx=free_idx))
     return options
-
-
-def _pos_divisors(n: int) -> list[int]:
-    from .intcore import divisors
-
-    return divisors(n)
 
 
 def reduce_to_independent(eq: TrinomialEquation,
@@ -814,58 +742,12 @@ def _dedupe_reduced(reds: list[ReducedEquation]) -> list[ReducedEquation]:
 # solving reduced equations and lifting back
 # ---------------------------------------------------------------------------
 
-def _power_fiber(exps: list[int], target: Fraction, bound: int
-                 ) -> list[tuple[int, ...]]:
-    """Nonzero tuples with prod x^exps == target, |x| <= bound (mixed signs
-    swept, same signs enumerated by divisors)."""
-    from .twomon import _enumerate_exact_products
-
-    if all(e > 0 for e in exps) or all(e < 0 for e in exps):
-        t = target if exps[0] > 0 else 1 / target
-        if t.denominator != 1:
-            return []
-        return [tup for tup in
-                _enumerate_exact_products([abs(e) for e in exps],
-                                          t.numerator)
-                if all(abs(x) <= bound for x in tup)]
-    out = []
-    j = max(range(len(exps)), key=lambda i: abs(exps[i]))
-    others = [i for i in range(len(exps)) if i != j]
-    nz = [v for v in range(-bound, bound + 1) if v != 0]
-    from .intcore import exact_iroot
-
-    for combo in itertools.product(nz, repeat=len(others)):
-        lhs = target
-        for i, v in zip(others, combo):
-            lhs /= Fraction(v) ** exps[i]
-        k = abs(exps[j])
-        if exps[j] < 0:
-            lhs = 1 / lhs
-        if lhs.denominator != 1:
-            continue
-        root = exact_iroot(lhs.numerator, k)
-        if root is None or root == 0:
-            continue
-        roots = {root, -root} if k % 2 == 0 else {root}
-        for rt in roots:
-            if rt**k != lhs.numerator or abs(rt) > bound:
-                continue
-            tup = [0] * len(exps)
-            for i, v in zip(others, combo):
-                tup[i] = v
-            tup[j] = rt
-            out.append(tuple(tup))
-    return out
-
-
 def _fiber_core_options(term: ReducedTerm, values: dict[str, int],
                         bound: int):
     """Positive magnitude assignments for the non-free block positions of a
     term: (positions, list of magnitude tuples).  Signs of block variables
     never matter downstream (term values come from the transformed variables
     and the back map uses absolute values), so only magnitudes are listed."""
-    from .twomon import _enumerate_exact_products
-
     if term.kind == "const":
         support = [i for i, e in enumerate(term.side_exps) if e]
         if not support:
@@ -1063,8 +945,6 @@ def solve_reduced(red: ReducedEquation, bound: int = 10_000,
         return out, COMPLETE
     # trinomial in the reduced variables
     if len(variables) <= 2:
-        from .twovar import solve_two_var
-
         try:
             eq2 = canonicalize(poly)
         except NotATrinomial:
@@ -1073,16 +953,8 @@ def solve_reduced(red: ReducedEquation, bound: int = 10_000,
             rep = solve_two_var(eq2, bound=bound, backend=backend)
             return rep.solutions, rep.solutions.status
         if eq2 is not None and len(eq2.variables) == 1:
-            var = eq2.variables[0]
-            full = poly
-            deg = full.degree_in(var)
-            coeffs = [0] * (deg + 1)
-            for m in full.monomials:
-                coeffs[m.exp_of(var)] += m.coeff
             out = SolutionSet(variables, status=COMPLETE, equation=poly)
-            from .intcore import solve_univariate as usolve
-
-            for r in usolve(coeffs)[0]:
+            for r in solve_univariate(poly.coefficients(eq2.variables[0]))[0]:
                 if r != 0:
                     out.add_finite((r,))
             return out, COMPLETE
@@ -1141,70 +1013,61 @@ def _solve_blocks(poly: Polynomial, bound, backend):
     return _unsub_blocks(poly, inner, blocks, names)
 
 
+@dataclass
+class _BlockMapped(MappedFamily):
+    """Block-grouping family: the inner set solves the grouped equation and
+    the lift recovers the block variables by divisor fibers.  Its image is
+    the nonzero solution set of `poly`, which box listings still take from
+    the oracle whenever the box fits its guard."""
+
+    poly: Polynomial | None = None
+
+    def enumerate_box(self, bound):
+        try:
+            run = brute_force(self.poly, bound, guard=4_000_000)
+        except BoxTooLarge:
+            return super().enumerate_box(bound)
+        return {t for t in run.solutions if all(x != 0 for x in t)}
+
+
 def _unsub_blocks(poly: Polynomial, inner: SolutionSet, blocks, names):
     variables = list(poly.variables)
     live = [b for b in blocks if b]
 
-    def lift_point(point, bound):
+    def lift(point, bound):
         vals = dict(zip(inner.variables, point))
         fibers = []
         for wname, d, parts in live:
             wval = vals.get(wname)
             if wval is None or wval == 0:
-                return
-            from .twomon import _enumerate_exact_products
-
+                return []
             tuples = [t for t in _enumerate_exact_products(
                 [e for _, e in parts], wval)
                 if all(abs(x) <= bound for x in t)]
             if not tuples:
-                return
+                return []
             fibers.append((parts, tuples))
+        out = []
         for combo in itertools.product(*[f[1] for f in fibers]):
             env = {}
             for (parts, _), tup in zip(fibers, combo):
                 for (v, _), val in zip(parts, tup):
                     env[v] = val
-            yield tuple(env[v] for v in variables)
+            if poly.evaluate(env) == 0:
+                out.append(tuple(env[v] for v in variables))
+        return out
 
     max_deg = max(1, max(sum(e for _, e in parts) for _, _, parts in live))
 
     def inner_bound(b):
         return min(max(abs(b), 2) ** max_deg, 10**6)
 
-    class _BlockMapped(MappedFamily):
-        """The family image is exactly the nonzero solution set of the
-        reduced trinomial, so box listings enumerate it directly; the block
-        families are kept for the closed forms and the status."""
-
-        def __init__(self):
-            super().__init__(
-                variables=variables, inner=inner, lift=lambda p: [],
-                inner_bound=inner_bound,
-                exact_box=all(f.exact_box for f in inner.families),
-                note="block grouping")
-
-        def enumerate_box(self, bound, sweep=None):
-            from .oracle import BoxTooLarge, brute_force
-
-            try:
-                run = brute_force(poly, bound, guard=4_000_000)
-                return {t for t in run.solutions
-                        if all(x != 0 for x in t)}
-            except BoxTooLarge:
-                pass
-            ib = self.inner_bound(bound)
-            inner_pts, _ = self.inner.enumerate_box(ib, sweep)
-            out = set()
-            for pt in inner_pts:
-                for tup in lift_point(pt, bound) or ():
-                    if poly.evaluate(dict(zip(variables, tup))) == 0:
-                        out.add(tup)
-            return out
-
     out = SolutionSet(variables, status=inner.status, equation=poly,
                       provenance=list(inner.provenance))
-    out.families.append(_BlockMapped())
+    out.families.append(_BlockMapped(
+        variables=variables, inner=inner, lift=lift, inner_bound=inner_bound,
+        exact_box=all(f.exact_box for f in inner.families),
+        note="block grouping", poly=poly))
     return out
 
 
@@ -1218,8 +1081,6 @@ def _definite_empty(monos) -> bool:
 
 
 def _bounded_reduced_search(poly: Polynomial, bound: int) -> SolutionSet:
-    from .oracle import brute_force
-
     out = SolutionSet(list(poly.variables), status=searched(bound),
                       equation=poly)
     if len(poly.variables) <= 4:
@@ -1233,56 +1094,31 @@ def solve_prop4(eq: TrinomialEquation, cert: Prop4Certificate,
                 bound: int = 10_000) -> SolutionSet:
     """Complete solving when the z-system is solvable: reduce to independent
     monomials and solve the guaranteed linear-block shapes."""
-    reduced = reduce_to_independent(eq)
     out = SolutionSet(list(eq.variables), status=COMPLETE)
-    for red in reduced:
-        inner, status = solve_reduced(red, bound=bound)
-        if status.kind != "complete":
-            out.status = out.status.combine(status)
-        out.families.append(_reduced_lift_family(red, inner))
+    out.families, out.status = _lift_reduced(reduce_to_independent(eq), bound)
     return out
 
 
-def _reduced_lift_family(red: ReducedEquation, inner: SolutionSet):
-    return _ReducedMapped(list(red.source.variables), inner, red)
+def _lift_reduced(reduced: list[ReducedEquation], bound, backend=None):
+    """Solve each reduced equation and map its solutions back to the source
+    variables: one family per reduced equation, listed from the reduced
+    solution set, and the weakest status among them."""
+    families = []
+    status = COMPLETE
+    for red in reduced:
+        inner, st = solve_reduced(red, bound=bound, backend=backend)
+        status = status.combine(st)
 
+        def lift(point, box, red=red, names=inner.variables):
+            if any(x == 0 for x in point):
+                return []
+            return lift_reduced_solution(red, dict(zip(names, point)), box)
 
-class _ReducedMapped(MappedFamily):
-    """Mapped family whose lift depends on the enumeration bound (fiber
-    enumeration of block variables is bounded by the box)."""
-
-    def __init__(self, variables, inner, red):
-        super().__init__(variables=variables, inner=inner,
-                         lift=lambda p: [], inner_bound=lambda b: b,
-                         exact_box=all(f.exact_box for f in inner.families),
-                         note=f"lift of {red.describe()}")
-        self.red = red
-
-    def enumerate_box(self, bound, sweep=None):
-        inner_pts = self._inner_points(bound, sweep)
-        out: set[tuple[int, ...]] = set()
-        for pt in inner_pts:
-            if any(x == 0 for x in pt):
-                continue
-            values = dict(zip(self.inner.variables, pt))
-            for lifted in lift_reduced_solution(self.red, values, bound):
-                out.add(lifted)
-        return out
-
-    def _inner_points(self, bound, sweep):
-        """Solutions of the reduced equation in the box: directly from the
-        oracle when the variable count allows, else through the families."""
-        from .oracle import BoxTooLarge, brute_force
-
-        rpoly = self.red.polynomial()
-        if rpoly.variables and self.inner.variables == rpoly.variables:
-            try:
-                run = brute_force(rpoly, bound, guard=300_000)
-                return run.solutions
-            except BoxTooLarge:
-                pass
-        pts, _ = self.inner.enumerate_box(self.inner_bound(bound), sweep)
-        return pts
+        families.append(MappedFamily(
+            variables=list(red.source.variables), inner=inner, lift=lift,
+            exact_box=all(f.exact_box for f in inner.families),
+            note=f"lift of {red.describe()}"))
+    return families, status
 
 # ---------------------------------------------------------------------------
 # classification of coefficient families
@@ -1476,12 +1312,12 @@ def classify_cyclic(a: int, b: int, bound: int = 10_000) -> CyclicReport:
         out.add_finite((0, 0, 0))
         return CyclicReport(a, b, "even-gcd: non-negative monomials", m, out)
     if d >= 3:
-        triv = trivial_solutions(eq)
+        triv = trivial_solutions(eq.full_polynomial())
         return CyclicReport(
             a, b, f"gcd {d} >= 3: no solutions with xyz != 0", m, triv,
             ["Fermat's Last Theorem (Wiles 1995)"])
     if m >= 3:
-        triv = trivial_solutions(eq)
+        triv = trivial_solutions(eq.full_polynomial())
         return CyclicReport(
             a, b, f"coprime, m = {m} >= 3: xyz = 0 forced", m, triv,
             ["Fermat's Last Theorem (Wiles 1995)"])
@@ -1623,8 +1459,7 @@ def solve(text_or_poly, bound: int = 10_000, backend: str | None = None,
     if nmon == 0:
         path.append("identically-zero")
         out = SolutionSet(variables, status=COMPLETE, equation=poly)
-        out.families.append(_zero_family(variables, set()) if variables
-                            else _zero_family(variables, set()))
+        out.families.append(_zero_family(variables, set()))
         sols = out
     elif not variables:
         path.append("constant")
@@ -1639,15 +1474,13 @@ def solve(text_or_poly, bound: int = 10_000, backend: str | None = None,
         sols = _solve_univariate_poly(poly)
     elif nmon == 2:
         path.append("two-monomial")
-        sols = solve_two_monomial(poly).union(_two_monomial_trivials(poly))
+        sols = solve_two_monomial(poly).union(trivial_solutions(poly))
     else:
         eq = canonicalize(poly)
         if len(eq.variables) == 1:
             path.append("univariate")
             sols = _solve_univariate_poly(poly)
         elif len(eq.variables) == 2:
-            from .twovar import solve_two_var
-
             rep = solve_two_var(eq, bound=bound, backend=backend)
             path.extend(["two-variable"] + rep.path)
             records.extend(rep.base_records)
@@ -1664,7 +1497,7 @@ def solve(text_or_poly, bound: int = 10_000, backend: str | None = None,
 
 def _solve_multivar(eq: TrinomialEquation, bound, backend, budget):
     path = ["n-variable"]
-    triv = trivial_solutions(eq)
+    triv = trivial_solutions(eq.full_polynomial())
     cert = check_prop4(eq, budget)
     reduced_strs: list[str] = []
     if cert is not None and cert.unknown:
@@ -1685,54 +1518,26 @@ def _solve_multivar(eq: TrinomialEquation, bound, backend, budget):
         nonzero = solve_prop4(eq, cert, bound=bound)
         return triv.union(nonzero), path, reduced_strs
     path.append("reduction")
-    out = triv
-    status = COMPLETE
-    for red in reduce_to_independent(eq):
-        reduced_strs.append(red.describe())
-        inner, st = solve_reduced(red, bound=bound, backend=backend)
-        status = status.combine(st)
-        out.families.append(_reduced_lift_family(red, inner))
-    out.status = out.status.combine(status)
-    return out, path, sorted(set(reduced_strs))
+    reduced = reduce_to_independent(eq)
+    families, status = _lift_reduced(reduced, bound, backend)
+    triv.families.extend(families)
+    triv.status = triv.status.combine(status)
+    return triv, path, sorted({red.describe() for red in reduced})
 
 
 def _solve_one_monomial(poly: Polynomial) -> SolutionSet:
     mono = poly.monomials[0]
     variables = list(poly.variables)
     out = SolutionSet(variables, status=COMPLETE, equation=poly)
-    for v in mono.variables():
-        out.families.append(_zero_family(variables, {v}))
+    for v in variables:
+        if mono.exp_of(v):
+            out.families.append(_zero_family(variables, {v}))
     return out
 
 
 def _solve_univariate_poly(poly: Polynomial) -> SolutionSet:
     var = poly.variables[0]
-    deg = poly.degree_in(var)
-    coeffs = [0] * (deg + 1)
-    for m in poly.monomials:
-        coeffs[m.exp_of(var)] += m.coeff
-    from .intcore import solve_univariate as usolve
-
     out = SolutionSet([var], status=COMPLETE, equation=poly)
-    for r in usolve(coeffs)[0]:
+    for r in solve_univariate(poly.coefficients(var))[0]:
         out.add_finite((r,))
-    return out
-
-
-def _two_monomial_trivials(poly: Polynomial) -> SolutionSet:
-    variables = list(poly.variables)
-    out = SolutionSet(variables, status=COMPLETE, equation=poly)
-    n = len(variables)
-    for mask in range(1, 1 << n):
-        zeros = {variables[i] for i in range(n) if mask >> i & 1}
-        sub = poly.substitute_zero(zeros)
-        if not sub.monomials:
-            out.families.append(_zero_family(variables, zeros))
-        elif len(sub.monomials) == 2:
-            inner = solve_two_monomial(sub)
-            rest = [v for v in variables if v not in zeros]
-            fam = _embed_family(variables, zeros, rest, inner,
-                                require_nonzero=True)
-            if fam is not None:
-                out.families.append(fam)
     return out

@@ -83,10 +83,3 @@ def brute_force_naive(poly: Polynomial, bound: int) -> list[tuple[int, ...]]:
             out.append(point)
     return out
 
-
-def compare(solset, poly: Polynomial, bound: int):
-    """Engine behind solset.verify_against_oracle."""
-    from .solset import verify_against_oracle
-
-    run = brute_force(poly, bound)
-    return verify_against_oracle(solset, poly, run.solutions, bound)

@@ -146,8 +146,7 @@ class Family:
     exact_box: bool
     note: str
 
-    def enumerate_box(self, bound: int, sweep: Optional[int] = None
-                      ) -> set[tuple[int, ...]]:
+    def enumerate_box(self, bound: int) -> set[tuple[int, ...]]:
         raise NotImplementedError
 
     def describe(self) -> dict:
@@ -186,13 +185,11 @@ class SolutionFamily(Family):
             env[name] = value
         return tuple(self.exprs[v].eval(env) for v in self.variables)
 
-    def enumerate_box(self, bound, sweep=None):
+    def enumerate_box(self, bound):
         if self.box_enumerator is not None:
             return {t for t in self.box_enumerator(bound)
                     if all(abs(x) <= bound for x in t)}
         limit = self.param_bound(bound) if self.param_bound else bound
-        if sweep is not None and not self.exact_box:
-            limit = sweep
         out: set[tuple[int, ...]] = set()
 
         def rec(idx: int, env: dict[str, int]):
@@ -249,13 +246,15 @@ class RecurrenceFamily(Family):
             vec = self._apply(mat, vec)
         return vec
 
-    def enumerate_box(self, bound, sweep=None, miss_streak: int = 8):
+    def enumerate_box(self, bound):
         out: set[tuple[int, ...]] = set()
         for seed in self.seeds:
             for direction in (1, -1):
                 vec = seed
                 misses = 0
-                while misses < miss_streak:
+                # stops after eight steps in a row outside the box, a
+                # heuristic rule: no proof bounds the orbit's return
+                while misses < 8:
                     if all(abs(x) <= bound for x in vec):
                         out.add(vec)
                         misses = 0
@@ -285,23 +284,25 @@ class RecurrenceFamily(Family):
 
 @dataclass
 class MappedFamily(Family):
-    """Solutions of an inner set pushed through a lift map (used for
-    back-substitution of reduced equations).  Box enumeration enumerates the
-    inner set at `inner_bound(B)` and lifts, which is complete whenever the
-    lift cannot shrink coordinates below the box."""
+    """Solutions of an inner set pushed through a lift map (back-substitution
+    of reduced, grouped or embedded equations).  `lift(point, B)` lists the
+    images of one inner point that may lie in the box of bound B.  Box
+    enumeration lists the inner set at `inner_bound(B)` from its own families
+    and lifts, which is complete whenever the lift cannot shrink coordinates
+    below the box."""
 
     variables: list[str]
     inner: "SolutionSet"
-    lift: Callable[[tuple[int, ...]], list[tuple[int, ...]]]
+    lift: Callable[[tuple[int, ...], int], list[tuple[int, ...]]]
     inner_bound: Callable[[int], int] = staticmethod(lambda b: b)
     exact_box: bool = True
     note: str = ""
 
-    def enumerate_box(self, bound, sweep=None):
-        inner_pts, _ = self.inner.enumerate_box(self.inner_bound(bound), sweep)
+    def enumerate_box(self, bound):
+        inner_pts, _ = self.inner.enumerate_box(self.inner_bound(bound))
         out: set[tuple[int, ...]] = set()
         for pt in inner_pts:
-            for lifted in self.lift(pt):
+            for lifted in self.lift(pt, bound):
                 if all(abs(x) <= bound for x in lifted):
                     out.add(lifted)
         return out
@@ -358,17 +359,16 @@ class SolutionSet:
             self.equation or other.equation,
         )
 
-    def enumerate_box(self, bound: int, sweep: Optional[int] = None
-                      ) -> tuple[list[tuple[int, ...]], bool]:
+    def enumerate_box(self, bound: int) -> tuple[list[tuple[int, ...]], bool]:
         """All produced tuples with every |coordinate| <= bound, sorted, plus
         a flag: True when the listing is certified complete for the box,
-        False when any family had to fall back to a heuristic sweep."""
+        False when any family does not claim an exact box listing."""
         pts = {t for t in self.finite if all(abs(x) <= bound for x in t)}
         exact = True
         for fam in self.families:
             if not fam.exact_box:
                 exact = False
-            pts |= fam.enumerate_box(bound, sweep)
+            pts |= fam.enumerate_box(bound)
         return sorted(pts), exact
 
     def is_empty_claim(self) -> bool:
@@ -381,11 +381,6 @@ class SolutionSet:
             "status": str(self.status),
             "citations": list(self.provenance),
         }
-
-
-def empty_set(variables: list[str], status: Status = COMPLETE,
-              equation: Optional[Polynomial] = None) -> SolutionSet:
-    return SolutionSet(variables, set(), [], status, [], equation)
 
 
 @dataclass

@@ -7,12 +7,13 @@ witness, mirroring the direct formula for three monomials.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import gcd
 
 from . import expr as ex
 from .eqparse import Polynomial
-from .intcore import rational_root_d
+from .intcore import divisors_k, exact_iroot, rational_root_d
 from .lindioph import solve_monoid_target_2d
 from .solset import (
     COMPLETE,
@@ -87,8 +88,6 @@ def solve_power_product(exponents: list[int], r: Fraction,
 
 def _enumerate_exact_products(exps: list[int], target: int) -> list[tuple[int, ...]]:
     """All tuples of nonzero integers with prod(x_i**e_i) == target."""
-    from .intcore import divisors_k, exact_iroot
-
     results: list[tuple[int, ...]] = []
 
     def rec(idx: int, rem: int, prefix: list[int]):
@@ -182,7 +181,17 @@ def _mixed_family(exponents, s: Fraction, variables, support, free):
         return env
 
     def box_enumerator(bound):
-        return _power_box(exponents, s, variables, support, free, bound)
+        # the support coordinates solve prod(x**(e/d)) = s; free ones sweep
+        out = set()
+        for core in _power_fiber([exponents[i] // d for i in support], s,
+                                 bound):
+            for vals in itertools.product(range(-bound, bound + 1),
+                                          repeat=len(free)):
+                tup = [0] * len(variables)
+                for i, v in zip(support + free, core + vals):
+                    tup[i] = v
+                out.add(tuple(tup))
+        return out
 
     return SolutionFamily(
         variables=list(variables), params=params, exprs=exprs,
@@ -191,30 +200,28 @@ def _mixed_family(exponents, s: Fraction, variables, support, free):
         box_enumerator=box_enumerator)
 
 
-def _power_box(exponents, s: Fraction, variables, support, free, bound):
-    """Solutions of prod(x**(e/d)) = s with support variables nonzero, inside
-    the box: sweep all but one support variable, root-extract the last."""
-    import itertools
-
-    d = 0
-    for i in support:
-        d = gcd(d, abs(exponents[i]))
-    red = {i: exponents[i] // d for i in support}
-    j = max(support, key=lambda i: abs(red[i]))
-    others = [i for i in support if i != j]
+def _power_fiber(exps: list[int], target: Fraction, bound: int
+                 ) -> list[tuple[int, ...]]:
+    """Nonzero tuples with prod x^exps == target, |x| <= bound (mixed signs
+    swept, same signs enumerated by divisors)."""
+    if all(e > 0 for e in exps) or all(e < 0 for e in exps):
+        t = target if exps[0] > 0 else 1 / target
+        if t.denominator != 1:
+            return []
+        return [tup for tup in
+                _enumerate_exact_products([abs(e) for e in exps],
+                                          t.numerator)
+                if all(abs(x) <= bound for x in tup)]
+    out = []
+    j = max(range(len(exps)), key=lambda i: abs(exps[i]))
+    others = [i for i in range(len(exps)) if i != j]
     nz = [v for v in range(-bound, bound + 1) if v != 0]
-    full = list(range(-bound, bound + 1))
-    out = set()
-    from .intcore import exact_iroot
-
-    for combo in itertools.product(*([nz] * len(others))):
-        val = dict(zip(others, combo))
-        lhs = Fraction(s)
-        for i, v in val.items():
-            lhs /= Fraction(v) ** red[i]
-        # x_j ** red[j] == lhs
-        k = abs(red[j])
-        if red[j] < 0:
+    for combo in itertools.product(nz, repeat=len(others)):
+        lhs = target
+        for i, v in zip(others, combo):
+            lhs /= Fraction(v) ** exps[i]
+        k = abs(exps[j])
+        if exps[j] < 0:
             lhs = 1 / lhs
         if lhs.denominator != 1:
             continue
@@ -225,18 +232,11 @@ def _power_box(exponents, s: Fraction, variables, support, free, bound):
         for rt in roots:
             if rt**k != lhs.numerator or abs(rt) > bound:
                 continue
-            base = [0] * len(variables)
-            for i, v in val.items():
-                base[i] = v
-            base[j] = rt
-            if free:
-                for vals in itertools.product(full, repeat=len(free)):
-                    t = list(base)
-                    for i, v in zip(free, vals):
-                        t[i] = v
-                    out.add(tuple(t))
-            else:
-                out.add(tuple(base))
+            tup = [0] * len(exps)
+            for i, v in zip(others, combo):
+                tup[i] = v
+            tup[j] = rt
+            out.append(tuple(tup))
     return out
 
 

@@ -11,19 +11,31 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .basesolve import BaseSolveRecord, solve_superelliptic, solve_runge_finite
-from .eqparse import Monomial, Polynomial, TrinomialEquation, parse_trinomial
-from .intcore import divisors, exact_iroot, factorize, solve_univariate, valuation
-from .lindioph import solve_two_term, solve_xy_eq_zt
-from .solset import (
-    COMPLETE,
-    AllIntegers,
-    MappedFamily,
-    SolutionFamily,
-    SolutionSet,
-    searched,
+from .basesolve import (
+    BaseSolveRecord,
+    _line_family,
+    solve_runge_finite,
+    solve_superelliptic,
 )
-from . import expr as ex
+from .eqparse import (
+    Monomial,
+    Polynomial,
+    TrinomialEquation,
+    parse_equation,
+    parse_trinomial,
+)
+from .intcore import (
+    divisors,
+    divisors_k,
+    exact_iroot,
+    factorize,
+    iroot,
+    solve_univariate,
+    valuation,
+)
+from .lindioph import solve_two_term, solve_xy_eq_zt
+from .solset import COMPLETE, MappedFamily, SolutionSet, searched
+from .twomon import solve_power_product, solve_two_monomial
 
 
 @dataclass
@@ -70,37 +82,15 @@ class TwoVarReport:
 def trivial_two_var(full_poly: Polynomial, variables: list[str]) -> SolutionSet:
     out = SolutionSet(variables, status=COMPLETE, equation=full_poly)
     for idx, var in enumerate(variables):
-        other = variables[1 - idx]
         sub = full_poly.substitute_zero({var})
         if not sub.monomials:
-            out.families.append(_axis_family(variables, idx))
+            out.families.append(_line_family(variables, idx, 0))
             continue
-        deg = sub.degree_in(other)
-        coeffs = [0] * (deg + 1)
-        for mono in sub.monomials:
-            coeffs[mono.exp_of(other)] += mono.coeff
-        if all(c == 0 for c in coeffs):
-            out.families.append(_axis_family(variables, idx))
-            continue
-        for root in solve_univariate(coeffs)[0]:
+        for root in solve_univariate(sub.coefficients(variables[1 - idx]))[0]:
             tup = [0, 0]
             tup[1 - idx] = root
             out.add_finite(tuple(tup))
     return out
-
-
-def _axis_family(variables, zero_index):
-    free = variables[1 - zero_index]
-
-    def witness(sol):
-        return {"w": sol[1 - zero_index]} if sol[zero_index] == 0 else None
-
-    return SolutionFamily(
-        variables=list(variables),
-        params=[("w", AllIntegers())],
-        exprs={variables[zero_index]: ex.const(0), free: ex.param("w")},
-        witness=witness, exact_box=True,
-        note=f"{variables[zero_index]} = 0")
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +147,7 @@ def _divisor_branch_const(eq: TrinomialEquation, const_index: int) -> SolutionSe
     c_const = eq.coeffs[const_index]
     poly = eq.polynomial()
     vx, vy = variables
-    for y0 in _signed_divs(c_const):
+    for y0 in divisors_k(c_const, 1):
         coeffs = _substitute_univariate(poly, vy, y0, vx)
         if all(co == 0 for co in coeffs):
             continue
@@ -176,16 +166,11 @@ def _substitute_univariate(poly: Polynomial, var: str, value: int,
     return coeffs
 
 
-def _signed_divs(n: int) -> list[int]:
-    out = divisors(n)
-    return [-d for d in reversed(out)] + out
-
-
 def _divisor_branch_form(form: TwoVarForm) -> SolutionSet:
     """(11)-form with m = 0 and k*l > 0: x divides c, finitely many x."""
     variables = form.variables
     out = SolutionSet(variables, status=COMPLETE)
-    for x0 in _signed_divs(form.c):
+    for x0 in divisors_k(form.c, 1):
         rhs = -(form.a * x0**form.n + form.c)
         for y in _solve_y_power(form.b * x0**form.k, form.l, rhs):
             if y != 0:
@@ -200,8 +185,6 @@ def _divisor_branch_form(form: TwoVarForm) -> SolutionSet:
 def solve_equality_case(form: TwoVarForm, trace=None) -> SolutionSet:
     """Reduce to a one-variable trinomial a t^u + b t^r + c via t = x^w / y^v
     and solve a two-monomial equation per rational root."""
-    from .twomon import solve_power_product
-
     n, k, l, m = form.n, form.k, form.l, form.m
     u, v, w, r = (abs(t) for t in solve_xy_eq_zt(m, k, n, m - l))
     coeffs = [0] * (u + 1)
@@ -304,7 +287,7 @@ def solve_strict_case(form: TwoVarForm, bound: int = 10_000,
 def _lifted_family(fam, variables, xi, yi, lp, np_, mp, kp):
     inner = SolutionSet(["v", "u"], families=[fam], status=COMPLETE)
 
-    def lift(point):
+    def lift(point, bound):
         v0, u0 = point
         x = xi * u0**lp * v0**mp
         y = yi * u0**np_ * v0**kp
@@ -312,7 +295,6 @@ def _lifted_family(fam, variables, xi, yi, lp, np_, mp, kp):
 
     return MappedFamily(
         variables=list(variables), inner=inner, lift=lift,
-        inner_bound=lambda b: b,
         exact_box=fam.exact_box,
         note=f"strict-case lift x={xi}*u^{lp}*v^{mp}, y={yi}*u^{np_}*v^{kp}")
 
@@ -336,8 +318,6 @@ def solve_runge_path(form: TwoVarForm, bound: int,
         monos.append(Monomial.make(coeff, exps))
     sub_poly = Polynomial(monos, [vx, vy])
     inner = solve_runge_finite(sub_poly, bound)
-    from .intcore import iroot
-
     eff = iroot(bound, d) if d > 1 else bound
     out = SolutionSet(form.variables, status=searched(eff))
     if trace is not None:
@@ -385,8 +365,6 @@ def solve_two_var(eq: TrinomialEquation, bound: int = 10_000,
 
 
 def _solve_form(form: TwoVarForm, bound, backend, trace):
-    from .twomon import solve_power_product
-
     n, k, l, m = form.n, form.k, form.l, form.m
     path: list[str] = []
 
@@ -466,9 +444,6 @@ def solve_masser(a: int, bound: int = 10_000,
     candidates (u, w) with u*w | a, then one quintic base equation each."""
     variables = ["x", "y"]
     if a == 0:
-        from .twomon import solve_two_monomial
-        from .eqparse import parse_equation
-
         out = SolutionSet(variables, status=COMPLETE)
         out.add_finite((0, 0))
         return out.union(solve_two_monomial(parse_equation("x^4 + y^3")))

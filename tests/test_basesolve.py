@@ -111,10 +111,21 @@ def test_superelliptic_linear_family_complete():
     assert set(pts) == set(truth)
 
 
+def test_superelliptic_linear_divides_out_the_gcd():
+    # 995328 y = 12288 x + 24576 is 81 y = x + 2: one residue class mod 81
+    s = solve_superelliptic(995328, 12288, 24576, 1, 1, bound=100)
+    assert len(s.families) == 1 and not s.finite
+    pts, exact = s.enumerate_box(200)
+    assert exact and set(pts) == set(brute_force(s.equation, 200).solutions)
+    assert (79, 1) in pts
+
+
 def test_superelliptic_residue_empty():
-    # 3y = x^2 + 1 has no solutions (x^2 = 2 mod 3 impossible)
-    s = solve_superelliptic(3, 1, 1, 2, 1, bound=100)
-    assert s.is_empty_claim()
+    # 3y = x^2 + 1 has no solutions (x^2 = 2 mod 3 impossible), nor has
+    # 4y = 6x^2 + 3 (gcd(4, 6) = 2 does not divide 3)
+    for a, b, c in ((3, 1, 1), (4, 6, 3)):
+        s = solve_superelliptic(a, b, c, 2, 1, bound=100)
+        assert s.is_empty_claim()
 
 
 def test_superelliptic_padic_emptiness():

@@ -1,5 +1,6 @@
 import json
 
+from trisolve import cli
 from trisolve.cli import main
 
 
@@ -43,6 +44,21 @@ def test_verify_command(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["sound"] and payload["complete_in_box"]
+
+
+def test_verify_passes_budget_to_solve(capsys, monkeypatch):
+    seen = {}
+    real = cli.solve
+
+    def spy(*args, **kwargs):
+        seen.update(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve", spy)
+    code, _ = run(capsys, "verify", "x*y - z*t - 1 = 0", "--box", "2",
+                  "--budget", "1234")
+    assert code == 0
+    assert seen["budget"] == 1234
 
 
 def test_reduce_command(capsys):

@@ -18,6 +18,7 @@ from trisolve.multivar import (
     trivial_solutions,
 )
 from trisolve.oracle import brute_force
+from trisolve.solset import SolutionSet, verify_against_oracle
 
 
 def oracle_match(text, B, **kw):
@@ -37,7 +38,7 @@ def oracle_match(text, B, **kw):
 
 def test_trivials_icosahedral():
     eq = parse_trinomial("x^2+y^3-z^5")
-    s = trivial_solutions(eq)
+    s = trivial_solutions(eq.full_polynomial())
     pts, _ = s.enumerate_box(4)
     truth = [t for t in brute_force(eq.polynomial(), 4).solutions
              if 0 in t]
@@ -47,7 +48,7 @@ def test_trivials_icosahedral():
 
 def test_trivials_of_uncancelled_equation():
     eq = parse_trinomial("x^2*y + x*y^2 + x*y*z")
-    s = trivial_solutions(eq)
+    s = trivial_solutions(eq.full_polynomial())
     pts, _ = s.enumerate_box(3)
     truth = [t for t in brute_force(eq.full_polynomial(), 3).solutions
              if 0 in t]
@@ -223,6 +224,26 @@ def test_reduced_only_cubes():
     rep = solve("3*x^3+4*y^3+5*z^3=0")
     assert str(rep.status) == "ReducedOnly"
     assert any("3*w1^3" in r for r in rep.reduced)
+
+
+@pytest.mark.parametrize("text,box", [
+    ("x^2*y - z^2 - 1 = 0", 5),
+    ("x*y - z*t - 1 = 0", 3),
+    ("x*y*z - x - y = 0", 5),
+])
+def test_verify_sees_an_emptied_reduced_lift(text, box):
+    # a lift family lists its points from its own reduced solution set, so
+    # emptying that set must show up as missing points
+    poly = parse_equation(text)
+    rep = solve(text)
+    lifts = [f for f in rep.solutions.families
+             if f.note.startswith("lift of ")]
+    assert lifts
+    for fam in lifts:
+        fam.inner = SolutionSet(fam.inner.variables, status=fam.inner.status)
+    ver = verify_against_oracle(rep.solutions, poly,
+                                brute_force(poly, box).solutions, box)
+    assert ver.sound and not ver.complete_in_box and ver.missing
 
 
 # ---------------------------------------------------------------------------
