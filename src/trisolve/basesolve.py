@@ -23,9 +23,9 @@ from .intcore import (
     divisors_k,
     exact_iroot,
     factorize,
+    integer_roots,
     iroot,
     rational_root_d,
-    solve_univariate,
     valuation,
 )
 from .oracle import brute_force
@@ -340,18 +340,52 @@ def _twopower_axis_solutions(tp: _TwoPower) -> list[tuple[int, int]] | None:
     return sorted(set(out))
 
 
+#: Primes whose residues sieve the x of a bounded search.  A prime q helps
+#: only when gcd(M, q - 1) > 1, since otherwise every residue is an M-th power.
+_SIEVE_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
+                 59, 61, 67, 71, 73, 79, 83, 89, 97)
+
+
 def _twopower_search(tp: _TwoPower, bound: int) -> list[tuple[int, int]]:
-    """All solutions with |x| <= bound (y solved exactly by root extraction)."""
+    """All solutions with |x| <= bound (y solved exactly by root extraction).
+
+    Only the x that pass a residue sieve are visited.  For a prime q not
+    dividing B, an integer solution (x, y) makes (C - A x^N) / B = y^M an
+    M-th power residue modulo q (0 included); and B divides C - A x^N, so
+    x passes the sieve modulo |B| as well.  The sieve thus keeps the x of
+    every solution, and each survivor is checked exactly as a full scan
+    would check it: the result equals a scan of every x.  A modulus q is
+    sieved only while at least q survivors remain, since listing its
+    residues costs about as much as testing that many survivors.
+    """
     out = set(_twopower_axis_solutions(tp))
     A, B, C, N, M = tp.A, tp.B, tp.C, tp.N, tp.M
     absB = abs(B)
-    residues = {r for r in range(absB)
-                if (C - A * pow(r, N, absB)) % absB == 0}
-    for x in range(-bound, bound + 1):
-        if x == 0 or x % absB not in residues:
+    # bit i of the mask stands for x = i - bound
+    mask = ((1 << (2 * bound + 1)) - 1) ^ (1 << bound)
+    for q in _SIEVE_PRIMES:
+        if gcd(M, q - 1) == 1 or B % q == 0:
             continue
+        if mask.bit_count() < q:
+            break
+        powers = {pow(y, M, q) for y in range(q)}
+        b_inv = pow(B, -1, q)
+        mask &= _residue_mask(
+            [(C - A * pow(r, N, q)) * b_inv % q in powers for r in range(q)],
+            bound)
+    if 1 < absB <= mask.bit_count():
+        mask &= _residue_mask(
+            [(C - A * pow(r, N, absB)) % absB == 0 for r in range(absB)],
+            bound)
+    bits = bin(mask)[:1:-1]
+    i = bits.find("1")
+    while i >= 0:
+        x = i - bound
+        i = bits.find("1", i + 1)
         rem = C - A * x**N
-        val = rem // B  # exact: x passed the residue filter
+        if rem % B:
+            continue
+        val = rem // B
         if val == 0:
             continue
         if M % 2 == 0:
@@ -367,6 +401,22 @@ def _twopower_search(tp: _TwoPower, bound: int) -> list[tuple[int, int]]:
             if root is not None:
                 out.add((x, root))
     return sorted(out)
+
+
+def _residue_mask(admissible: list[bool], bound: int) -> int:
+    """Bits i in [0, 2*bound] set exactly when admissible[(i - bound) % q],
+    q = len(admissible): one period of the pattern, tiled by doubling
+    shifts."""
+    q = len(admissible)
+    length = 2 * bound + 1
+    start = -bound % q
+    period = admissible[start:] + admissible[:start]
+    pattern = int("".join("1" if ok else "0" for ok in reversed(period)), 2)
+    width = q
+    while width < length:
+        pattern |= pattern << width
+        width *= 2
+    return pattern & ((1 << length) - 1)
 
 
 def _twopower_factorable(tp: _TwoPower) -> list[tuple[int, int]] | None:
@@ -392,7 +442,7 @@ def _twopower_factorable(tp: _TwoPower) -> list[tuple[int, int]] | None:
         coeffs[0] -= T
         if all(c == 0 for c in coeffs):
             continue
-        for v in solve_univariate(coeffs)[0]:
+        for v in integer_roots(coeffs):
             u = v + d
             if u % q or v % p:
                 continue
@@ -587,14 +637,14 @@ def _superelliptic_univariate(a, b, c, n, m, poly, variables, record):
     if m == 0:
         # -b x^n + (a - c) = 0
         coeffs = [a - c] + [0] * (n - 1) + [-b]
-        roots = solve_univariate(coeffs)[0]
+        roots = integer_roots(coeffs)
         for r in roots:
             out.families.append(_line_family(variables, 0, r))
         record(f"{b}*x^{n} = {a - c}", [(r, 0) for r in roots], "complete",
                len(out.families))
         return out
     coeffs = [-c] + [0] * (m - 1) + [a]
-    roots = solve_univariate(coeffs)[0]
+    roots = integer_roots(coeffs)
     for r in roots:
         out.families.append(_line_family(variables, 1, r))
     record(f"{a}*y^{m} = {c}", [(0, r) for r in roots], "complete",

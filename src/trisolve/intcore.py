@@ -373,6 +373,35 @@ def solve_univariate(coeffs: list[int]) -> tuple[list[int], list[Fraction]]:
     return integers, rationals
 
 
+def integer_roots(coeffs: list[int]) -> list[int]:
+    """All integer roots of sum(coeffs[i] * x**i) = 0, sorted.
+
+    A nonzero integer root divides the lowest nonzero coefficient, so only
+    those divisors (both signs) are tried, each by integer Horner evaluation;
+    0 is a root when the constant term is 0.  Rejects the zero polynomial.
+    """
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    if not coeffs:
+        raise ValueError("zero polynomial: every x is a root")
+    m = 0
+    while coeffs[m] == 0:
+        m += 1
+    body = coeffs[m:]
+    roots = [0] if m > 0 else []
+    if len(body) == 1:
+        return roots
+    for d in divisors(body[0]):
+        for x in (d, -d):
+            acc = 0
+            for c in reversed(body):
+                acc = acc * x + c
+            if acc == 0:
+                roots.append(x)
+    return sorted(roots)
+
+
 def _poly_eval(coeffs: list[int], x: Fraction) -> Fraction:
     acc = Fraction(0)
     for c in reversed(coeffs):

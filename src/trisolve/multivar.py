@@ -24,7 +24,7 @@ from .eqparse import (
     parse_equation,
     poly_to_string,
 )
-from .intcore import divisors, divisors_k, factorize, solve_univariate, valuation
+from .intcore import divisors, divisors_k, factorize, integer_roots, valuation
 from .lindioph import (
     hilbert_basis,
     minimal_divisibility_set,
@@ -954,7 +954,7 @@ def solve_reduced(red: ReducedEquation, bound: int = 10_000,
             return rep.solutions, rep.solutions.status
         if eq2 is not None and len(eq2.variables) == 1:
             out = SolutionSet(variables, status=COMPLETE, equation=poly)
-            for r in solve_univariate(poly.coefficients(eq2.variables[0]))[0]:
+            for r in integer_roots(poly.coefficients(eq2.variables[0])):
                 if r != 0:
                     out.add_finite((r,))
             return out, COMPLETE
@@ -1538,6 +1538,6 @@ def _solve_one_monomial(poly: Polynomial) -> SolutionSet:
 def _solve_univariate_poly(poly: Polynomial) -> SolutionSet:
     var = poly.variables[0]
     out = SolutionSet([var], status=COMPLETE, equation=poly)
-    for r in solve_univariate(poly.coefficients(var))[0]:
+    for r in integer_roots(poly.coefficients(var)):
         out.add_finite((r,))
     return out

@@ -29,6 +29,7 @@ from .intcore import (
     divisors_k,
     exact_iroot,
     factorize,
+    integer_roots,
     iroot,
     solve_univariate,
     valuation,
@@ -86,7 +87,7 @@ def trivial_two_var(full_poly: Polynomial, variables: list[str]) -> SolutionSet:
         if not sub.monomials:
             out.families.append(_line_family(variables, idx, 0))
             continue
-        for root in solve_univariate(sub.coefficients(variables[1 - idx]))[0]:
+        for root in integer_roots(sub.coefficients(variables[1 - idx])):
             tup = [0, 0]
             tup[1 - idx] = root
             out.add_finite(tuple(tup))
@@ -151,7 +152,7 @@ def _divisor_branch_const(eq: TrinomialEquation, const_index: int) -> SolutionSe
         coeffs = _substitute_univariate(poly, vy, y0, vx)
         if all(co == 0 for co in coeffs):
             continue
-        for x0 in solve_univariate(coeffs)[0]:
+        for x0 in integer_roots(coeffs):
             if x0 != 0:
                 out.add_finite((x0, y0))
     return out

@@ -1,10 +1,15 @@
-import os
+import random
 import stat
 import textwrap
+import time
 
 import pytest
 
 from trisolve.basesolve import (
+    _SIEVE_PRIMES,
+    _TwoPower,
+    _twopower_axis_solutions,
+    _twopower_search,
     check_runge_c1,
     pell_fundamental,
     RungeConditionError,
@@ -13,6 +18,8 @@ from trisolve.basesolve import (
     solve_superelliptic,
 )
 from trisolve.eqparse import parse_equation
+from trisolve.intcore import exact_iroot
+from trisolve.multivar import solve
 from trisolve.oracle import brute_force
 
 
@@ -65,8 +72,6 @@ def test_quadratic_linear_factor_families():
 
 
 def test_quadratic_vs_oracle_random():
-    import random
-
     rng = random.Random(5)
     for _ in range(60):
         A = rng.randint(-6, 6)
@@ -188,8 +193,6 @@ def test_backend_hook(tmp_path):
 
 def test_superelliptic_linear_random_complete():
     # a y = b x^n + c families are oracle-complete on boxes
-    import random
-
     rng = random.Random(314)
     for _ in range(100):
         a = rng.choice([1, 2, 3, 4, 5, -2, -3])
@@ -202,3 +205,87 @@ def test_superelliptic_linear_random_complete():
         assert exact
         truth = brute_force(s.equation, 30).solutions
         assert set(pts) == set(truth), (a, b, c, n)
+
+
+def _plain_scan(tp, bound):
+    """Reference for _twopower_search: every x in [-bound, bound], with y
+    found by root extraction wherever B divides C - A x^N."""
+    out = set(_twopower_axis_solutions(tp))
+    A, B, C, N, M = tp.A, tp.B, tp.C, tp.N, tp.M
+    for x in range(-bound, bound + 1):
+        rem = C - A * x**N
+        if x == 0 or rem % B:
+            continue
+        val = rem // B
+        if val == 0 or (M % 2 == 0 and val < 0):
+            continue
+        root = exact_iroot(val, M)
+        if root is not None:
+            out.add((x, root))
+            if M % 2 == 0:
+                out.add((x, -root))
+    return sorted(out)
+
+
+def test_sieved_search_equals_plain_scan():
+    rng = random.Random(2024)
+    sieve_product = _SIEVE_PRIMES[0] * _SIEVE_PRIMES[1] * _SIEVE_PRIMES[2]
+    cases = 0
+    while cases < 2000:
+        N = rng.randint(3, 7)
+        M = rng.randint(2, N)
+        bound = rng.choice((1, 7, 100, 500))
+        A = rng.choice((1, -1)) * rng.randint(1, 40)
+        shape = rng.randrange(3)
+        if shape == 0:  # |B| below 2*bound + 1
+            B = rng.randint(1, 2 * bound + 1)
+        elif shape == 1:  # |B| above 2*bound + 1
+            B = rng.randint(2 * bound + 2, 10**6)
+        else:  # B divisible by the first sieve primes
+            B = sieve_product * rng.randint(1, 30)
+        B *= rng.choice((1, -1))
+        x0 = rng.randint(-min(bound, 60), min(bound, 60))
+        y0 = rng.randint(-40, 40)
+        C = A * x0**N + B * y0**M
+        if C == 0:
+            continue
+        tp = _TwoPower(A, B, C, N, M)
+        got = _twopower_search(tp, bound)
+        assert got == _plain_scan(tp, bound), (A, B, C, N, M, bound)
+        assert (x0, y0) in got
+        cases += 1
+
+
+def test_search_with_large_B_is_fast():
+    # 100000007 y^3 = x^5 + 7: |B| is far above the x range, so only the
+    # prime sieve applies and the residues modulo |B| are never listed
+    start = time.perf_counter()
+    s = solve_superelliptic(100000007, 1, 7, 5, 3)
+    assert time.perf_counter() - start < 5
+    assert not s.finite and str(s.status) == "SearchedToBound(10000)"
+
+
+def test_factorable_quartic_is_complete():
+    rep = solve("3*x^4 - 48*y^4 - 31635 = 0")
+    assert str(rep.status) == "Complete"
+    assert rep.solutions.finite == {(sx * 11, sy * 4) for sx in (1, -1)
+                                    for sy in (1, -1)}
+    assert [r.status for r in rep.base_records] == ["complete-factored"]
+
+
+@pytest.mark.parametrize("D", [3, 4, 5])
+def test_factorable_planted_points(D):
+    # A x^D + B y^D = C with -B/A = (p/q)^D is solved completely by the
+    # divisors of the difference U^D - V^D; the planted point comes back
+    for p in (1, 2, 3):
+        for q in (1, 2, 3):
+            if (p, q) != (1, 1) and p == q:
+                continue
+            A, B = q**D, -p**D
+            for x0, y0 in ((2, 1), (5, -3)):
+                C = A * x0**D + B * y0**D
+                if C == 0:
+                    continue
+                s = solve_superelliptic(-B, A, -C, D, D, bound=50)
+                assert str(s.status) == "Complete", (A, B, C, D)
+                assert (x0, y0) in s.finite

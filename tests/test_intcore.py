@@ -10,6 +10,7 @@ from trisolve.intcore import (
     exact_iroot,
     factorize,
     in_divisor_set,
+    integer_roots,
     is_probable_prime,
     rational_root_d,
     solve_univariate,
@@ -160,3 +161,25 @@ def test_solve_univariate_vs_sweep(coeffs):
     sweep = [x for x in range(-100, 101)
              if sum(c * x**i for i, c in enumerate(coeffs)) == 0]
     assert ints == sweep
+
+
+def test_integer_roots():
+    assert integer_roots([2, -3, 1]) == [1, 2]  # x^2-3x+2
+    assert integer_roots([-3, 2]) == []  # 2x-3
+    assert integer_roots([0, 0, 5]) == [0]  # 5x^2
+    assert integer_roots([7]) == []
+    # trailing zero coefficients are dropped: still x^2-3x+2, then x^3-x
+    assert integer_roots([2, -3, 1, 0, 0]) == [1, 2]
+    assert integer_roots([0, -1, 0, 1, 0]) == [-1, 0, 1]
+    with pytest.raises(ValueError):
+        integer_roots([0, 0])
+    with pytest.raises(ValueError):
+        integer_roots([])
+
+
+@given(st.lists(st.integers(min_value=-8, max_value=8), min_size=1, max_size=5))
+@settings(max_examples=200)
+def test_integer_roots_vs_solve_univariate(coeffs):
+    if all(c == 0 for c in coeffs):
+        return
+    assert integer_roots(coeffs) == solve_univariate(coeffs)[0]
