@@ -411,8 +411,8 @@ def _poly_eval(coeffs: list[int], x: Fraction) -> Fraction:
 
 def integer_roots_bounded(coeffs: list[int], bound: int) -> list[int]:
     """Integer roots with |x| <= bound, found by scanning the divisors of the
-    trailing coefficient up to the bound (no factorization).  Rejects the
-    zero polynomial."""
+    trailing coefficient in pairs (d, |c0| // d) with d <= isqrt(|c0|) (no
+    factorization).  Rejects the zero polynomial."""
     coeffs = list(coeffs)
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
@@ -433,11 +433,14 @@ def integer_roots_bounded(coeffs: list[int], bound: int) -> list[int]:
 
     if len(body) == 1:
         return roots
-    for d in range(1, min(bound, low) + 1):
+    for d in range(1, min(bound, isqrt(low)) + 1):
         if low % d:
             continue
-        if is_root(d):
-            roots.append(d)
-        if is_root(-d):
-            roots.append(-d)
+        for e in {d, low // d}:
+            if e > bound:
+                continue
+            if is_root(e):
+                roots.append(e)
+            if is_root(-e):
+                roots.append(-e)
     return sorted(roots)

@@ -332,8 +332,42 @@ class _SlopeKey:
         return _cross(self.v, other.v) == 0
 
 
+def _lattice_contains_2d(gens: list[tuple[int, int]],
+                        target: tuple[int, int]) -> bool:
+    """Whether target is an integer (any sign) combination of gens.
+
+    Builds the Hermite basis {(a, b), (0, c)} of the lattice, one extended
+    gcd per generator, then tests a | target_x and c | the remainder.
+    """
+    a = b = c = 0  # lattice = Z(a, b) + Z(0, c); b = 0 while a = 0
+    for x, y in gens:
+        if a == 0 and x == 0:
+            c = gcd(c, y)
+            continue
+        g, s, t = _xgcd(a, x)
+        if g < 0:
+            g, s, t = -g, -s, -t
+        # (s, t; x/g, -a/g) is unimodular: it maps (a, b), (x, y) to the new
+        # first row and a vector on the y-axis
+        c = gcd(c, (x * b - a * y) // g)
+        a, b = g, s * b + t * y
+        if c:
+            b %= c
+    tx, ty = target
+    if a == 0:
+        if tx != 0:
+            return False
+        rest = ty
+    else:
+        if tx % a:
+            return False
+        rest = ty - (tx // a) * b
+    return rest % c == 0 if c else rest == 0
+
+
 def _solve_lattice_2d(gens: list[tuple[int, int]], target: tuple[int, int]):
-    """Integer (any sign) solution of sum(c_i * gens[i]) = target, or None.
+    """Integer (any sign) solution of sum(c_i * gens[i]) = target, for a
+    target known to lie in the lattice of gens.
 
     Column-reduces the 2 x n generator matrix, tracking the transformation.
     """
@@ -377,14 +411,12 @@ def _solve_lattice_2d(gens: list[tuple[int, int]], target: tuple[int, int]):
     for pos, row in pivots:
         if cols[pos][row] == 0:
             continue
-        if residual[row] % cols[pos][row] != 0:
-            return None
+        assert residual[row] % cols[pos][row] == 0
         k = residual[row] // cols[pos][row]
         coeffs_reduced[pos] = k
         residual[0] -= k * cols[pos][0]
         residual[1] -= k * cols[pos][1]
-    if residual != [0, 0]:
-        return None
+    assert residual == [0, 0]
     out = [0] * n
     for i in range(n):
         if coeffs_reduced[i]:
@@ -470,10 +502,82 @@ def _signed_line_solve(mults: list[int], target: int):
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    if b == 0:
-        return a, 1, 0
-    g, s, t = _xgcd(b, a % b)
-    return g, t, s - (a // b) * t
+    """(g, s, t) with s*a + t*b = g = +-gcd(a, b), by the Euclidean
+    quotient sequence of a // b."""
+    s0, t0, s1, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return a, s0, t0
+
+
+def _cone_2d(active: list[tuple[int, int]]):
+    """Classify the cone positively spanned by nonzero 2-D vectors as
+    ('line', w, None) when all lie on the line R*w, ('pointed', r1, r2) for
+    the cone spanned ccw from r1 to r2 (angle < pi), ('halfplane', w, None)
+    for the closed half-plane bounded by R*w, or ('plane', None, None)."""
+    dirs = sorted({_primitive(g) for g in active}, key=_angle_key)
+    if len(dirs) <= 2 and all(_cross(dirs[0], d) == 0 for d in dirs):
+        return "line", dirs[0], None
+    # The largest cyclic angular gap between directions decides: a gap > pi
+    # means a pointed cone (the gap's endpoints are the extreme rays), a gap
+    # of exactly pi a closed half-plane, all gaps < pi the whole plane.
+    m = len(dirs)
+    gap_pi = None
+    for i in range(m):
+        a, b = dirs[i], dirs[(i + 1) % m]
+        cr = _cross(a, b)
+        if cr < 0:
+            return "pointed", b, a
+        if cr == 0 and _dot(a, b) < 0:
+            gap_pi = a
+    if gap_pi is not None:
+        return "halfplane", gap_pi, None
+    return "plane", None, None
+
+
+def _line_case(active, target, w, budget):
+    """All generators on the line R*w."""
+    if _cross(w, target) != 0:
+        return "infeasible", None
+    mults = [(g[0] // w[0] if w[0] else g[1] // w[1]) for g in active]
+    tm = target[0] // w[0] if w[0] else target[1] // w[1]
+    if any(m > 0 for m in mults) and any(m < 0 for m in mults):
+        coeffs = _signed_line_solve(mults, tm)
+        return ("infeasible" if coeffs is None else "feasible"), coeffs
+    sign = 1 if all(m > 0 for m in mults) else -1
+    return _coin_reachable([m * sign for m in mults], tm * sign, budget)
+
+
+def _bounded_cone_case(active, target, cone, budget):
+    """Line, pointed-cone and half-plane cases: exact searches that report
+    'unknown' past the node budget.  Returns (status, coeffs aligned with
+    active or None)."""
+    kind, r1, r2 = cone
+    if kind == "line":
+        return _line_case(active, target, r1, budget)
+    if kind == "pointed":
+        return _pointed_case(active, target, r1, r2, budget)
+    return _halfplane_case(active, target, r1, budget)
+
+
+def monoid_contains_2d(gens: list[tuple[int, int]], target: tuple[int, int],
+                       budget: int = 1_000_000) -> str:
+    """Status alone of solve_monoid_target_2d: 'feasible', 'infeasible' or
+    'unknown'.  When the generators positively span the plane the decision
+    is a lattice-membership test and no witness is built."""
+    if target == (0, 0):
+        return "feasible"
+    active = [g for g in gens if g != (0, 0)]
+    if not active:
+        return "infeasible"
+    cone = _cone_2d(active)
+    if cone[0] == "plane":
+        return ("feasible" if _lattice_contains_2d(active, target)
+                else "infeasible")
+    return _bounded_cone_case(active, target, cone, budget)[0]
 
 
 def solve_monoid_target_2d(gens: list[tuple[int, int]], target: tuple[int, int],
@@ -487,62 +591,28 @@ def solve_monoid_target_2d(gens: list[tuple[int, int]], target: tuple[int, int],
     half-plane search phases), which report 'unknown'.
     """
     n = len(gens)
-    index = [i for i, g in enumerate(gens) if g != (0, 0)]
-    active = [gens[i] for i in index]
-
-    def expand(coeffs_active):
-        out = [0] * n
-        for pos, c in zip(index, coeffs_active):
-            out[pos] = c
-        return out
-
     if target == (0, 0):
         return "feasible", [0] * n
-    if not active:
+    index = [i for i, g in enumerate(gens) if g != (0, 0)]
+    if not index:
         return "infeasible", None
-
-    dirs = sorted({_primitive(g) for g in active}, key=_angle_key)
-
-    # All generators on one line.
-    if len(dirs) <= 2 and all(
-            _cross(dirs[0], d) == 0 for d in dirs):
-        w = dirs[0]
-        if _cross(w, target) != 0:
-            return "infeasible", None
-        mults = [(g[0] // w[0] if w[0] else g[1] // w[1]) for g in active]
-        tm = target[0] // w[0] if w[0] else target[1] // w[1]
-        if any(m > 0 for m in mults) and any(m < 0 for m in mults):
-            coeffs = _signed_line_solve(mults, tm)
-            return ("feasible", expand(coeffs)) if coeffs else ("infeasible", None)
-        sign = 1 if all(m > 0 for m in mults) else -1
-        status, counts = _coin_reachable([m * sign for m in mults],
-                                         tm * sign, budget)
-        return (status, expand(counts) if counts else None)
-
-    # Classify the cone by the largest cyclic angular gap between directions:
-    # a gap > pi means a pointed cone (the gap's endpoints are the extreme
-    # rays), a gap of exactly pi a closed half-plane, all gaps < pi the
-    # whole plane.
-    m = len(dirs)
-    gap_over = gap_pi = None
-    for i in range(m):
-        a, b = dirs[i], dirs[(i + 1) % m]
-        cr = _cross(a, b)
-        if cr < 0:
-            gap_over = (a, b)
-            break
-        if cr == 0 and _dot(a, b) < 0:
-            gap_pi = (a, b)
-
-    if gap_over is not None:
-        end, start = gap_over  # cone spans ccw from `start` to `end`
-        return _pointed_case(active, index, n, target, start, end, budget)
-    if gap_pi is not None:
-        return _halfplane_case(active, index, n, target, gap_pi[0], budget)
-    return _spanning_case(active, index, n, target)
+    active = [gens[i] for i in index]
+    cone = _cone_2d(active)
+    if cone[0] != "plane":
+        status, coeffs = _bounded_cone_case(active, target, cone, budget)
+    elif _lattice_contains_2d(active, target):
+        status, coeffs = "feasible", _spanning_witness(active, target)
+    else:
+        return "infeasible", None
+    if coeffs is None:
+        return status, None
+    out = [0] * n
+    for pos, c in zip(index, coeffs):
+        out[pos] = c
+    return status, out
 
 
-def _pointed_case(active, index, n, target, r1, r2, budget):
+def _pointed_case(active, target, r1, r2, budget):
     """Cone spanned ccw from r1 to r2 (angle < pi).  BFS over the lattice
     points s with s and target - s both in the cone."""
 
@@ -568,10 +638,7 @@ def _pointed_case(active, index, n, target, r1, r2, budget):
                 prev, gi = parent[cur]
                 coeffs[gi] += 1
                 cur = prev
-            out = [0] * n
-            for pos, c in zip(index, coeffs):
-                out[pos] = c
-            return "feasible", out
+            return "feasible", coeffs
         nodes += 1
         if nodes > budget:
             return "unknown", None
@@ -585,7 +652,7 @@ def _pointed_case(active, index, n, target, r1, r2, budget):
     return "infeasible", None
 
 
-def _halfplane_case(active, index, n, target, w, budget):
+def _halfplane_case(active, target, w, budget):
     """Generators span the closed half-plane with boundary line R*w."""
     nu = (-w[1], w[0])
     if any(_dot(nu, g) < 0 for g in active):
@@ -623,10 +690,7 @@ def _halfplane_case(active, index, n, target, w, budget):
             coeffs[i] = c
         for (i, _), c in zip(boundary, bcoef):
             coeffs[i] += c
-        out = [0] * n
-        for pos, c in zip(index, coeffs):
-            out[pos] = c
-        return out
+        return coeffs
 
     if mass_t == 0:
         res = finish([0] * len(interior), (0, 0))
@@ -637,7 +701,6 @@ def _halfplane_case(active, index, n, target, w, budget):
         return "infeasible", None
     mod = g0 if g0 > 0 else 0
     masses = [_dot(nu, g) for _, g in interior]
-    lines = []
     # solve g = a*w + m*h for the line coordinate a (h any vector with
     # <nu,h> = 1); work with exact 2-D decomposition instead.
     det = _dot(nu, nu)
@@ -753,12 +816,11 @@ def _positive_kernel(active: list[tuple[int, int]]) -> list[int]:
     return total
 
 
-def _spanning_case(active, index, n, target):
-    """Generators positively span the plane: the monoid equals the lattice
-    they generate, because every -g_i is itself a non-negative combination."""
+def _spanning_witness(active, target):
+    """Non-negative coefficients reaching a lattice target when the
+    generators positively span the plane: the monoid equals the lattice,
+    because every -g_i is itself a non-negative combination."""
     sol = _solve_lattice_2d(active, target)
-    if sol is None:
-        return "infeasible", None
     mu = _positive_kernel(active)
     need = 0
     for c, m in zip(sol, mu):
@@ -766,7 +828,4 @@ def _spanning_case(active, index, n, target):
             need = max(need, (-c + m - 1) // m)
     sol = [c + need * m for c, m in zip(sol, mu)]
     assert all(c >= 0 for c in sol)
-    out = [0] * n
-    for pos, c in zip(index, sol):
-        out[pos] = c
-    return "feasible", out
+    return sol

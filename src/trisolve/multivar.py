@@ -28,6 +28,7 @@ from .intcore import divisors, divisors_k, factorize, integer_roots, valuation
 from .lindioph import (
     hilbert_basis,
     minimal_divisibility_set,
+    monoid_contains_2d,
     solve_monoid_target_2d,
     solve_system_nonneg,
 )
@@ -634,6 +635,17 @@ def _block_term_options(coeff: Fraction, eks: list[int], prefix: str):
     return options
 
 
+def _hilbert_homogeneous(row: list[int]) -> list[tuple[int, ...]]:
+    """Hilbert basis of row.z = 0 over the non-negative integers; a search
+    cut at its node budget raises ResidueLimit instead of returning part of
+    the basis."""
+    basis = hilbert_basis([row])
+    if basis.status == "budget":
+        raise ResidueLimit(f"Hilbert basis of {row}.z = 0 cut at the node "
+                           f"budget")
+    return basis.homogeneous
+
+
 def reduce_to_independent(eq: TrinomialEquation,
                           max_branches: int = 4096) -> list[ReducedEquation]:
     """Theorem-3 style reduction: enumerate prime splits and particular
@@ -648,9 +660,9 @@ def reduce_to_independent(eq: TrinomialEquation,
     diff_ag = [r1[i] - r3[i] for i in range(nv)]
     diff_bg = [r2[i] - r3[i] for i in range(nv)]
 
-    e_basis = hilbert_basis([diff_ab]).homogeneous
-    f_basis = hilbert_basis([diff_ag]).homogeneous
-    g_basis = hilbert_basis([diff_bg]).homogeneous
+    e_basis = _hilbert_homogeneous(diff_ab)
+    f_basis = _hilbert_homogeneous(diff_ag)
+    g_basis = _hilbert_homogeneous(diff_bg)
 
     def block_exp(basis, weights):
         return [sum(w * v for w, v in zip(weights, vec)) for vec in basis]
@@ -672,6 +684,9 @@ def reduce_to_independent(eq: TrinomialEquation,
                 per_prime[(p, cls)] = [tuple([0] * nv)]
                 continue
             mb = solve_system_nonneg([coefrow], [rhs], budget=200000)
+            if mb.status == "budget":
+                raise ResidueLimit(f"minimal solutions of {coefrow}.z = {rhs} "
+                                   f"cut at the node budget")
             per_prime[(p, cls)] = list(mb.particular)
 
     splits = itertools.product(range(3), repeat=len(primes))
@@ -1146,7 +1161,7 @@ def classify_family(rows: tuple[tuple[int, ...], ...]):
              [r1[i] - r3[i] for i in range(nv)]),
             ([r3[i] - r1[i] for i in range(nv)],
              [r1[i] - r2[i] for i in range(nv)])):
-        basis = hilbert_basis([eqrow]).homogeneous
+        basis = _hilbert_homogeneous(eqrow)
         exps = [sum(w * v for w, v in zip(weights, vec)) for vec in basis]
         shapes.append(_shape_of_exponents(exps))
     shapes.sort(key=_shape_sort_key, reverse=True)
@@ -1349,7 +1364,7 @@ def _prop4_condition(alpha, beta, gamma, budget=500000) -> tuple[bool, bool]:
     for a, b, g in ((alpha, beta, gamma), (alpha, gamma, beta),
                     (beta, gamma, alpha)):
         gens = [(x - y, z - x) for x, y, z in zip(a, b, g)]
-        status, _ = solve_monoid_target_2d(gens, (0, 1), budget)
+        status = monoid_contains_2d(gens, (0, 1), budget)
         if status == "feasible":
             return True, unknown
         if status == "unknown":

@@ -11,6 +11,7 @@ from trisolve.intcore import (
     factorize,
     in_divisor_set,
     integer_roots,
+    integer_roots_bounded,
     is_probable_prime,
     rational_root_d,
     solve_univariate,
@@ -183,3 +184,51 @@ def test_integer_roots_vs_solve_univariate(coeffs):
     if all(c == 0 for c in coeffs):
         return
     assert integer_roots(coeffs) == solve_univariate(coeffs)[0]
+
+
+def _linear_scan_roots(coeffs, bound):
+    """Reference: test +-d for every divisor d of the trailing coefficient
+    up to min(bound, |c0|)."""
+    coeffs = list(coeffs)
+    while coeffs[-1] == 0:
+        coeffs.pop()
+    m = 0
+    while coeffs[m] == 0:
+        m += 1
+    roots = [0] if m > 0 else []
+    body = coeffs[m:]
+    if len(body) == 1:
+        return roots
+    for d in range(1, min(bound, abs(body[0])) + 1):
+        if abs(body[0]) % d:
+            continue
+        for x in (d, -d):
+            if sum(c * x**i for i, c in enumerate(body)) == 0:
+                roots.append(x)
+    return sorted(roots)
+
+
+def test_integer_roots_bounded_vs_linear_scan():
+    rng = random.Random(5)
+    for _ in range(3000):
+        # planted roots, some of them perfect-square pairs (r, r) and roots
+        # just beyond the bound
+        bound = rng.choice([1, 3, 10, 50, 300, 2000])
+        roots = [rng.choice([rng.randint(-60, 60), bound, -bound - 1,
+                             rng.randint(-3000, 3000)])
+                 for _ in range(rng.randint(0, 3))]
+        if roots and rng.random() < 0.3:
+            roots.append(roots[0])
+        poly = [rng.choice([1, -1, 2, 3, -6])]
+        for r in roots:  # poly *= (x - r)
+            poly = [(poly[i - 1] if i else 0) - r * (poly[i] if i < len(poly)
+                                                     else 0)
+                    for i in range(len(poly) + 1)]
+        if rng.random() < 0.2:
+            poly = [0] * rng.randint(1, 2) + poly
+        if rng.random() < 0.3:
+            poly = [c + rng.randint(-2, 2) for c in poly]
+        if all(c == 0 for c in poly):
+            continue
+        assert integer_roots_bounded(poly, bound) == \
+            _linear_scan_roots(poly, bound), (poly, bound)

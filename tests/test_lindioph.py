@@ -1,14 +1,19 @@
 import itertools
 import random
 from collections import deque
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from trisolve.lindioph import (
+    _cone_2d,
+    _lattice_contains_2d,
+    _xgcd,
     generate_solutions,
     hilbert_basis,
     minimal_divisibility_set,
+    monoid_contains_2d,
     solve_monoid_target_2d,
     solve_system_nonneg,
     solve_two_term,
@@ -254,3 +259,102 @@ def test_monoid_2d_axes_configuration():
     gens = [(2, 0), (0, 2), (-2, 0), (0, -2)]
     assert solve_monoid_target_2d(gens, (1, 1))[0] == "infeasible"
     assert solve_monoid_target_2d(gens, (4, -6))[0] == "feasible"
+
+
+def _random_cone_instance(rng, shape):
+    """Generators whose cone is (mostly) of the given shape, n <= 10 and
+    entries up to 10^5, with one of the targets the sufficient condition
+    asks about or a random one."""
+    n = rng.randint(1, 10)
+    e = rng.choice([4, 100, 10**5])
+    gens = [(rng.randint(-e, e), rng.randint(-e, e)) for _ in range(n)]
+    if shape == "line":
+        w = (rng.randint(-5, 5), rng.randint(-5, 5))
+        gens = [(k * w[0], k * w[1])
+                for k in (rng.randint(-9, 9) for _ in range(n))]
+    elif shape == "pointed":
+        gens = [(x, abs(y) + 1) for x, y in gens]
+    elif shape == "halfplane":
+        gens = [(abs(x), y) for x, y in gens]
+        gens += [(0, rng.randint(1, e)), (0, -rng.randint(1, e))]
+    if rng.random() < 0.1:
+        gens.append((0, 0))
+    target = rng.choice([(0, 1), (0, -1), (1, 0), (0, 0),
+                         (rng.randint(-e, e), rng.randint(-e, e))])
+    return gens, target
+
+
+def test_monoid_contains_2d_equals_solver_status():
+    rng = random.Random(7)
+    seen = set()
+    for _ in range(2000):
+        shape = rng.choice(["line", "pointed", "halfplane", "plane"])
+        gens, target = _random_cone_instance(rng, shape)
+        status = monoid_contains_2d(gens, target, budget=10**4)
+        assert status == solve_monoid_target_2d(gens, target,
+                                                budget=10**4)[0], \
+            (gens, target)
+        active = [g for g in gens if g != (0, 0)]
+        if active:
+            seen.add((_cone_2d(active)[0], status))
+    assert {kind for kind, _ in seen} == {"line", "pointed", "halfplane",
+                                          "plane"}
+    assert ("plane", "infeasible") in seen and ("plane", "feasible") in seen
+
+
+def _lattice_member_by_minors(gens, target):
+    """Integer solvability of G z = t: G and [G | t] have the same rank and
+    the same gcd of their rank-sized minors."""
+    def rank_and_minors(cols):
+        d2 = 0
+        for a, b in itertools.combinations(cols, 2):
+            d2 = gcd(d2, a[0] * b[1] - a[1] * b[0])
+        if d2:
+            return 2, d2
+        d1 = 0
+        for a in cols:
+            d1 = gcd(d1, gcd(a[0], a[1]))
+        return (1, d1) if d1 else (0, 0)
+
+    return rank_and_minors(gens) == rank_and_minors(gens + [target])
+
+
+def test_lattice_contains_2d_vs_minors():
+    rng = random.Random(3)
+    for _ in range(5000):
+        e = rng.choice([3, 12, 10**5])
+        gens = [(rng.randint(-e, e), rng.randint(-e, e))
+                for _ in range(rng.randint(0, 5))]
+        if gens and rng.random() < 0.3:  # rank one or zero
+            w = gens[0]
+            gens = [(k * w[0], k * w[1])
+                    for k in (rng.randint(-6, 6) for _ in gens)]
+        target = rng.choice([(0, 0), (0, 1), (1, 0),
+                             (rng.randint(-2 * e, 2 * e),
+                              rng.randint(-2 * e, 2 * e))])
+        if gens and rng.random() < 0.3:  # a member by construction
+            ks = [rng.randint(-5, 5) for _ in gens]
+            target = (sum(k * g[0] for k, g in zip(ks, gens)),
+                      sum(k * g[1] for k, g in zip(ks, gens)))
+        assert _lattice_contains_2d(gens, target) == \
+            _lattice_member_by_minors(gens, target), (gens, target)
+
+
+def _recursive_xgcd(a, b):
+    if b == 0:
+        return a, 1, 0
+    g, s, t = _recursive_xgcd(b, a % b)
+    return g, t, s - (a // b) * t
+
+
+def test_xgcd_matches_recursive_form():
+    # the same Bezout pair as the recursive form, signs included, so the
+    # line-case witnesses stay as they were
+    rng = random.Random(11)
+    cases = [(0, 0), (0, 5), (5, 0), (-4, 6), (6, -4), (-7, -21)]
+    cases += [(rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6))
+              for _ in range(3000)]
+    for a, b in cases:
+        g, s, t = _xgcd(a, b)
+        assert (g, s, t) == _recursive_xgcd(a, b)
+        assert s * a + t * b == g and abs(g) == gcd(a, b)

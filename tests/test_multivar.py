@@ -2,9 +2,12 @@ import random
 
 import pytest
 
+from trisolve import multivar
 from trisolve.eqparse import parse_equation, parse_trinomial
 from trisolve.fixtures import TABLE3, TABLE4, TABLE5, family_orientation_rows, family_rows
+from trisolve.lindioph import MinimalBasis
 from trisolve.multivar import (
+    ResidueLimit,
     check_prop4,
     classify_cyclic,
     classify_family,
@@ -261,6 +264,40 @@ def test_master_prop4_cases():
         assert exact
 
 
+def _cut_at_budget(real):
+    """A basis routine whose search stopped early: one minimal solution of
+    each kind dropped and the status set to 'budget'."""
+    def run(*args, **kwargs):
+        mb = real(*args, **kwargs)
+        return MinimalBasis(mb.homogeneous[:-1], mb.particular[:-1],
+                            "budget", mb.homogeneous_system, mb.nvars)
+    return run
+
+
+@pytest.mark.parametrize("name,text", [
+    ("hilbert_basis", "x + x^2*y - y*z^2 = 0"),
+    ("hilbert_basis", "x^2*y = z^2 + 1"),
+    ("solve_system_nonneg", "2*x + 3*x^2*y - 5*y*z^2 = 0"),
+    ("solve_system_nonneg", "2*x^2*y = 3*z^2 + 1"),
+])
+def test_truncated_basis_is_never_complete(monkeypatch, name, text):
+    # each of these is Complete when the bases are whole
+    assert str(solve(text).status) == "Complete"
+    monkeypatch.setattr(multivar, name, _cut_at_budget(getattr(multivar,
+                                                               name)))
+    with pytest.raises(ResidueLimit, match="node budget"):
+        solve(text)
+
+
+def test_classify_family_rejects_a_truncated_basis(monkeypatch):
+    rows, _ = family_rows("x + x^2*y - y*z^2")
+    assert classify_family(rows)[0] == "reduced"
+    monkeypatch.setattr(multivar, "hilbert_basis",
+                        _cut_at_budget(multivar.hilbert_basis))
+    with pytest.raises(ResidueLimit, match="node budget"):
+        classify_family(rows)
+
+
 def test_master_small_shapes():
     oracle_match("x*y = 6", 10)
     oracle_match("x^2 = 0", 5)
@@ -314,6 +351,25 @@ def test_monte_carlo_reproducible():
     assert a.feasible == b.feasible
     c = monte_carlo_prop4(4, 1000, 300, seed=12)
     assert (a.feasible, a.unknown) != (c.feasible, None)
+
+
+@pytest.mark.parametrize("n,d,samples,seed,feasible", [
+    (3, 10, 400, 5, 108),
+    (4, 1000, 300, 11, 153),
+    (6, 100, 300, 7, 244),
+    (9, 10_000, 200, 3, 198),
+    (2, 100_000, 300, 1, 0),
+])
+def test_monte_carlo_recorded_counts(n, d, samples, seed, feasible):
+    # (feasible, unknown) as recorded when every draw still built a witness
+    res = monte_carlo_prop4(n, d, samples, seed=seed)
+    assert (res.feasible, res.unknown) == (feasible, 0)
+
+
+def test_monte_carlo_threads_agree():
+    one = monte_carlo_prop4(5, 100, 500, seed=3, threads=1, chunk=125)
+    two = monte_carlo_prop4(5, 100, 500, seed=3, threads=2, chunk=125)
+    assert (one.feasible, one.unknown) == (two.feasible, two.unknown)
 
 
 def test_monte_carlo_degenerate_degree_zero():
