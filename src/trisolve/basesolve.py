@@ -15,17 +15,19 @@ import shlex
 import subprocess
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, isqrt
+from math import gcd, isqrt
 
 from . import expr as ex
 from .eqparse import Monomial, Polynomial
 from .intcore import (
     divisors_k,
     exact_iroot,
+    exact_roots,
     factorize,
     integer_roots,
     iroot,
     rational_root_d,
+    shifted_power,
     valuation,
 )
 from .oracle import brute_force
@@ -116,22 +118,8 @@ def solve_quadratic(A: int, B: int, C: int,
         return out
 
     if A * B > 0:
-        sign = 1 if A > 0 else -1
-        if (-C) * sign <= 0:
-            return out
-        for u in range(0, isqrt((-C) // A if sign == 1 else C // (-A)) + 1):
-            rem = -C - A * u * u
-            if rem % B:
-                continue
-            vv = rem // B
-            if vv < 0:
-                continue
-            v = exact_iroot(vv, 2)
-            if v is None:
-                continue
-            for su in {u, -u}:
-                for sv in {v, -v}:
-                    out.add_finite((su, sv))
+        for sol in _twopower_definite(_TwoPower(A, B, -C, 2, 2)):
+            out.add_finite(sol)
         return out
 
     # indefinite: A*B < 0
@@ -328,15 +316,9 @@ def _twopower_axis_solutions(tp: _TwoPower) -> list[tuple[int, int]] | None:
     out = []
     # x = 0: B y^M = C
     if tp.C % tp.B == 0:
-        root = exact_iroot(abs(tp.C // tp.B), tp.M)
-        for y in ({root, -root} if root is not None else set()):
-            if y is not None and tp.B * y**tp.M == tp.C:
-                out.append((0, y))
+        out.extend((0, y) for y in exact_roots(tp.C // tp.B, tp.M))
     if tp.C % tp.A == 0:
-        root = exact_iroot(abs(tp.C // tp.A), tp.N)
-        for x in ({root, -root} if root is not None else set()):
-            if x is not None and tp.A * x**tp.N == tp.C:
-                out.append((x, 0))
+        out.extend((x, 0) for x in exact_roots(tp.C // tp.A, tp.N))
     return sorted(set(out))
 
 
@@ -388,18 +370,8 @@ def _twopower_search(tp: _TwoPower, bound: int) -> list[tuple[int, int]]:
         val = rem // B
         if val == 0:
             continue
-        if M % 2 == 0:
-            if val < 0:
-                continue
-            root = exact_iroot(val, M)
-            if root is None:
-                continue
-            out.add((x, root))
-            out.add((x, -root))
-        else:
-            root = exact_iroot(val, M)
-            if root is not None:
-                out.add((x, root))
+        for y in exact_roots(val, M):
+            out.add((x, y))
     return sorted(out)
 
 
@@ -438,7 +410,8 @@ def _twopower_factorable(tp: _TwoPower) -> list[tuple[int, int]] | None:
         return None  # C == 0 is not this shape's business
     for d in divisors_k(T, 1):
         # U = V + d; (V + d)^D - V^D = T: polynomial in V
-        coeffs = _binomial_shift_coeffs(d, D)
+        coeffs = shifted_power(1, d, D)
+        coeffs[D] -= 1
         coeffs[0] -= T
         if all(c == 0 for c in coeffs):
             continue
@@ -450,13 +423,6 @@ def _twopower_factorable(tp: _TwoPower) -> list[tuple[int, int]] | None:
             if tp.A * x**D + tp.B * y**D == tp.C:
                 out.add((x, y))
     return sorted(out)
-
-
-def _binomial_shift_coeffs(d: int, D: int) -> list[int]:
-    """Coefficients of (V + d)^D - V^D as a polynomial in V."""
-    coeffs = [comb(D, k) * d ** (D - k) for k in range(D + 1)]
-    coeffs[D] -= 1
-    return coeffs
 
 
 def _twopower_definite(tp: _TwoPower) -> list[tuple[int, int]] | None:
@@ -471,15 +437,8 @@ def _twopower_definite(tp: _TwoPower) -> list[tuple[int, int]] | None:
         rem = tp.C - tp.A * x**tp.N
         if rem % tp.B:
             continue
-        val = rem // tp.B
-        if val < 0:
-            continue
-        y = exact_iroot(val, tp.M)
-        if y is None:
-            continue
-        for sx in {x, -x}:
-            for sy in {y, -y}:
-                out.add((sx, sy))
+        ys = exact_roots(rem // tp.B, tp.M)
+        out.update((sx, sy) for sx in (x, -x) for sy in ys)
     return sorted(out)
 
 
@@ -665,13 +624,10 @@ def _superelliptic_linear(a, b, c, n, poly, variables, record):
         if (rb * pow(r, n, aa) + rc) % aa:
             continue
         count += 1
-        terms = []
-        for k in range(n + 1):
-            coef = rb * comb(n, k) * aa**k * r ** (n - k)
-            if k == 0:
-                coef += rc
-            if coef:
-                terms.append(ex.monomial_expr(coef, [("w", k)] if k else []))
+        coefs = [rb * co for co in shifted_power(aa, r, n)]
+        coefs[0] += rc
+        terms = [ex.monomial_expr(co, [("w", k)] if k else [])
+                 for k, co in enumerate(coefs) if co]
         y_expr = ex.ExactDiv(ex.Add(*terms) if terms else ex.const(0),
                              ex.const(ra))
         x_expr = ex.Add(ex.monomial_expr(aa, [("w", 1)]), ex.const(r))
@@ -687,6 +643,7 @@ def _superelliptic_linear(a, b, c, n, poly, variables, record):
             params=[("w", AllIntegers())],
             exprs={vx: x_expr, vy: y_expr},
             witness=witness, exact_box=True,
+            param_bound=lambda b: b // aa + 1,
             note=f"x = {aa}w + {r}"))
     record(f"{a}*y = {b}*x^{n} + {c}", [], "complete", count)
     return out
@@ -738,15 +695,13 @@ def check_runge_c1(poly: Polynomial) -> bool:
                for mo in poly.monomials)
 
 
-def solve_runge_finite(poly: Polynomial, bound: int,
-                       effective_bound: bool = False) -> SolutionSet:
-    """Bounded search for equations satisfying Runge's condition (C1); the
-    status is Complete only when the caller certifies the bound effective."""
+def solve_runge_finite(poly: Polynomial, bound: int) -> SolutionSet:
+    """Bounded search for equations satisfying Runge's condition (C1), with
+    status SearchedToBound(bound)."""
     if not check_runge_c1(poly):
         raise RungeConditionError("condition (C1) does not hold")
     run = brute_force(poly, bound)
-    out = SolutionSet(list(poly.variables),
-                      status=COMPLETE if effective_bound else searched(bound),
+    out = SolutionSet(list(poly.variables), status=searched(bound),
                       equation=poly)
     for t in run.solutions:
         out.add_finite(t)

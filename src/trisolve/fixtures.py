@@ -293,7 +293,7 @@ def family_rows(text: str):
     return tuple(rows), variables
 
 
-def family_orientation_rows(text: str):
+def family_rows_as_written(text: str):
     """(alpha, beta, gamma) rows in the orientation as written (left-hand
     monomials are alpha and beta, the right-hand one gamma), over the fixed
     variable order x, y, z, t used by the published exponent vectors."""

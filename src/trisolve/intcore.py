@@ -1,6 +1,6 @@
 """Exact integer and rational primitives: factorization, p-adic valuations,
-divisor sets D_k, rational d-th roots, the three-way valuation split, and
-univariate solving over Z and Q.
+divisor sets D_k, signed and rational d-th roots, shifted powers, the
+three-way valuation split, and univariate solving over Z and Q.
 
 Everything here is pure and exact (arbitrary precision); no floats are used
 for anything that affects a result.
@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import comb, gcd, isqrt
 
 
 class _Infinity:
@@ -297,6 +297,19 @@ def exact_iroot(n: int, k: int) -> int | None:
     return r if r**k == n else None
 
 
+def exact_roots(n: int, k: int) -> list[int]:
+    """Every integer r with r**k == n, ascending: both signs for even k."""
+    r = exact_iroot(n, k)
+    if r is None:
+        return []
+    return [-r, r] if k % 2 == 0 and r else [r]
+
+
+def shifted_power(s: int, r: int, e: int) -> list[int]:
+    """Coefficients of (s*w + r)**e as a polynomial in w, lowest first."""
+    return [comb(e, k) * s**k * r ** (e - k) for k in range(e + 1)]
+
+
 def rational_root_d(r: Fraction, d: int) -> Fraction | None:
     """The rational s with s**d == r, if one exists (positive s for even d)."""
     if r == 0:
@@ -340,6 +353,35 @@ def valuation_split(a: int, b: int, c: int, p: int) -> tuple[str, int]:
 # Univariate solving
 # ---------------------------------------------------------------------------
 
+def _root_body(coeffs: list[int]) -> tuple[int, list[int]]:
+    """(m, body) with sum(coeffs[i] * x**i) = x**m * sum(body[i] * x**i) and
+    body[0], body[-1] nonzero; coeffs[i] is the coefficient of x**i.
+    Rejects the zero polynomial."""
+    body = list(coeffs)
+    while body and body[-1] == 0:
+        body.pop()
+    if not body:
+        raise ValueError("zero polynomial: every x is a root")
+    m = 0
+    while body[m] == 0:
+        m += 1
+    return m, body[m:]
+
+
+def _roots_among(coeffs: list[int], candidates) -> list:
+    """The candidates x (ints or Fractions) with sum(coeffs[i] * x**i) = 0,
+    in order, each evaluated by Horner's rule."""
+    high_first = coeffs[::-1]
+    roots = []
+    for x in candidates:
+        acc = 0
+        for c in high_first:
+            acc = acc * x + c
+        if acc == 0:
+            roots.append(x)
+    return roots
+
+
 def solve_univariate(coeffs: list[int]) -> tuple[list[int], list[Fraction]]:
     """All roots of sum(coeffs[i] * x**i) = 0 over Z and over Q.
 
@@ -347,27 +389,13 @@ def solve_univariate(coeffs: list[int]) -> tuple[list[int], list[Fraction]]:
     rational root (integer roots included, as Fractions).  Rejects the zero
     polynomial.
     """
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    if not coeffs:
-        raise ValueError("zero polynomial: every x is a root")
-
-    m = 0
-    while coeffs[m] == 0:
-        m += 1
-    rationals: list[Fraction] = []
-    if m > 0:
-        rationals.append(Fraction(0))
-    low, high = coeffs[m], coeffs[-1]
-    if len(coeffs) - 1 > m:
-        for p in divisors(low):
-            for q in divisors(high):
-                if gcd(p, q) != 1:
-                    continue
-                for cand in (Fraction(p, q), Fraction(-p, q)):
-                    if _poly_eval(coeffs, cand) == 0:
-                        rationals.append(cand)
+    m, body = _root_body(coeffs)
+    rationals = [Fraction(0)] if m > 0 else []
+    if len(body) > 1:
+        rationals += _roots_among(body, (
+            Fraction(sign * p, q) for p in divisors(body[0])
+            for q in divisors(body[-1]) if gcd(p, q) == 1
+            for sign in (1, -1)))
     rationals = sorted(set(rationals))
     integers = sorted(int(r) for r in rationals if r.denominator == 1)
     return integers, rationals
@@ -380,67 +408,23 @@ def integer_roots(coeffs: list[int]) -> list[int]:
     those divisors (both signs) are tried, each by integer Horner evaluation;
     0 is a root when the constant term is 0.  Rejects the zero polynomial.
     """
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    if not coeffs:
-        raise ValueError("zero polynomial: every x is a root")
-    m = 0
-    while coeffs[m] == 0:
-        m += 1
-    body = coeffs[m:]
+    m, body = _root_body(coeffs)
     roots = [0] if m > 0 else []
     if len(body) == 1:
         return roots
-    for d in divisors(body[0]):
-        for x in (d, -d):
-            acc = 0
-            for c in reversed(body):
-                acc = acc * x + c
-            if acc == 0:
-                roots.append(x)
-    return sorted(roots)
-
-
-def _poly_eval(coeffs: list[int], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+    return sorted(roots + _roots_among(
+        body, (x for d in divisors(body[0]) for x in (d, -d))))
 
 
 def integer_roots_bounded(coeffs: list[int], bound: int) -> list[int]:
     """Integer roots with |x| <= bound, found by scanning the divisors of the
     trailing coefficient in pairs (d, |c0| // d) with d <= isqrt(|c0|) (no
     factorization).  Rejects the zero polynomial."""
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    if not coeffs:
-        raise ValueError("zero polynomial: every x is a root")
-    m = 0
-    while coeffs[m] == 0:
-        m += 1
+    m, body = _root_body(coeffs)
     roots = [0] if m > 0 else []
-    low = abs(coeffs[m])
-    body = coeffs[m:]
-
-    def is_root(x: int) -> bool:
-        acc = 0
-        for c in reversed(body):
-            acc = acc * x + c
-        return acc == 0
-
     if len(body) == 1:
         return roots
-    for d in range(1, min(bound, isqrt(low)) + 1):
-        if low % d:
-            continue
-        for e in {d, low // d}:
-            if e > bound:
-                continue
-            if is_root(e):
-                roots.append(e)
-            if is_root(-e):
-                roots.append(-e)
-    return sorted(roots)
+    low = abs(body[0])
+    return sorted(roots + _roots_among(body, (
+        x for d in range(1, min(bound, isqrt(low)) + 1) if low % d == 0
+        for e in {d, low // d} if e <= bound for x in (e, -e))))

@@ -11,7 +11,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, gcd
+from math import gcd
 
 from . import expr as ex
 from .basesolve import BaseSolveRecord
@@ -24,7 +24,14 @@ from .eqparse import (
     parse_equation,
     poly_to_string,
 )
-from .intcore import divisors, divisors_k, factorize, integer_roots, valuation
+from .intcore import (
+    divisors,
+    divisors_k,
+    factorize,
+    integer_roots,
+    shifted_power,
+    valuation,
+)
 from .lindioph import (
     hilbert_basis,
     minimal_divisibility_set,
@@ -44,17 +51,17 @@ from .solset import (
     Status,
     searched,
 )
-from .oracle import BoxTooLarge, brute_force
+from .oracle import brute_force
 from .twomon import _enumerate_exact_products, _power_fiber, solve_two_monomial
 from .twovar import solve_two_var
 
 # re-exported surface
 __all__ = [
     "Prop4Certificate", "ReducedEquation", "SolveReport",
-    "trivial_solutions", "check_prop4", "direct_formula", "solve_prop4",
-    "solve_separated_linear", "solve_x1k_x2", "solve_two_monomial",
-    "reduce_to_independent", "classify_family", "classify_cyclic",
-    "monte_carlo_prop4", "solve",
+    "trivial_solutions", "check_prop4", "check_sums", "direct_formula",
+    "solve_prop4", "solve_separated_linear", "solve_x1k_x2",
+    "solve_two_monomial", "reduce_to_independent", "classify_family",
+    "classify_cyclic", "monte_carlo_prop4", "solve",
 ]
 
 
@@ -152,12 +159,9 @@ class Prop4Certificate:
     unknown: bool = False
 
 
-def _orientation_rows(eq: TrinomialEquation, i: int):
-    others = [j for j in range(3) if j != i]
-    alpha = eq.rows[others[0]]
-    beta = eq.rows[others[1]]
-    gamma = eq.rows[i]
-    return alpha, beta, gamma, others
+#: Row indices (alpha, beta, gamma) of the three orientations of the exponent
+#: system; orientation i puts monomial i on the right-hand side as gamma.
+_ORIENTATIONS = ((1, 2, 0), (0, 2, 1), (0, 1, 2))
 
 
 def _system_solve(alpha, beta, gamma, target_sign: int, budget: int):
@@ -186,26 +190,27 @@ def check_prop4(eq: TrinomialEquation, budget: int = 1_000_000
     every orientation is infeasible, or a certificate flagged unknown when a
     search exceeded its budget."""
     saw_unknown = False
-    for i in range(3):
-        alpha, beta, gamma, _ = _orientation_rows(eq, i)
+    for i, (ia, ib, ig) in enumerate(_ORIENTATIONS):
+        alpha, beta, gamma = eq.rows[ia], eq.rows[ib], eq.rows[ig]
         status, z = _system_solve(alpha, beta, gamma, 1, budget)
         if status == "unknown":
             saw_unknown = True
             continue
         if status != "feasible":
             continue
-        assert _check_sums(alpha, beta, gamma, z, 1)
+        assert check_sums(alpha, beta, gamma, z, 1)
         status_t, t = _system_solve(alpha, beta, gamma, -1, budget)
         tvec = tuple(t) if status_t == "feasible" else None
         if tvec is not None:
-            assert _check_sums(alpha, beta, gamma, tvec, -1)
+            assert check_sums(alpha, beta, gamma, tvec, -1)
         return Prop4Certificate(i, tuple(z), tvec)
     if saw_unknown:
         return Prop4Certificate(-1, (), None, unknown=True)
     return None
 
 
-def _check_sums(alpha, beta, gamma, z, s):
+def check_sums(alpha, beta, gamma, z, s) -> bool:
+    """Whether sum(alpha*z) = sum(beta*z) = sum(gamma*z) - s."""
     sa = sum(a * zi for a, zi in zip(alpha, z))
     sb = sum(b * zi for b, zi in zip(beta, z))
     sg = sum(g * zi for g, zi in zip(gamma, z))
@@ -221,10 +226,9 @@ def direct_formula(eq: TrinomialEquation, cert: Prop4Certificate
     u = x and w = c prod x^gamma."""
     if cert.t is None:
         raise ValueError("direct formula needs both systems solvable")
-    alpha, beta, gamma, others = _orientation_rows(eq, cert.orientation)
-    a = eq.coeffs[others[0]]
-    b = eq.coeffs[others[1]]
-    c = -eq.coeffs[cert.orientation]
+    ia, ib, ig = _ORIENTATIONS[cert.orientation]
+    alpha, beta, gamma = eq.rows[ia], eq.rows[ib], eq.rows[ig]
+    a, b, c = eq.coeffs[ia], eq.coeffs[ib], -eq.coeffs[ig]
     variables = list(eq.variables)
     uname = {v: f"u_{v}" for v in variables}
 
@@ -362,12 +366,8 @@ def _residue_family(variables, xvar, a, rest, rest_vars, residues):
             e = m.exp_of(v)
             if not e:
                 continue
-            # (aa*w + r)^e expanded
-            branch = {}
-            for k in range(e + 1):
-                coef = comb(e, k) * aa**k * residues[pos] ** (e - k)
-                if coef:
-                    branch[k] = coef
+            branch = {k: co for k, co in
+                      enumerate(shifted_power(aa, residues[pos], e)) if co}
             acc2 = {}
             for exps, co in acc.items():
                 for k, co2 in branch.items():
@@ -646,6 +646,22 @@ def _hilbert_homogeneous(row: list[int]) -> list[tuple[int, ...]]:
     return basis.homogeneous
 
 
+def _block_systems(rows):
+    """The three block systems of the reduction, as (Hilbert basis, block
+    exponents) pairs for exponent rows r1, r2, r3: the basis of
+    (r1 - r2).z = 0 with exponents (r3 - r1).v per basis vector v, then
+    (r1 - r3).z = 0 with (r2 - r3).v, then (r2 - r3).z = 0 with
+    (r1 - r2).v."""
+    r1, r2, r3 = rows
+    systems = []
+    for p, q, s, t in ((r1, r2, r3, r1), (r1, r3, r2, r3), (r2, r3, r1, r2)):
+        basis = _hilbert_homogeneous([x - y for x, y in zip(p, q)])
+        weights = [x - y for x, y in zip(s, t)]
+        systems.append((basis, [sum(w * v for w, v in zip(weights, vec))
+                                for vec in basis]))
+    return systems
+
+
 def reduce_to_independent(eq: TrinomialEquation,
                           max_branches: int = 4096) -> list[ReducedEquation]:
     """Theorem-3 style reduction: enumerate prime splits and particular
@@ -659,17 +675,8 @@ def reduce_to_independent(eq: TrinomialEquation,
     diff_ab = [r1[i] - r2[i] for i in range(nv)]
     diff_ag = [r1[i] - r3[i] for i in range(nv)]
     diff_bg = [r2[i] - r3[i] for i in range(nv)]
-
-    e_basis = _hilbert_homogeneous(diff_ab)
-    f_basis = _hilbert_homogeneous(diff_ag)
-    g_basis = _hilbert_homogeneous(diff_bg)
-
-    def block_exp(basis, weights):
-        return [sum(w * v for w, v in zip(weights, vec)) for vec in basis]
-
-    e_exp = block_exp(e_basis, [r3[i] - r1[i] for i in range(nv)])
-    f_exp = block_exp(f_basis, [r2[i] - r3[i] for i in range(nv)])
-    g_exp = block_exp(g_basis, [r1[i] - r2[i] for i in range(nv)])
+    (e_basis, e_exp), (f_basis, f_exp), (g_basis, g_exp) = _block_systems(
+        eq.rows)
 
     primes = factorize(a * b * c).primes()
     out: list[ReducedEquation] = []
@@ -1028,23 +1035,6 @@ def _solve_blocks(poly: Polynomial, bound, backend):
     return _unsub_blocks(poly, inner, blocks, names)
 
 
-@dataclass
-class _BlockMapped(MappedFamily):
-    """Block-grouping family: the inner set solves the grouped equation and
-    the lift recovers the block variables by divisor fibers.  Its image is
-    the nonzero solution set of `poly`, which box listings still take from
-    the oracle whenever the box fits its guard."""
-
-    poly: Polynomial | None = None
-
-    def enumerate_box(self, bound):
-        try:
-            run = brute_force(self.poly, bound, guard=4_000_000)
-        except BoxTooLarge:
-            return super().enumerate_box(bound)
-        return {t for t in run.solutions if all(x != 0 for x in t)}
-
-
 def _unsub_blocks(poly: Polynomial, inner: SolutionSet, blocks, names):
     variables = list(poly.variables)
     live = [b for b in blocks if b]
@@ -1079,10 +1069,10 @@ def _unsub_blocks(poly: Polynomial, inner: SolutionSet, blocks, names):
 
     out = SolutionSet(variables, status=inner.status, equation=poly,
                       provenance=list(inner.provenance))
-    out.families.append(_BlockMapped(
+    out.families.append(MappedFamily(
         variables=variables, inner=inner, lift=lift, inner_bound=inner_bound,
         exact_box=all(f.exact_box for f in inner.families),
-        note="block grouping", poly=poly))
+        note="block grouping"))
     return out
 
 
@@ -1145,25 +1135,12 @@ def classify_family(rows: tuple[tuple[int, ...], ...]):
     orientation (returns ('prop4', orientation, z)), or the reduced
     independent-monomial shape with unit coefficients
     (returns ('reduced', shape string))."""
-    nv = len(rows[0])
-    for i in range(3):
-        others = [j for j in range(3) if j != i]
-        alpha, beta, gamma = rows[others[0]], rows[others[1]], rows[i]
-        status, z = _system_solve(alpha, beta, gamma, 1, budget=200000)
+    for i, (ia, ib, ig) in enumerate(_ORIENTATIONS):
+        status, z = _system_solve(rows[ia], rows[ib], rows[ig], 1,
+                                  budget=200000)
         if status == "feasible":
             return ("prop4", i, tuple(z))
-    r1, r2, r3 = rows
-    shapes = []
-    for weights, eqrow in (
-            ([r1[i] - r2[i] for i in range(nv)],
-             [r2[i] - r3[i] for i in range(nv)]),
-            ([r2[i] - r3[i] for i in range(nv)],
-             [r1[i] - r3[i] for i in range(nv)]),
-            ([r3[i] - r1[i] for i in range(nv)],
-             [r1[i] - r2[i] for i in range(nv)])):
-        basis = _hilbert_homogeneous(eqrow)
-        exps = [sum(w * v for w, v in zip(weights, vec)) for vec in basis]
-        shapes.append(_shape_of_exponents(exps))
+    shapes = [_shape_of_exponents(exps) for _, exps in _block_systems(rows)]
     shapes.sort(key=_shape_sort_key, reverse=True)
     letters = iter("uvwrst")
     parts = []
@@ -1361,9 +1338,10 @@ def _cyclic_equation(a: int, b: int) -> TrinomialEquation:
 def _prop4_condition(alpha, beta, gamma, budget=500000) -> tuple[bool, bool]:
     """(solvable in some orientation, hit unknown)."""
     unknown = False
-    for a, b, g in ((alpha, beta, gamma), (alpha, gamma, beta),
-                    (beta, gamma, alpha)):
-        gens = [(x - y, z - x) for x, y, z in zip(a, b, g)]
+    rows = (alpha, beta, gamma)
+    for ia, ib, ig in reversed(_ORIENTATIONS):
+        gens = [(x - y, z - x)
+                for x, y, z in zip(rows[ia], rows[ib], rows[ig])]
         status = monoid_contains_2d(gens, (0, 1), budget)
         if status == "feasible":
             return True, unknown

@@ -95,20 +95,6 @@ class NonzeroIntegers(ParamDomain):
         return "Z\\{0}"
 
 
-class FiniteSet(ParamDomain):
-    def __init__(self, values: Iterable[int]):
-        self.values = tuple(values)
-
-    def contains(self, value, env):
-        return value in self.values
-
-    def enumerate(self, env, sweep):
-        return iter(self.values)
-
-    def describe(self):
-        return "{" + ",".join(map(str, self.values)) + "}"
-
-
 class DivisorSet(ParamDomain):
     """z with z**k dividing the value of `of` (an expression over earlier
     parameters).  D_k(0) is all nonzero integers."""
@@ -221,14 +207,21 @@ class SolutionFamily(Family):
 
 @dataclass
 class RecurrenceFamily(Family):
-    """Orbit of seed tuples under a unimodular integer matrix; the family
-    parameter indexes recurrence steps (negative steps use the inverse)."""
+    """Orbit of seed tuples under a unimodular 2x2 integer matrix of trace
+    at least 2 in absolute value; the family parameter indexes recurrence
+    steps (negative steps use the inverse)."""
 
     variables: list[str]
     seeds: list[tuple[int, ...]]
     matrix: tuple[tuple[int, ...], ...]
     exact_box: bool = True
     note: str = ""
+
+    def __post_init__(self):
+        (a, b), (c, d) = self.matrix
+        if a * d - b * c not in (1, -1) or abs(a + d) < 2:
+            raise ValueError("need determinant +-1 and |trace| >= 2, which "
+                             "the stopping rule of enumerate_box rests on")
 
     def _apply(self, mat, vec):
         return tuple(sum(row[j] * vec[j] for j in range(len(vec))) for row in mat)
@@ -247,20 +240,33 @@ class RecurrenceFamily(Family):
         return vec
 
     def enumerate_box(self, bound):
+        """Walk each orbit both ways from its seed until some coordinate
+        has |x_k| > bound and |x_k| >= |x_{k-1}|.
+
+        Why that stop is exact: for the matrix M, Cayley-Hamilton gives
+        M^2 = tr*M - det*I, so every coordinate of the orbit M^k * seed
+        obeys x_{k+1} = tr*x_k - det*x_{k-1}.  With |tr| >= 2 and
+        det = +-1, |x_k| >= |x_{k-1}| gives
+        |x_{k+1}| >= 2|x_k| - |x_{k-1}| >= |x_k|, and by induction the
+        coordinate never shrinks again: the orbit never comes back into the
+        box.  The inverse matrix has trace tr/det and determinant 1/det, so
+        the backward walk obeys the same rule.  A walk that returns to its
+        seed has listed a periodic orbit: the zero seed, or |tr| = 2 with M
+        fixing the seed up to sign."""
         out: set[tuple[int, ...]] = set()
         for seed in self.seeds:
             for direction in (1, -1):
-                vec = seed
-                misses = 0
-                # stops after eight steps in a row outside the box, a
-                # heuristic rule: no proof bounds the orbit's return
-                while misses < 8:
+                prev, vec = None, seed
+                while True:
                     if all(abs(x) <= bound for x in vec):
                         out.add(vec)
-                        misses = 0
-                    else:
-                        misses += 1
-                    vec = self.step(vec, direction)
+                    elif prev is not None and any(
+                            abs(x) > bound and abs(x) >= abs(p)
+                            for x, p in zip(vec, prev)):
+                        break
+                    prev, vec = vec, self.step(vec, direction)
+                    if vec == seed:
+                        break
         return out
 
     def witness(self, solution: tuple[int, ...]) -> Optional[int]:
@@ -289,7 +295,9 @@ class MappedFamily(Family):
     images of one inner point that may lie in the box of bound B.  Box
     enumeration lists the inner set at `inner_bound(B)` from its own families
     and lifts, which is complete whenever the lift cannot shrink coordinates
-    below the box."""
+    below the box.  Like every family, it lists its box points from its own
+    parametrization and never from the oracle, so that `verify` stays an
+    independent check."""
 
     variables: list[str]
     inner: "SolutionSet"

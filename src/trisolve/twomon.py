@@ -13,7 +13,7 @@ from math import gcd
 
 from . import expr as ex
 from .eqparse import Polynomial
-from .intcore import divisors_k, exact_iroot, rational_root_d
+from .intcore import divisors_k, exact_roots, rational_root_d
 from .lindioph import solve_monoid_target_2d
 from .solset import (
     COMPLETE,
@@ -92,12 +92,8 @@ def _enumerate_exact_products(exps: list[int], target: int) -> list[tuple[int, .
 
     def rec(idx: int, rem: int, prefix: list[int]):
         if idx == len(exps) - 1:
-            k = exps[idx]
-            root = exact_iroot(abs(rem), k)
-            if root is None:
-                return
-            for cand in {root, -root}:
-                if cand != 0 and cand**k == rem:
+            for cand in exact_roots(rem, exps[idx]):
+                if cand != 0:
                     results.append(tuple(prefix + [cand]))
             return
         for z in divisors_k(rem, exps[idx]):
@@ -220,17 +216,12 @@ def _power_fiber(exps: list[int], target: Fraction, bound: int
         lhs = target
         for i, v in zip(others, combo):
             lhs /= Fraction(v) ** exps[i]
-        k = abs(exps[j])
         if exps[j] < 0:
             lhs = 1 / lhs
         if lhs.denominator != 1:
             continue
-        root = exact_iroot(lhs.numerator, k)
-        if root is None or root == 0:
-            continue
-        roots = {root, -root} if k % 2 == 0 else {root}
-        for rt in roots:
-            if rt**k != lhs.numerator or abs(rt) > bound:
+        for rt in exact_roots(lhs.numerator, abs(exps[j])):
+            if rt == 0 or abs(rt) > bound:
                 continue
             tup = [0] * len(exps)
             for i, v in zip(others, combo):

@@ -27,7 +27,7 @@ from .eqparse import (
 from .intcore import (
     divisors,
     divisors_k,
-    exact_iroot,
+    exact_roots,
     factorize,
     integer_roots,
     iroot,
@@ -125,21 +125,6 @@ def normalize_two_var(eq: TrinomialEquation):
 # finite divisor branches
 # ---------------------------------------------------------------------------
 
-def _solve_y_power(coeff: int, l: int, rhs: int) -> list[int]:
-    """Integer y with coeff * y**l == rhs."""
-    if rhs % coeff:
-        return []
-    val = rhs // coeff
-    if val == 0:
-        return [0]
-    root = exact_iroot(abs(val), l)
-    out = []
-    for y in ({root, -root} if root is not None else set()):
-        if y is not None and y**l == val:
-            out.append(y)
-    return out
-
-
 def _divisor_branch_const(eq: TrinomialEquation, const_index: int) -> SolutionSet:
     """Both non-constant monomials contain y (and x): y divides the constant
     coefficient; substitute each divisor and solve for x."""
@@ -173,7 +158,10 @@ def _divisor_branch_form(form: TwoVarForm) -> SolutionSet:
     out = SolutionSet(variables, status=COMPLETE)
     for x0 in divisors_k(form.c, 1):
         rhs = -(form.a * x0**form.n + form.c)
-        for y in _solve_y_power(form.b * x0**form.k, form.l, rhs):
+        coeff = form.b * x0**form.k
+        if rhs % coeff:
+            continue
+        for y in exact_roots(rhs // coeff, form.l):
             if y != 0:
                 out.add_finite((x0, y))
     return out
@@ -326,22 +314,11 @@ def solve_runge_path(form: TwoVarForm, bound: int,
             f"runge d={d}: {len(inner.finite)} solutions of the power form",
             sorted(inner.finite), str(inner.status)))
     for (X, Y) in inner.finite:
-        for x in _dth_roots(X, d):
-            for y in _dth_roots(Y, d):
+        for x in exact_roots(X, d):
+            for y in exact_roots(Y, d):
                 if x != 0 and y != 0:
                     out.add_finite((x, y))
     return out
-
-
-def _dth_roots(value: int, d: int) -> list[int]:
-    if d == 1:
-        return [value]
-    if value < 0 and d % 2 == 0:
-        return []
-    root = exact_iroot(value, d)
-    if root is None:
-        return []
-    return sorted({root, -root}) if d % 2 == 0 else [root]
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ from trisolve.fixtures import (
     TABLE5,
     TABLE6,
     TABLE6_DEGREES,
-    family_orientation_rows,
     family_rows,
+    family_rows_as_written,
     table2_family,
 )
 from trisolve.intcore import OO, divisors_k, valuation_or_infinity, valuation_split
@@ -241,7 +241,7 @@ def test_acceptance_5_prop4_box_equivalence():
 
 def test_acceptance_6a_table3_vectors():
     for text, zvec in TABLE3:
-        alpha, beta, gamma, _ = family_orientation_rows(text)
+        alpha, beta, gamma, _ = family_rows_as_written(text)
         sa = sum(a * z for a, z in zip(alpha, zvec))
         sb = sum(b * z for b, z in zip(beta, zvec))
         sg = sum(g * z for g, z in zip(gamma, zvec))

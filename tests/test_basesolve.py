@@ -169,9 +169,6 @@ def test_runge_bounded_search():
     truth = brute_force(parse_equation("x^2+x^2*y^4+y^2"), 10).solutions
     assert set(out.finite) == set(truth)
     assert str(out.status) == "SearchedToBound(10)"
-    assert str(solve_runge_finite(
-        parse_equation("x^2+x^2*y^4+y^2"), 10,
-        effective_bound=True).status) == "Complete"
 
 
 def test_backend_hook(tmp_path):

@@ -8,12 +8,14 @@ from trisolve.intcore import (
     OO,
     divisors_k,
     exact_iroot,
+    exact_roots,
     factorize,
     in_divisor_set,
     integer_roots,
     integer_roots_bounded,
     is_probable_prime,
     rational_root_d,
+    shifted_power,
     solve_univariate,
     valuation,
     valuation_or_infinity,
@@ -232,3 +234,26 @@ def test_integer_roots_bounded_vs_linear_scan():
             continue
         assert integer_roots_bounded(poly, bound) == \
             _linear_scan_roots(poly, bound), (poly, bound)
+
+
+def test_exact_roots_vs_plain_scan():
+    # |r| <= |n| whenever r**k == n != 0, so scanning r over [-10^4, 10^4]
+    # finds every root of every n with |n| <= 10^4
+    limit = 10**4
+    for k in range(1, 8):
+        scan: dict[int, list[int]] = {}
+        for r in range(-limit, limit + 1):
+            if abs(r**k) <= limit:
+                scan.setdefault(r**k, []).append(r)
+        for n in range(-limit, limit + 1):
+            assert exact_roots(n, k) == scan.get(n, []), (n, k)
+
+
+def test_shifted_power_vs_direct_evaluation():
+    rng = random.Random(2024)
+    for _ in range(2000):
+        s, r, w = (rng.randint(-12, 12) for _ in range(3))
+        e = rng.randint(0, 8)
+        coeffs = shifted_power(s, r, e)
+        assert len(coeffs) == e + 1
+        assert sum(c * w**k for k, c in enumerate(coeffs)) == (s * w + r)**e

@@ -1,7 +1,11 @@
-"""Every import of the package sits at module level, so the module graph is
-visible at a glance.  The one exception is the process pool of the
-Monte-Carlo experiment, imported lazily because importing it costs about
-10 ms at start-up."""
+"""Layering rules of the package, checked on its syntax trees.
+
+Every import sits at module level, so the module graph is visible at a
+glance.  The one exception is the process pool of the Monte-Carlo
+experiment, imported lazily because importing it costs about 10 ms at
+start-up.  No box listing calls the oracle, so `verify` stays an independent
+check.  Every private top-level function or class is used somewhere in the
+package, so no helper outlives its callers."""
 
 import ast
 import pathlib
@@ -31,3 +35,51 @@ def test_no_imports_inside_function_bodies():
             if not set(names) <= LAZY:
                 found.append(f"{path.name}:{lineno} {', '.join(names)}")
     assert not found, found
+
+
+def _trees():
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def test_no_box_listing_calls_the_oracle():
+    # `verify` compares box listings with the oracle, so no family may take
+    # its listing from the oracle
+    found = []
+    for name, tree in _trees().items():
+        for func in ast.walk(tree):
+            if not (isinstance(func, ast.FunctionDef) and func.name in
+                    ("enumerate_box", "box_enumerator")):
+                continue
+            for node in ast.walk(func):
+                ident = (node.id if isinstance(node, ast.Name) else
+                         node.attr if isinstance(node, ast.Attribute) else "")
+                if ident.startswith("brute_force"):
+                    found.append(f"{name}:{node.lineno} {ident}")
+    assert not found, found
+
+
+def test_every_private_top_level_definition_is_used():
+    trees = _trees()
+    refs = []  # (module, line, identifier)
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.append((name, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute):
+                refs.append((name, node.lineno, node.attr))
+            elif isinstance(node, ast.ImportFrom):
+                refs.extend((name, node.lineno, a.name) for a in node.names)
+    unused = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if not (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_")
+                    and not node.name.startswith("__")):
+                continue
+            span = range(node.lineno, node.end_lineno + 1)
+            if not any(ident == node.name
+                       and not (mod == name and line in span)
+                       for mod, line, ident in refs):
+                unused.append(f"{name}:{node.lineno} {node.name}")
+    assert not unused, unused

@@ -4,7 +4,7 @@ import pytest
 
 from trisolve import multivar
 from trisolve.eqparse import parse_equation, parse_trinomial
-from trisolve.fixtures import TABLE3, TABLE4, TABLE5, family_orientation_rows, family_rows
+from trisolve.fixtures import TABLE3, TABLE4, TABLE5, family_rows, family_rows_as_written
 from trisolve.lindioph import MinimalBasis
 from trisolve.multivar import (
     ResidueLimit,
@@ -21,7 +21,7 @@ from trisolve.multivar import (
     trivial_solutions,
 )
 from trisolve.oracle import brute_force
-from trisolve.solset import SolutionSet, verify_against_oracle
+from trisolve.solset import MappedFamily, SolutionSet, verify_against_oracle
 
 
 def oracle_match(text, B, **kw):
@@ -249,6 +249,30 @@ def test_verify_sees_an_emptied_reduced_lift(text, box):
     assert ver.sound and not ver.complete_in_box and ver.missing
 
 
+def _block_groupings(solset):
+    for fam in solset.families:
+        if isinstance(fam, MappedFamily):
+            if fam.note == "block grouping":
+                yield fam
+            yield from _block_groupings(fam.inner)
+
+
+def test_verify_sees_an_emptied_block_grouping():
+    # a block-grouping family lists its points from its grouped solution
+    # set, not from the oracle, so emptying that set must show up as
+    # missing points
+    text, box = "-2*y - 3*x^2*z^2 - 2*x*y^2 = 0", 5
+    poly = parse_equation(text)
+    rep = solve(text)
+    groupings = list(_block_groupings(rep.solutions))
+    assert groupings
+    for fam in groupings:
+        fam.inner = SolutionSet(fam.inner.variables, status=fam.inner.status)
+    ver = verify_against_oracle(rep.solutions, poly,
+                                brute_force(poly, box).solutions, box)
+    assert ver.sound and not ver.complete_in_box and ver.missing
+
+
 # ---------------------------------------------------------------------------
 # master dispatcher box-equivalence
 # ---------------------------------------------------------------------------
@@ -312,7 +336,7 @@ def test_master_small_shapes():
 
 def test_table3_vectors_validate():
     for text, zvec in TABLE3:
-        alpha, beta, gamma, _ = family_orientation_rows(text)
+        alpha, beta, gamma, _ = family_rows_as_written(text)
         sa = sum(a * z for a, z in zip(alpha, zvec))
         sb = sum(b * z for b, z in zip(beta, zvec))
         sg = sum(g * z for g, z in zip(gamma, zvec))

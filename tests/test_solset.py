@@ -10,7 +10,6 @@ from trisolve.solset import (
     ConstructionError,
     DivisorSet,
     DomainError,
-    FiniteSet,
     NonzeroIntegers,
     RecurrenceFamily,
     SolutionFamily,
@@ -137,6 +136,33 @@ def test_recurrence_family_box():
     assert fam.witness((577, 408)) is not None
 
 
+def test_recurrence_family_lists_a_point_far_from_its_seed():
+    # the walk back from the seed passes nine points outside the box before
+    # it reaches (1, 0)
+    matrix = ((3, 4), (2, 3))
+    seed = RecurrenceFamily(variables=["u", "v"], seeds=[(1, 0)],
+                            matrix=matrix).step((1, 0), 10)
+    fam = RecurrenceFamily(variables=["u", "v"], seeds=[seed], matrix=matrix)
+    assert fam.enumerate_box(1) == {(1, 0)}
+
+
+def test_recurrence_family_stopping_rule_edges():
+    # trace 2: a fixed seed ends its walk by returning to itself, a moving
+    # one by a coordinate that grows past the box
+    shear = ((1, 1), (0, 1))
+    fixed = RecurrenceFamily(variables=["u", "v"], seeds=[(1, 0)],
+                             matrix=shear)
+    assert fixed.enumerate_box(3) == {(1, 0)}
+    moving = RecurrenceFamily(variables=["u", "v"], seeds=[(0, 1)],
+                              matrix=shear)
+    assert moving.enumerate_box(3) == {(k, 1) for k in range(-3, 4)}
+    # the stopping rule needs |trace| >= 2 and determinant +-1
+    for matrix in (((0, -1), (1, 1)), ((2, 0), (0, 2))):
+        with pytest.raises(ValueError):
+            RecurrenceFamily(variables=["u", "v"], seeds=[(1, 0)],
+                             matrix=matrix)
+
+
 def test_verify_against_oracle_negative_control():
     poly = parse_equation("x^2-y^2")
     good = SolutionSet(["x", "y"], finite={(1, 1), (2, -2)}, equation=poly)
@@ -154,8 +180,3 @@ def test_nonzero_domain():
     dom = NonzeroIntegers()
     assert dom.contains(3, {}) and not dom.contains(0, {})
     assert 0 not in list(dom.enumerate({}, 4))
-
-
-def test_finite_set_domain():
-    dom = FiniteSet([1, -1])
-    assert dom.contains(-1, {}) and not dom.contains(2, {})
