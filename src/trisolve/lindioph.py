@@ -308,30 +308,6 @@ def _primitive(v: tuple[int, int]) -> tuple[int, int]:
     return (v[0] // g, v[1] // g)
 
 
-def _angle_key(v: tuple[int, int]):
-    """Sort key by angle in [0, 2pi) using exact arithmetic."""
-    x, y = v
-    if y > 0 or (y == 0 and x > 0):
-        half = 0
-    else:
-        half = 1
-    # within a half-turn, order by slope: a before b iff cross(a,b) > 0
-    return half, _SlopeKey(v)
-
-
-class _SlopeKey:
-    __slots__ = ("v",)
-
-    def __init__(self, v):
-        self.v = v
-
-    def __lt__(self, other):
-        return _cross(self.v, other.v) > 0
-
-    def __eq__(self, other):
-        return _cross(self.v, other.v) == 0
-
-
 def _lattice_contains_2d(gens: list[tuple[int, int]],
                         target: tuple[int, int]) -> bool:
     """Whether target is an integer (any sign) combination of gens.
@@ -352,6 +328,8 @@ def _lattice_contains_2d(gens: list[tuple[int, int]],
         c = gcd(c, (x * b - a * y) // g)
         a, b = g, s * b + t * y
         if c:
+            if a == c == 1:  # the lattice is Z^2
+                return True
             b %= c
     tx, ty = target
     if a == 0:
@@ -517,25 +495,57 @@ def _cone_2d(active: list[tuple[int, int]]):
     """Classify the cone positively spanned by nonzero 2-D vectors as
     ('line', w, None) when all lie on the line R*w, ('pointed', r1, r2) for
     the cone spanned ccw from r1 to r2 (angle < pi), ('halfplane', w, None)
-    for the closed half-plane bounded by R*w, or ('plane', None, None)."""
-    dirs = sorted({_primitive(g) for g in active}, key=_angle_key)
-    if len(dirs) <= 2 and all(_cross(dirs[0], d) == 0 for d in dirs):
-        return "line", dirs[0], None
-    # The largest cyclic angular gap between directions decides: a gap > pi
-    # means a pointed cone (the gap's endpoints are the extreme rays), a gap
-    # of exactly pi a closed half-plane, all gaps < pi the whole plane.
-    m = len(dirs)
-    gap_pi = None
-    for i in range(m):
-        a, b = dirs[i], dirs[(i + 1) % m]
-        cr = _cross(a, b)
-        if cr < 0:
-            return "pointed", b, a
-        if cr == 0 and _dot(a, b) < 0:
-            gap_pi = a
-    if gap_pi is not None:
-        return "halfplane", gap_pi, None
-    return "plane", None, None
+    for the closed half-plane bounded by R*w, with cross(w, v) <= 0 for
+    every generator v, or ('plane', None, None).  The vectors returned are
+    primitive; a line spanned both ways is given by its direction with
+    y > 0, or y = 0 and x > 0.
+
+    One pass keeps the extreme rays r1 (most clockwise) and r2 (most ccw)
+    of the generators seen so far; r1 = r2 while they lie on one ray.  A
+    generator strictly inside the opposite cone makes the generators span
+    the plane, and one opposite an extreme ray puts that ray's whole line
+    in the cone, which _cone_with_line finishes."""
+    x1, y1 = x2, y2 = active[0]
+    for vx, vy in active:
+        c1 = x1 * vy - y1 * vx  # cross(r1, v) > 0: v ccw of r1
+        c2 = vx * y2 - vy * x2  # cross(v, r2) > 0: v cw of r2
+        if c1 > 0:
+            if c2 < 0:
+                x2, y2 = vx, vy
+        elif c1 < 0:
+            if c2 > 0:
+                x1, y1 = vx, vy
+            elif c2 < 0:
+                return "plane", None, None
+            else:
+                return _cone_with_line((x2, y2), active)
+        elif c2 < 0 or (c2 == 0 and x1 * vx + y1 * vy < 0):
+            return _cone_with_line((x1, y1), active)
+    if x1 * y2 - y1 * x2 == 0:
+        return "line", _primitive((x1, y1)), None
+    return "pointed", _primitive((x1, y1)), _primitive((x2, y2))
+
+
+def _cone_with_line(r, active):
+    """_cone_2d of generators that include both directions of R*r: the
+    sides of that line they reach decide line, half-plane or plane."""
+    x, y = r
+    left = right = False
+    for vx, vy in active:
+        c = x * vy - y * vx
+        if c > 0:
+            left = True
+        elif c < 0:
+            right = True
+    if left and right:
+        return "plane", None, None
+    if left:
+        return "halfplane", _primitive((-x, -y)), None
+    if right:
+        return "halfplane", _primitive(r), None
+    if y < 0 or (y == 0 and x < 0):
+        x, y = -x, -y
+    return "line", _primitive((x, y)), None
 
 
 def _line_case(active, target, w, budget):

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import struct
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -1350,15 +1351,40 @@ def _prop4_condition(alpha, beta, gamma, budget=500000) -> tuple[bool, bool]:
     return False, unknown
 
 
+def _uniform_draws(rng: random.Random, d: int, count: int) -> list[int]:
+    """[rng.randint(0, d) for _ in range(count)], drawn in bulk.
+
+    CPython 3.11's randint(0, d) calls getrandbits(k), k = (d + 1).bit_length(),
+    until the value is at most d, and getrandbits(k <= 32) is the next 32-bit
+    Mersenne Twister word shifted right by 32 - k.  getrandbits(32 * w) holds
+    the next w words, least significant first, so one call yields w
+    candidates.  The generator may end up past the values returned.
+    """
+    k = (d + 1).bit_length()
+    if k > 32:
+        return [rng.randint(0, d) for _ in range(count)]
+    shift = 32 - k
+    cut = (d + 1) << shift  # word >> shift <= d  iff  word < cut
+    out = []
+    while len(out) < count:
+        w = ((count - len(out)) << k) // (d + 1) + 8
+        words = struct.unpack(f"<{w}I",
+                              rng.getrandbits(32 * w).to_bytes(4 * w, "little"))
+        out += [x >> shift for x in words if x < cut]
+    del out[count:]
+    return out
+
+
 def _mc_chunk(args):
     n, d, seed, count, budget = args
-    rng = random.Random(seed)
+    # the generator dies with the chunk, so bulk draws may overshoot it
+    draws = _uniform_draws(random.Random(seed), d, 3 * n * count)
     feasible = 0
     unknown = 0
-    for _ in range(count):
-        alpha = [rng.randint(0, d) for _ in range(n)]
-        beta = [rng.randint(0, d) for _ in range(n)]
-        gamma = [rng.randint(0, d) for _ in range(n)]
+    for s in range(0, len(draws), 3 * n):
+        alpha = draws[s:s + n]
+        beta = draws[s + n:s + 2 * n]
+        gamma = draws[s + 2 * n:s + 3 * n]
         ok, unk = _prop4_condition(alpha, beta, gamma, budget)
         feasible += ok
         unknown += unk
@@ -1385,8 +1411,8 @@ def monte_carlo_prop4(n: int, d: int, samples: int, seed: int,
     sufficient condition holds in some orientation.  Deterministic for fixed
     (n, d, samples, seed) regardless of thread count: fixed-size chunks get
     seeds derived from the chunk index."""
-    if n < 1 or samples < 1:
-        raise ValueError("need n >= 1, samples >= 1")
+    if n < 1 or samples < 1 or d < 0:
+        raise ValueError("need n >= 1, samples >= 1, d >= 0")
     chunks = []
     done = 0
     idx = 0

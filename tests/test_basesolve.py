@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from trisolve import basesolve
 from trisolve.basesolve import (
     _SIEVE_PRIMES,
     _TwoPower,
@@ -21,6 +22,7 @@ from trisolve.eqparse import parse_equation
 from trisolve.intcore import exact_iroot
 from trisolve.multivar import solve
 from trisolve.oracle import brute_force
+from trisolve.solset import verify_against_oracle
 
 
 def test_pell_fundamental():
@@ -251,6 +253,24 @@ def test_sieved_search_equals_plain_scan():
         assert got == _plain_scan(tp, bound), (A, B, C, N, M, bound)
         assert (x0, y0) in got
         cases += 1
+
+
+def test_verify_sees_a_point_dropped_from_the_base_search(monkeypatch):
+    # golden entry base-mordell: every point it lists comes from the
+    # bounded search
+    text, box = "y^2 - x^3 - 2 = 0", 10
+    poly = parse_equation(text)
+    truth = brute_force(poly, box).solutions
+    full = solve(text).solutions
+    assert verify_against_oracle(full, poly, truth, box).complete_in_box
+    real = basesolve._twopower_search
+    monkeypatch.setattr(basesolve, "_twopower_search",
+                        lambda tp, bound: sorted(real(tp, bound))[1:])
+    rep = solve(text)
+    dropped = full.finite - rep.solutions.finite
+    assert len(dropped) == 1 and rep.solutions.finite < full.finite
+    ver = verify_against_oracle(rep.solutions, poly, truth, box)
+    assert ver.sound and ver.missing == sorted(dropped)
 
 
 def test_search_with_large_B_is_fast():

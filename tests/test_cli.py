@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 from trisolve import cli
 from trisolve.cli import main
@@ -86,3 +89,17 @@ def test_repro_table4(capsys):
     code, out = run(capsys, "repro", "4")
     assert code == 0
     assert "8/8" in out
+
+
+def test_python_m_trisolve():
+    # the package runs as a module without being installed
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "trisolve", "solve", "x^2-4=0", "--json"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    payload = json.loads(done.stdout)
+    assert payload["status"] == "Complete"
+    assert payload["finite"] == [["-2"], ["2"]]

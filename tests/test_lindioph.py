@@ -302,6 +302,114 @@ def test_monoid_contains_2d_equals_solver_status():
     assert ("plane", "infeasible") in seen and ("plane", "feasible") in seen
 
 
+class _SlopeKey:
+    __slots__ = ("v",)
+
+    def __init__(self, v):
+        self.v = v
+
+    def __lt__(self, other):
+        return _cross(self.v, other.v) > 0
+
+    def __eq__(self, other):
+        return _cross(self.v, other.v) == 0
+
+
+def _cross(a, b):
+    return a[0] * b[1] - a[1] * b[0]
+
+
+def _angle_key(v):
+    """Sort key by angle in [0, 2pi): the half-turn, then the slope."""
+    x, y = v
+    return (0 if y > 0 or (y == 0 and x > 0) else 1), _SlopeKey(v)
+
+
+def _sorted_cone_2d(active):
+    """The angular-sort classifier that _cone_2d replaced, kept as its
+    reference: the largest cyclic gap between sorted primitive directions
+    decides (> pi pointed, = pi half-plane, all < pi the plane)."""
+    def primitive(v):
+        g = gcd(v[0], v[1])
+        return (v[0] // g, v[1] // g)
+
+    dirs = sorted({primitive(g) for g in active}, key=_angle_key)
+    if len(dirs) <= 2 and all(_cross(dirs[0], d) == 0 for d in dirs):
+        return "line", dirs[0], None
+    m = len(dirs)
+    gap_pi = None
+    for i in range(m):
+        a, b = dirs[i], dirs[(i + 1) % m]
+        cr = _cross(a, b)
+        if cr < 0:
+            return "pointed", b, a
+        if cr == 0 and a[0] * b[0] + a[1] * b[1] < 0:
+            gap_pi = a
+    if gap_pi is not None:
+        return "halfplane", gap_pi, None
+    return "plane", None, None
+
+
+def _cone_instance(rng):
+    """Nonzero generators of every cone kind, entries up to 10^5: single
+    rays, scaled duplicates, opposite pairs, half-planes with interior
+    generators, pointed cones and random sets, turned by a random
+    unimodular map so that no orientation is favoured."""
+    n = rng.randint(1, 8)
+    e = rng.choice([1, 3, 100, 10**5])
+    gens = [(rng.randint(-e, e), rng.randint(-e, e)) for _ in range(n)]
+    shape = rng.choice(["ray", "line", "duplicates", "opposite", "pointed",
+                        "halfplane", "random"])
+    w = gens[0] if gens[0] != (0, 0) else (1, rng.randint(-e, e))
+    if shape == "ray":
+        gens = [(k * w[0], k * w[1]) for k in range(1, n + 1)]
+    elif shape == "line":
+        gens = [(k * w[0], k * w[1])
+                for k in (rng.choice([-7, -2, -1, 1, 3]) for _ in range(n))]
+    elif shape == "duplicates":
+        gens += [(k * x, k * y)
+                 for k, (x, y) in zip(rng.choices(range(1, 5), k=n), gens)]
+    elif shape == "opposite":
+        gens.append((-rng.randint(1, 3) * w[0], -rng.randint(1, 3) * w[1]))
+    elif shape == "pointed":
+        gens = [(x, abs(y) + 1) for x, y in gens]
+    elif shape == "halfplane":
+        gens = [(abs(x) + 1, y) for x, y in gens]
+        gens += [(0, rng.randint(1, e)), (0, -rng.randint(1, e))]
+    a, b, c, d = rng.choice([(1, 0, 0, 1), (0, -1, 1, 0), (-1, 0, 0, -1),
+                             (0, 1, -1, 0), (1, 0, 0, -1), (1, 1, 0, 1),
+                             (2, 1, 1, 1)])
+    gens = [(a * x + b * y, c * x + d * y) for x, y in gens]
+    rng.shuffle(gens)
+    return [g for g in gens if g != (0, 0)] or [(0, 1)]
+
+
+def test_cone_2d_equals_sorted_classifier():
+    rng = random.Random(2024)
+    kinds = {}
+    for _ in range(20_000):
+        active = _cone_instance(rng)
+        got = _cone_2d(active)
+        assert got == _sorted_cone_2d(active), active
+        kinds[got[0]] = kinds.get(got[0], 0) + 1
+    assert set(kinds) == {"line", "pointed", "halfplane", "plane"}
+    assert min(kinds.values()) > 1000, kinds
+
+
+def test_cone_2d_edge_cases():
+    assert _cone_2d([(2, -4)]) == ("line", (1, -2), None)
+    assert _cone_2d([(-3, 0), (6, 0)]) == ("line", (1, 0), None)
+    assert _cone_2d([(0, -2), (0, 5), (0, -1)]) == ("line", (0, 1), None)
+    assert _cone_2d([(1, 0), (2, 2), (0, 3)]) == ("pointed", (1, 0), (0, 1))
+    # the half-plane x >= 0: cross(w, v) <= 0 for every generator v
+    assert _cone_2d([(0, 1), (5, 7), (0, -1)]) == ("halfplane", (0, 1), None)
+    assert _cone_2d([(0, 1), (-5, 7), (0, -1)]) == \
+        ("halfplane", (0, -1), None)
+    assert _cone_2d([(1, 0), (-1, 1), (-1, -1)]) == ("plane", None, None)
+    assert _cone_2d([(1, 0), (0, 1), (-1, 0), (0, -1)]) == \
+        ("plane", None, None)
+
+
 def _lattice_member_by_minors(gens, target):
     """Integer solvability of G z = t: G and [G | t] have the same rank and
     the same gcd of their rank-sized minors."""

@@ -1,10 +1,19 @@
+import dataclasses
 import random
 
 import pytest
 
 from trisolve import multivar
 from trisolve.eqparse import parse_equation, parse_trinomial
-from trisolve.fixtures import TABLE3, TABLE4, TABLE5, family_rows, family_rows_as_written
+from trisolve.fixtures import (
+    TABLE3,
+    TABLE4,
+    TABLE5,
+    TABLE6,
+    TABLE6_DEGREES,
+    family_rows,
+    family_rows_as_written,
+)
 from trisolve.lindioph import MinimalBasis
 from trisolve.multivar import (
     ResidueLimit,
@@ -273,6 +282,31 @@ def test_verify_sees_an_emptied_block_grouping():
     assert ver.sound and not ver.complete_in_box and ver.missing
 
 
+def test_verify_sees_a_point_dropped_from_the_direct_formula(monkeypatch):
+    # golden entry direct-icosahedral; the trivial families list only points
+    # with a zero coordinate, so a point without one comes from the formula
+    text, box = "x^2 + y^3 = z^5", 10
+    poly = parse_equation(text)
+    truth = brute_force(poly, box).solutions
+    assert verify_against_oracle(solve(text).solutions, poly, truth,
+                                 box).complete_in_box
+    real = multivar.direct_formula
+    dropped = set()
+
+    def dropping(eq, cert):
+        fam = real(eq, cert)
+        kept = dataclasses.replace(fam)
+        dropped.add(min(p for p in kept.enumerate_box(box) if 0 not in p))
+        fam.box_enumerator = lambda b: kept.enumerate_box(b) - dropped
+        return fam
+
+    monkeypatch.setattr(multivar, "direct_formula", dropping)
+    rep = solve(text)
+    assert rep.path == ["n-variable", "direct-formula"] and len(dropped) == 1
+    ver = verify_against_oracle(rep.solutions, poly, truth, box)
+    assert ver.sound and ver.missing == sorted(dropped)
+
+
 # ---------------------------------------------------------------------------
 # master dispatcher box-equivalence
 # ---------------------------------------------------------------------------
@@ -388,6 +422,48 @@ def test_monte_carlo_recorded_counts(n, d, samples, seed, feasible):
     # (feasible, unknown) as recorded when every draw still built a witness
     res = monte_carlo_prop4(n, d, samples, seed=seed)
     assert (res.feasible, res.unknown) == (feasible, 0)
+
+
+# (feasible, unknown) of all 40 Table-6 cells at 200 samples with the seeds
+# of `repro 6` and the acceptance tests (seed 7 + 1000 n + d), as recorded
+# when every exponent was drawn by rng.randint
+TABLE6_COUNTS_AT_200 = {
+    3: [(71, 0), (45, 0), (50, 0), (35, 0), (42, 0)],
+    4: [(104, 0), (92, 0), (99, 0), (89, 0), (104, 0)],
+    5: [(151, 0), (135, 0), (139, 0), (135, 0), (137, 0)],
+    6: [(167, 0), (164, 0), (159, 0), (165, 0), (152, 0)],
+    7: [(180, 0), (187, 0), (177, 0), (184, 0), (183, 0)],
+    8: [(189, 0), (188, 0), (185, 0), (181, 0), (189, 0)],
+    9: [(196, 0), (187, 0), (195, 0), (189, 0), (192, 0)],
+    10: [(199, 0), (200, 0), (199, 0), (195, 0), (198, 0)],
+}
+
+
+def test_table6_counts_at_200_samples():
+    assert TABLE6_COUNTS_AT_200.keys() == TABLE6.keys()
+    for n, row in TABLE6_COUNTS_AT_200.items():
+        got = []
+        for d in TABLE6_DEGREES:
+            res = monte_carlo_prop4(n, d, 200, seed=7 + n * 1000 + d)
+            got.append((res.feasible, res.unknown))
+        assert got == row, n
+
+
+@pytest.mark.parametrize("d", [0, 1, 10, 2**16 - 1, 2**16, 10**5, 2**32])
+def test_uniform_draws_follow_randint(d):
+    # the Monte-Carlo draws must stay the stream of randint(0, d) on the
+    # running interpreter, or every Table-6 count moves
+    for seed in (0, 7, 12345, 2**40 + 3):
+        for count in (1, 5, 3000):
+            rng = random.Random(seed)
+            expected = [rng.randint(0, d) for _ in range(count)]
+            assert multivar._uniform_draws(random.Random(seed), d,
+                                           count) == expected, (seed, count)
+
+
+def test_monte_carlo_rejects_a_negative_degree():
+    with pytest.raises(ValueError):
+        monte_carlo_prop4(3, -1, 10, seed=1)
 
 
 def test_monte_carlo_threads_agree():
