@@ -1,7 +1,7 @@
 """Solvers for the base equation shapes a*y^m = b*x^n + c, quadratic forms
 A*u^2 + B*v^2 + C = 0, and Runge-condition bounded search.
 
-Everything elementary is solved completely (m <= 1, quadratics, two-monomial,
+Everything elementary is solved completely (m = 1, quadratics, two-monomial,
 definite or factorable power forms, p-adically impossible equations).  The
 remaining Thue / superelliptic cases run a bounded search whose status is
 SearchedToBound unless an external backend certifies completeness, or the
@@ -11,6 +11,7 @@ unique positive solution (uniqueness by Bennett's theorem on |ax^n - by^n|=1).
 
 from __future__ import annotations
 
+import dataclasses
 import shlex
 import subprocess
 from dataclasses import dataclass
@@ -49,6 +50,14 @@ class ResourceLimit(RuntimeError):
     pass
 
 
+#: Most seeds v the indefinite case of solve_quadratic scans.
+_PELL_SEED_LIMIT = 2_000_000
+#: Most prime-stripping rounds of _twopower_descend.
+_DESCENT_ROUNDS = 64
+#: Seconds an external backend may take for one base equation.
+_BACKEND_TIMEOUT = 600.0
+
+
 class RungeConditionError(ValueError):
     pass
 
@@ -85,8 +94,7 @@ def pell_fundamental(d: int) -> tuple[int, int]:
 
 
 def solve_quadratic(A: int, B: int, C: int,
-                    variables: list[str] | None = None,
-                    seed_limit: int = 2_000_000) -> SolutionSet:
+                    variables: list[str] | None = None) -> SolutionSet:
     """Complete integer solution set of A u^2 + B v^2 + C = 0."""
     variables = variables or ["u", "v"]
     eq = _quad_poly(A, B, C, variables)
@@ -147,7 +155,7 @@ def solve_quadratic(A: int, B: int, C: int,
     else:
         vmin = isqrt((-N) // D)
         vmax = isqrt(((-N) * (t + 1)) // (2 * D)) + 1
-    if vmax - vmin > seed_limit:
+    if vmax - vmin > _PELL_SEED_LIMIT:
         raise ResourceLimit(f"Pell seed scan of {vmax - vmin} values")
     for v in range(vmin, vmax + 1):
         xx = N + D * v * v
@@ -240,10 +248,10 @@ class _TwoPower:
         return f"{self.A}*x^{self.N} + {self.B}*y^{self.M} = {self.C}"
 
 
-def _twopower_descend(tp: _TwoPower, rounds: int = 64):
+def _twopower_descend(tp: _TwoPower):
     """Strip forced prime powers from the variables; detect p-adic
     impossibility.  Returns (tp', empty: bool)."""
-    for _ in range(rounds):
+    for _ in range(_DESCENT_ROUNDS):
         g = gcd(gcd(tp.A, tp.B), tp.C)
         if g > 1:
             tp = _TwoPower(tp.A // g, tp.B // g, tp.C // g, tp.N, tp.M,
@@ -458,14 +466,13 @@ def _twopower_bennett(tp: _TwoPower, found: list[tuple[int, int]]) -> bool:
 # Backend hook
 # ---------------------------------------------------------------------------
 
-def run_backend(command: str, a: int, b: int, c: int, n: int, m: int,
-                timeout: float = 600.0):
+def run_backend(command: str, a: int, b: int, c: int, n: int, m: int):
     """Line protocol for an external solver of a*y^m = b*x^n + c:
     send 'SOLVE a b c n m', read 'SOL x y' lines until
     'END COMPLETE' or 'END BOUNDED'."""
     proc = subprocess.run(
         shlex.split(command), input=f"SOLVE {a} {b} {c} {n} {m}\n",
-        capture_output=True, text=True, timeout=timeout, check=True)
+        capture_output=True, text=True, timeout=_BACKEND_TIMEOUT, check=True)
     sols = []
     complete = False
     for line in proc.stdout.splitlines():
@@ -488,21 +495,20 @@ def solve_superelliptic(a: int, b: int, c: int, n: int, m: int,
                         variables: list[str] | None = None,
                         backend: str | None = None,
                         trace: list | None = None) -> SolutionSet:
-    """Complete-where-elementary solver for a*y^m = b*x^n + c; the terminal
-    Thue/superelliptic cases run a bounded search with explicit status."""
+    """Complete-where-elementary solver for a*y^m = b*x^n + c, n, m >= 1;
+    the terminal Thue/superelliptic cases run a bounded search with explicit
+    status."""
     variables = variables or ["x", "y"]
     if a == 0 or b == 0:
         raise ValueError("need a, b nonzero")
+    if n < 1 or m < 1:
+        raise ValueError("need n, m >= 1")
     poly = _superelliptic_poly(a, b, c, n, m, variables)
     vx, vy = variables
 
     def record(desc, sols, status, families=0):
         if trace is not None:
             trace.append(BaseSolveRecord(desc, sorted(sols), status, families))
-
-    # univariate shapes
-    if m == 0 or n == 0:
-        return _superelliptic_univariate(a, b, c, n, m, poly, variables, record)
 
     if c == 0:
         out = solve_two_monomial(poly)
@@ -574,41 +580,10 @@ def solve_superelliptic(a: int, b: int, c: int, n: int, m: int,
 
 def _superelliptic_poly(a, b, c, n, m, variables):
     vx, vy = variables
-    monos = [Monomial.make(a, {vy: m} if m else {}),
-             Monomial.make(-b, {vx: n} if n else {})]
+    monos = [Monomial.make(a, {vy: m}), Monomial.make(-b, {vx: n})]
     if c:
         monos.append(Monomial.make(-c, {}))
-    merged: dict = {}
-    for mo in monos:
-        merged[mo.exps] = merged.get(mo.exps, 0) + mo.coeff
-    return Polynomial([Monomial(co, e) for e, co in merged.items() if co],
-                      list(variables))
-
-
-def _superelliptic_univariate(a, b, c, n, m, poly, variables, record):
-    out = SolutionSet(variables, status=COMPLETE, equation=poly)
-    # a y^m - b x^n - c = 0 with one variable absent
-    if m == 0 and n == 0:
-        if a - b - c == 0:
-            out.families.append(_free_family(variables))
-        record("constant", [], "complete", len(out.families))
-        return out
-    if m == 0:
-        # -b x^n + (a - c) = 0
-        coeffs = [a - c] + [0] * (n - 1) + [-b]
-        roots = integer_roots(coeffs)
-        for r in roots:
-            out.families.append(_line_family(variables, 0, r))
-        record(f"{b}*x^{n} = {a - c}", [(r, 0) for r in roots], "complete",
-               len(out.families))
-        return out
-    coeffs = [-c] + [0] * (m - 1) + [a]
-    roots = integer_roots(coeffs)
-    for r in roots:
-        out.families.append(_line_family(variables, 1, r))
-    record(f"{a}*y^{m} = {c}", [(0, r) for r in roots], "complete",
-           len(out.families))
-    return out
+    return Polynomial(monos, list(variables))
 
 
 def _superelliptic_linear(a, b, c, n, poly, variables, record):
@@ -650,31 +625,12 @@ def _superelliptic_linear(a, b, c, n, poly, variables, record):
 
 
 def _swap_family(fam, variables):
-    if isinstance(fam, SolutionFamily):
-        swapped = SolutionFamily(
-            variables=list(variables),
-            params=fam.params,
-            exprs={variables[0]: fam.exprs[fam.variables[1]],
-                   variables[1]: fam.exprs[fam.variables[0]]},
-            witness=(lambda sol: fam.witness((sol[1], sol[0])))
-            if fam.witness else None,
-            param_bound=fam.param_bound,
-            exact_box=fam.exact_box,
-            note=fam.note,
-            box_enumerator=(lambda b: {(t[1], t[0])
-                                       for t in fam.box_enumerator(b)})
-            if fam.box_enumerator else None,
-        )
-        return swapped
-    if isinstance(fam, RecurrenceFamily):
-        # conjugate the matrix by the swap permutation
-        (p, q), (r, s) = fam.matrix
-        return RecurrenceFamily(
-            variables=list(variables),
-            seeds=[(y, x) for (x, y) in fam.seeds],
-            matrix=((s, r), (q, p)),
-            note=fam.note)
-    raise NotImplementedError(f"cannot swap family {type(fam)}")
+    """A linear-case family of the swapped equation, over the original
+    variable order: its exprs are keyed by variable name, so only the
+    variable list and the witness change."""
+    return dataclasses.replace(
+        fam, variables=list(variables),
+        witness=lambda sol: fam.witness((sol[1], sol[0])))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import fixtures
@@ -327,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--budget", type=int, default=500_000)
     p.set_defaults(func=cmd_experiment)
 
@@ -337,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backend", default=None)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--tolerance", type=float, default=0.03)
     p.add_argument("-v", "--verbose", action="store_true")
     p.set_defaults(func=cmd_repro)

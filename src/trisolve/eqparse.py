@@ -55,9 +55,6 @@ class Monomial:
     def exp_of(self, var: str) -> int:
         return self.exp_map().get(var, 0)
 
-    def degree(self) -> int:
-        return sum(e for _, e in self.exps)
-
     def variables(self) -> set[str]:
         return {v for v, _ in self.exps}
 
@@ -317,9 +314,6 @@ class TrinomialEquation:
         factor = Monomial.make(1, self.cancelled)
         monos = [m.mul(factor) for m in self.monomials()]
         return Polynomial(_merge(monos), list(self.variables))
-
-    def evaluate(self, point: dict[str, int]) -> int:
-        return self.polynomial().evaluate(point)
 
     def __str__(self) -> str:
         return poly_to_string(self.polynomial()) + "=0"

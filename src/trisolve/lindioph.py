@@ -120,10 +120,6 @@ class MinimalBasis:
     homogeneous_system: bool = False
     nvars: int = 0
 
-    @property
-    def feasible(self) -> bool:
-        return self.homogeneous_system or bool(self.particular)
-
 
 def _dominates(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     """Componentwise a >= b with a != b."""
@@ -279,10 +275,6 @@ def minimal_divisibility_set(e: list[int], q: int) -> DivisibilityMinimalSet:
     """
     if q == 0:
         raise ValueError("q must be nonzero")
-    if all(x == 0 for x in e):
-        if abs(q) == 1:
-            return DivisibilityMinimalSet(tuple(e), q, (tuple([1] * len(e)),))
-        raise ValueError("all exponents zero: only |q| = 1 admits solutions")
     tuples = [tuple([1] * len(e))]
     for p, qp in factorize(q).factors:
         per_prime = _minimal_inequality(list(e), qp)

@@ -18,7 +18,6 @@ from . import expr as ex
 from .basesolve import BaseSolveRecord
 from .eqparse import (
     Monomial,
-    NotATrinomial,
     Polynomial,
     TrinomialEquation,
     canonicalize,
@@ -295,6 +294,12 @@ class ResidueLimit(RuntimeError):
     pass
 
 
+#: Most residue classes modulo |a| that solve_separated_linear lists.
+_RESIDUE_CLASS_LIMIT = 1_000_000
+#: Most reduced equations reduce_to_independent builds before giving up.
+_MAX_BRANCHES = 4096
+
+
 def find_separated_linear(poly: Polynomial):
     """Index of a monomial that is a single variable of degree 1 not
     occurring in any other monomial, or None."""
@@ -311,8 +316,7 @@ def find_separated_linear(poly: Polynomial):
     return None
 
 
-def solve_separated_linear(poly: Polynomial, limit: int = 1_000_000
-                           ) -> SolutionSet:
+def solve_separated_linear(poly: Polynomial) -> SolutionSet:
     """Complete solving of a*x + P(rest) = 0: free parametrization for
     |a| = 1, one family per admissible residue class modulo |a| otherwise."""
     idx = find_separated_linear(poly)
@@ -345,7 +349,7 @@ def solve_separated_linear(poly: Polynomial, limit: int = 1_000_000
             witness=witness, exact_box=True, note=f"{xvar} = -P/{a}"))
         return out
 
-    if aa ** len(rest_vars) > limit:
+    if aa ** len(rest_vars) > _RESIDUE_CLASS_LIMIT:
         raise ResidueLimit(f"{aa}^{len(rest_vars)} residue classes")
     for res in itertools.product(range(aa), repeat=len(rest_vars)):
         env = dict(zip(rest_vars, res))
@@ -663,8 +667,7 @@ def _block_systems(rows):
     return systems
 
 
-def reduce_to_independent(eq: TrinomialEquation,
-                          max_branches: int = 4096) -> list[ReducedEquation]:
+def reduce_to_independent(eq: TrinomialEquation) -> list[ReducedEquation]:
     """Theorem-3 style reduction: enumerate prime splits and particular
     minimal solutions, form the rational coefficients, and apply the
     per-term representability substitutions, yielding integral independent
@@ -743,7 +746,7 @@ def reduce_to_independent(eq: TrinomialEquation,
                         particular=tuple(particular),
                         bases=(tuple(g_basis), tuple(f_basis),
                                tuple(e_basis))))
-                    if len(out) > max_branches:
+                    if len(out) > _MAX_BRANCHES:
                         raise ResidueLimit("reduction branch explosion")
     return _dedupe_reduced(out)
 
@@ -966,21 +969,11 @@ def solve_reduced(red: ReducedEquation, bound: int = 10_000,
     if len(monos) == 2:
         out = solve_two_monomial(poly)
         return out, COMPLETE
-    # trinomial in the reduced variables
+    # trinomial in the reduced variables, whose terms share no variable: in
+    # at most two variables it is a constant plus two one-variable terms
     if len(variables) <= 2:
-        try:
-            eq2 = canonicalize(poly)
-        except NotATrinomial:
-            eq2 = None
-        if eq2 is not None and len(eq2.variables) == 2:
-            rep = solve_two_var(eq2, bound=bound, backend=backend)
-            return rep.solutions, rep.solutions.status
-        if eq2 is not None and len(eq2.variables) == 1:
-            out = SolutionSet(variables, status=COMPLETE, equation=poly)
-            for r in integer_roots(poly.coefficients(eq2.variables[0])):
-                if r != 0:
-                    out.add_finite((r,))
-            return out, COMPLETE
+        rep = solve_two_var(canonicalize(poly), bound=bound, backend=backend)
+        return rep.solutions, rep.solutions.status
     lin_idx = None
     for idx, mono in enumerate(monos):
         if any(e == 1 for _, e in mono.exps):

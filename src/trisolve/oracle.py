@@ -17,6 +17,10 @@ class BoxTooLarge(ValueError):
     pass
 
 
+#: Most points of the swept (n-1)-dimensional box brute_force accepts.
+_BOX_GUARD = 10**9
+
+
 @dataclass
 class OracleRun:
     variables: list[str]
@@ -25,7 +29,7 @@ class OracleRun:
     elapsed: float
 
 
-def brute_force(poly: Polynomial, bound: int, guard: int = 10**9) -> OracleRun:
+def brute_force(poly: Polynomial, bound: int) -> OracleRun:
     """All points of [-bound, bound]^n with P = 0, sorted lexicographically.
 
     The last variable is solved exactly from the residual univariate
@@ -38,8 +42,8 @@ def brute_force(poly: Polynomial, bound: int, guard: int = 10**9) -> OracleRun:
         sols = [()] if not poly.monomials else []
         return OracleRun(variables, bound, sols, time.perf_counter() - start)
     width = 2 * bound + 1
-    if width ** max(n - 1, 1) > guard:
-        raise BoxTooLarge(f"box {width}^{n - 1} exceeds guard {guard}")
+    if width ** max(n - 1, 1) > _BOX_GUARD:
+        raise BoxTooLarge(f"box {width}^{n - 1} exceeds guard {_BOX_GUARD}")
 
     head, last = variables[:-1], variables[-1]
     deg = poly.degree_in(last)

@@ -229,8 +229,6 @@ class RecurrenceFamily(Family):
     def inverse_matrix(self):
         (a, b), (c, d) = self.matrix
         det = a * d - b * c
-        if det not in (1, -1):
-            raise ValueError("matrix must be unimodular")
         return ((d * det, -b * det), (-c * det, a * det))
 
     def step(self, vec: tuple[int, ...], k: int = 1) -> tuple[int, ...]:
@@ -275,8 +273,6 @@ class RecurrenceFamily(Family):
             for direction in (1, -1):
                 if self.step(solution, -direction * k) in self.seeds:
                     return direction * k
-            if k == 0:
-                continue
         return None
 
     def describe(self):

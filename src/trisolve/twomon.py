@@ -198,16 +198,8 @@ def _mixed_family(exponents, s: Fraction, variables, support, free):
 
 def _power_fiber(exps: list[int], target: Fraction, bound: int
                  ) -> list[tuple[int, ...]]:
-    """Nonzero tuples with prod x^exps == target, |x| <= bound (mixed signs
-    swept, same signs enumerated by divisors)."""
-    if all(e > 0 for e in exps) or all(e < 0 for e in exps):
-        t = target if exps[0] > 0 else 1 / target
-        if t.denominator != 1:
-            return []
-        return [tup for tup in
-                _enumerate_exact_products([abs(e) for e in exps],
-                                          t.numerator)
-                if all(abs(x) <= bound for x in tup)]
+    """Nonzero tuples with prod x^exps == target, |x| <= bound, for exps of
+    mixed signs: all but the largest exponent's variable are swept."""
     out = []
     j = max(range(len(exps)), key=lambda i: abs(exps[i]))
     others = [i for i in range(len(exps)) if i != j]

@@ -8,7 +8,6 @@ Runge fallback, and the dedicated x^4 + a*x*y + y^3 solver.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
 
 from .basesolve import (
@@ -135,8 +134,6 @@ def _divisor_branch_const(eq: TrinomialEquation, const_index: int) -> SolutionSe
     vx, vy = variables
     for y0 in divisors_k(c_const, 1):
         coeffs = _substitute_univariate(poly, vy, y0, vx)
-        if all(co == 0 for co in coeffs):
-            continue
         for x0 in integer_roots(coeffs):
             if x0 != 0:
                 out.add_finite((x0, y0))
@@ -346,13 +343,10 @@ def _solve_form(form: TwoVarForm, bound, backend, trace):
     n, k, l, m = form.n, form.k, form.l, form.m
     path: list[str] = []
 
-    if n == 0 and m == 0:
-        path.append("constant-ends")
-        target = Fraction(-(form.a + form.c), form.b)
-        if target == 0:
-            return SolutionSet(form.variables, status=COMPLETE), path
-        return solve_power_product([k, l], target, form.variables), path
-
+    # canonicalize sorts the monomials by descending exponent vector and
+    # normalize_two_var takes the first pure-x and the first other pure-y
+    # monomial, so n, m > 0; l = 0 gives 0 < k < n and k = 0 gives
+    # 0 < l < m, both strict cases
     if k == 0 and l == 0:
         path.append("base-equation")
         out = solve_superelliptic(form.c, -form.a, -form.b, n, m,
@@ -360,29 +354,7 @@ def _solve_form(form: TwoVarForm, bound, backend, trace):
                                   backend=backend, trace=trace)
         return out, path
 
-    if l == 0:
-        if n == 0:
-            path.append("base-equation")
-            out = solve_superelliptic(form.c, -form.b, -form.a, k, m,
-                                      bound=bound, variables=form.variables,
-                                      backend=backend, trace=trace)
-            return out, path
-        if k > n:
-            form = TwoVarForm(form.b, form.a, form.c, k, n, 0, m,
-                              form.variables)
-        path.append("strict")
-        return solve_strict_case(form, bound, backend, trace), path
-
-    if k == 0:
-        if m == 0:
-            path.append("base-equation")
-            out = solve_superelliptic(form.b, -form.a, -form.c, n, l,
-                                      bound=bound, variables=form.variables,
-                                      backend=backend, trace=trace)
-            return out, path
-        if l > m:
-            form = TwoVarForm(form.a, form.c, form.b, n, 0, m, l,
-                              form.variables)
+    if k == 0 or l == 0:
         path.append("strict")
         return solve_strict_case(form, bound, backend, trace), path
 

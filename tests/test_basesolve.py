@@ -149,6 +149,24 @@ def test_superelliptic_swap_branch():
     assert s.equation.variables == ["x", "y"]
 
 
+def test_superelliptic_swapped_linear_family_witness():
+    # 2y^3 = 3x + 1 is solved as the linear case in swapped variables
+    s = solve_superelliptic(2, 3, 1, 1, 3, bound=100)
+    assert len(s.families) == 1 and not s.finite
+    fam = s.families[0]
+    assert fam.variables == ["x", "y"]
+    pts = fam.enumerate_box(200)
+    assert pts == set(brute_force(s.equation, 200).solutions)
+    for pt in pts:
+        assert fam.evaluate(fam.witness(pt)) == pt
+
+
+def test_superelliptic_needs_both_variables():
+    for n, m in ((0, 2), (2, 0)):
+        with pytest.raises(ValueError):
+            solve_superelliptic(1, 1, 1, n, m)
+
+
 def test_superelliptic_monotone_in_bound():
     small = solve_superelliptic(1, 1, -7, 3, 3, bound=20).finite
     large = solve_superelliptic(1, 1, -7, 3, 3, bound=200).finite

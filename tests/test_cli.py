@@ -79,6 +79,13 @@ def test_experiment_command(capsys):
     assert 0 <= payload["proportion"] <= 1
 
 
+def test_monte_carlo_runs_in_one_process_by_default():
+    parser = cli.build_parser()
+    for argv in (["experiment", "--nvars", "5", "--degree", "50"],
+                 ["repro", "6"]):
+        assert parser.parse_args(argv).threads == 1
+
+
 def test_repro_table3(capsys):
     code, out = run(capsys, "repro", "3")
     assert code == 0

@@ -1,7 +1,6 @@
 """Golden corpus: the `solve --json` output of a fixed list of equations,
 with `elapsed_ms` removed, compared byte for byte.  Together the entries
-reach every path string `solve` can reach (`constant-ends` cannot be
-reached: two constant monomials merge before dispatch).
+reach every path string `solve` can put in its report.
 
 Regenerate the files after an intended change of output, and name every
 changed entry and its reason in CHANGES.md:
@@ -9,6 +8,7 @@ changed entry and its reason in CHANGES.md:
     PYTHONPATH=src python tests/test_golden.py --regenerate
 """
 
+import ast
 import contextlib
 import io
 import json
@@ -17,6 +17,7 @@ import sys
 
 import pytest
 
+from trisolve import multivar, twovar
 from trisolve.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -113,6 +114,37 @@ def test_golden_covers_every_reachable_path():
         "equality", "runge", "base-equation", "n-variable",
         "direct-formula", "sufficient-condition", "reduction",
         "feasibility-unknown"}
+
+
+def _path_strings(module) -> set[str]:
+    """String literals the module puts into a list named `path`:
+    `path.append(...)`, `path.extend(...)` and `path = ...`."""
+    with open(module.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    sources = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "path"
+                and node.func.attr in ("append", "extend")):
+            sources.extend(node.args)
+        elif (isinstance(node, (ast.Assign, ast.AnnAssign))
+              and node.value is not None
+              and any(isinstance(t, ast.Name) and t.id == "path"
+                      for t in (node.targets if isinstance(node, ast.Assign)
+                                else [node.target]))):
+            sources.append(node.value)
+    return {leaf.value for src in sources for leaf in ast.walk(src)
+            if isinstance(leaf, ast.Constant) and isinstance(leaf.value, str)}
+
+
+def test_every_path_string_in_the_source_is_reached():
+    reached = set()
+    for name, _ in CASES:
+        with open(path_of(name), encoding="utf-8") as fh:
+            reached.update(json.load(fh)["path"])
+    assert _path_strings(twovar) | _path_strings(multivar) == reached
 
 
 if __name__ == "__main__":

@@ -164,6 +164,9 @@ def test_divisibility_examples():
     assert minimal_divisibility_set([2], 8).tuples == ((4,),)
     assert minimal_divisibility_set([1, 1], 4).tuples == ((1, 4), (2, 2), (4, 1))
     assert minimal_divisibility_set([1, 0], 6).tuples == ((6, 1),)
+    # all-zero exponents: no tuple unless |q| = 1
+    assert minimal_divisibility_set([0, 0], 6).tuples == ()
+    assert minimal_divisibility_set([0, 0], 1).tuples == ((1, 1),)
 
 
 def test_divisibility_lemma_properties():

@@ -1,10 +1,20 @@
 import dataclasses
+import glob
+import json
+import os
 import random
 
 import pytest
 
 from trisolve import multivar
-from trisolve.eqparse import parse_equation, parse_trinomial
+from trisolve.eqparse import (
+    Monomial,
+    NotATrinomial,
+    Polynomial,
+    canonicalize,
+    parse_equation,
+    parse_trinomial,
+)
 from trisolve.fixtures import (
     TABLE3,
     TABLE4,
@@ -203,6 +213,39 @@ def test_reduce_cubes_shape():
     reds = reduce_to_independent(eq)
     assert any("w1^3" in r.describe() and "u1^3" in r.describe()
                for r in reds)
+
+
+def test_small_reduced_trinomials_keep_two_variables():
+    # solve_reduced hands a three-monomial reduced polynomial in at most two
+    # variables straight to the two-variable solver
+    golden = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          "golden")
+    eqs = []
+    for name in sorted(glob.glob(os.path.join(golden, "*.json"))):
+        with open(name, encoding="utf-8") as fh:
+            entry = json.load(fh)
+        if "n-variable" in entry["path"]:
+            eqs.append(parse_trinomial(entry["input"]))
+    rng = random.Random(8)
+    while len(eqs) < 200:
+        names = "xyzt"[:rng.randint(3, 4)]
+        monos = [Monomial.make(rng.choice((-3, -2, -1, 1, 2, 4, 6)),
+                               {v: rng.randint(0, 3) for v in names})
+                 for _ in range(3)]
+        try:
+            eq = canonicalize(Polynomial(monos, list(names)))
+        except NotATrinomial:
+            continue
+        if len(eq.variables) >= 3:
+            eqs.append(eq)
+    small = 0
+    for eq in eqs:
+        for red in reduce_to_independent(eq):
+            poly = red.polynomial()
+            if len(poly.monomials) == 3 and len(poly.variables) <= 2:
+                assert len(canonicalize(poly).variables) == 2, red.describe()
+                small += 1
+    assert small > 0
 
 
 def test_reduction_backmap_soundness():

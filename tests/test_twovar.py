@@ -1,6 +1,12 @@
 import random
 
-from trisolve.eqparse import parse_trinomial
+from trisolve.eqparse import (
+    Monomial,
+    NotATrinomial,
+    Polynomial,
+    canonicalize,
+    parse_trinomial,
+)
 from trisolve.oracle import brute_force
 from trisolve.twovar import (
     TwoVarForm,
@@ -39,6 +45,38 @@ def test_normalize_divisor_case():
 def test_monomial_gcd_cancellation():
     rep = box_match("x^2*y^2 + x^3*y + x*y", B=20)
     assert rep.equation.cancelled == {"x": 1, "y": 1}
+
+
+def test_normalized_form_invariants():
+    # the dispatcher relies on these for every canonical two-variable form
+    rng = random.Random(8)
+    forms = 0
+    shapes = set()
+    while forms < 20_000:
+        monos = [Monomial.make(rng.choice((-3, -2, -1, 1, 2, 5)),
+                               {"x": rng.randint(0, 4), "y": rng.randint(0, 4)})
+                 for _ in range(3)]
+        try:
+            eq = canonicalize(Polynomial(monos, ["x", "y"]))
+        except NotATrinomial:
+            continue
+        if len(eq.variables) != 2:
+            continue
+        form = normalize_two_var(eq)
+        if isinstance(form, tuple):
+            continue
+        n, k, l, m = form.n, form.k, form.l, form.m
+        assert n > 0 or m > 0, eq
+        if k == 0 and l == 0:
+            assert n > 0 and m > 0, eq
+        elif l == 0:
+            assert 0 < k < n, eq
+        elif k == 0:
+            assert 0 < l < m, eq
+        shapes.add((k == 0, l == 0))
+        forms += 1
+    assert shapes == {(True, True), (True, False), (False, True),
+                      (False, False)}
 
 
 def test_worked_example():
