@@ -38,6 +38,7 @@ from .solset import (
     RecurrenceFamily,
     SolutionFamily,
     SolutionSet,
+    pinned_family,
     searched,
 )
 from .twomon import solve_two_monomial
@@ -102,7 +103,8 @@ def solve_quadratic(A: int, B: int, C: int,
 
     if A == 0 and B == 0:
         if C == 0:
-            out.families.append(_free_family(variables))
+            out.families.append(pinned_family(
+                variables, {}, "identically zero", lambda v: f"u_{v}"))
         return out
     if A == 0 or B == 0:
         coef = B if A == 0 else A
@@ -112,9 +114,11 @@ def solve_quadratic(A: int, B: int, C: int,
         s = exact_iroot(-C // coef, 2)
         if s is None:
             return out
+        fixed_var = variables[fixed_index]
         for val in {s, -s}:
-            out.families.append(
-                _line_family(variables, fixed_index, val))
+            out.families.append(pinned_family(
+                variables, {fixed_var: val}, f"{fixed_var} = {val}",
+                lambda v: "w"))
         return out
     if C == 0:
         out.add_finite((0, 0))
@@ -185,31 +189,6 @@ def _quad_poly(A, B, C, variables):
     if C:
         monos.append(Monomial.make(C, {}))
     return Polynomial(monos, list(variables))
-
-
-def _free_family(variables):
-    return SolutionFamily(
-        variables=list(variables),
-        params=[(f"u_{v}", AllIntegers()) for v in variables],
-        exprs={v: ex.param(f"u_{v}") for v in variables},
-        witness=lambda sol: {f"u_{v}": x for v, x in zip(variables, sol)},
-        exact_box=True, note="identically zero")
-
-
-def _line_family(variables, fixed_index, value):
-    free_var = variables[1 - fixed_index]
-
-    def witness(sol):
-        if sol[fixed_index] != value:
-            return None
-        return {"w": sol[1 - fixed_index]}
-
-    return SolutionFamily(
-        variables=list(variables),
-        params=[("w", AllIntegers())],
-        exprs={variables[fixed_index]: ex.const(value), free_var: ex.param("w")},
-        witness=witness, exact_box=True,
-        note=f"{variables[fixed_index]} = {value}")
 
 
 def _ray_family(variables, p, q):

@@ -3,7 +3,8 @@ divisor sets D_k, signed and rational d-th roots, shifted powers, the
 three-way valuation split, and univariate solving over Z and Q.
 
 Everything here is pure and exact (arbitrary precision); no floats are used
-for anything that affects a result.
+for anything that affects a result, except OO = math.inf, the valuation of
+0, which only takes part in comparisons.
 """
 
 from __future__ import annotations
@@ -12,48 +13,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, isqrt
+from math import comb, gcd, inf, isqrt
 
 
-class _Infinity:
-    """Order-only infinity used as the valuation of 0."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return other is self
-
-    def __gt__(self, other):
-        return other is not self
-
-    def __ge__(self, other):
-        return True
-
-    def __eq__(self, other):
-        return other is self
-
-    def __hash__(self):
-        return hash("trisolve-infinity")
-
-    def __add__(self, other):
-        return self
-
-    __radd__ = __add__
-
-    def __repr__(self):
-        return "oo"
-
-
-#: Valuation of zero.  Comparable with ints, never equal to one.
-OO = _Infinity()
+#: Valuation of zero.  Float infinity compares exactly with every int and is
+#: never equal to one.
+OO = inf
 
 
 # ---------------------------------------------------------------------------

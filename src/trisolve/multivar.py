@@ -26,7 +26,6 @@ from .eqparse import (
 )
 from .intcore import (
     divisors,
-    divisors_k,
     factorize,
     integer_roots,
     shifted_power,
@@ -49,10 +48,16 @@ from .solset import (
     SolutionFamily,
     SolutionSet,
     Status,
+    pinned_family,
     searched,
 )
 from .oracle import brute_force
-from .twomon import _enumerate_exact_products, _power_fiber, solve_two_monomial
+from .twomon import (
+    _enumerate_exact_products,
+    _power_fiber,
+    divisor_family,
+    solve_two_monomial,
+)
 from .twovar import solve_two_var
 
 # re-exported surface
@@ -95,30 +100,9 @@ def trivial_solutions(poly: Polynomial) -> SolutionSet:
 
 
 def _zero_family(variables, zeros):
-    rest = [v for v in variables if v not in zeros]
-    exprs = {}
-    params = []
-    for v in variables:
-        if v in zeros:
-            exprs[v] = ex.const(0)
-        else:
-            params.append((f"w_{v}", AllIntegers()))
-            exprs[v] = ex.param(f"w_{v}")
-
-    def witness(sol):
-        env = {}
-        for v, x in zip(variables, sol):
-            if v in zeros:
-                if x != 0:
-                    return None
-            else:
-                env[f"w_{v}"] = x
-        return env
-
-    return SolutionFamily(
-        variables=list(variables), params=params, exprs=exprs,
-        witness=witness, exact_box=True,
-        note=f"{'='.join(sorted(zeros))}=0, rest free")
+    return pinned_family(variables, dict.fromkeys(zeros, 0),
+                         f"{'='.join(sorted(zeros))}=0, rest free",
+                         lambda v: f"w_{v}")
 
 
 def _embed_family(variables, zeros, rest, inner: SolutionSet):
@@ -223,7 +207,13 @@ def direct_formula(eq: TrinomialEquation, cert: Prop4Certificate
     x_i = (a prod u^alpha + b prod u^beta)^{z_i} (c prod u^gamma)^{t_i}
           w^{-z_i-t_i} u_i,
     with w a common divisor of the two bracketed values.  The witness takes
-    u = x and w = c prod x^gamma."""
+    u = x and w = c prod x^gamma.
+
+    The box listing tries every nonzero u in the box with its witness value
+    w = c prod u^gamma, which gives x_i = lambda^{z_i} u_i for
+    lambda = (a prod u^alpha + b prod u^beta) / (c prod u^gamma).  Since
+    alpha.z = beta.z = gamma.z - 1, every integral such x is a solution, and
+    each nonzero box solution x comes back from u = x."""
     if cert.t is None:
         raise ValueError("direct formula needs both systems solvable")
     ia, ib, ig = _ORIENTATIONS[cert.orientation]
@@ -236,54 +226,15 @@ def direct_formula(eq: TrinomialEquation, cert: Prop4Certificate
         return ex.monomial_expr(
             coeff, [(uname[v], e) for v, e in zip(variables, row) if e])
 
-    lhs = ex.Add(mono_expr(a, alpha), mono_expr(b, beta))
-    rhs = mono_expr(c, gamma)
-    params = [(uname[v], AllIntegers()) for v in variables]
-    params.append(("w", DivisorSet(1, ex.Gcd(lhs, rhs))))
-    exprs = {}
-    for idx, v in enumerate(variables):
-        zi, ti = cert.z[idx], cert.t[idx]
-        num = ex.Mul(ex.Pow(lhs, zi), ex.Pow(rhs, ti), ex.param(uname[v]))
-        exprs[v] = (ex.ExactDiv(num, ex.Pow(ex.param("w"), zi + ti))
-                    if zi + ti else num)
-
-    gmap = dict(zip(variables, gamma))
-
-    def witness(solution):
-        if any(x == 0 for x in solution):
-            return None
-        env = {uname[v]: x for v, x in zip(variables, solution)}
-        w = c
-        for v, x in zip(variables, solution):
-            w *= x ** gmap[v]
-        if w == 0:
-            return None
-        env["w"] = w
-        return env
-
-    def box_enumerator(bound):
-        out = set()
+    def candidates(bound):
         nz = [v for v in range(-bound, bound + 1) if v != 0]
-        for combo in itertools.product(nz, repeat=len(variables)):
-            env = {uname[v]: u for v, u in zip(variables, combo)}
-            lv, rv = lhs.eval(env), rhs.eval(env)
-            g = gcd(lv, rv)
-            if g == 0:
-                continue
-            for w in divisors_k(g, 1):
-                env["w"] = w
-                try:
-                    tup = tuple(exprs[v].eval(env) for v in variables)
-                except ex.ExactDivisionError:
-                    continue
-                if all(abs(x) <= bound for x in tup):
-                    out.add(tup)
-        return out
+        return itertools.product(nz, repeat=len(variables))
 
-    return SolutionFamily(
-        variables=variables, params=params, exprs=exprs,
-        witness=witness, exact_box=True, note="direct formula",
-        box_enumerator=box_enumerator)
+    return divisor_family(
+        variables, [(uname[v], AllIntegers()) for v in variables],
+        ex.Add(mono_expr(a, alpha), mono_expr(b, beta)), mono_expr(c, gamma),
+        dict(zip(variables, cert.z)), dict(zip(variables, cert.t)),
+        "direct formula", candidates)
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +249,8 @@ class ResidueLimit(RuntimeError):
 _RESIDUE_CLASS_LIMIT = 1_000_000
 #: Most reduced equations reduce_to_independent builds before giving up.
 _MAX_BRANCHES = 4096
+#: Largest inner bound a block-grouping family lists its inner set at.
+_BLOCK_INNER_LIMIT = 10**6
 
 
 def find_separated_linear(poly: Polynomial):
@@ -611,9 +564,7 @@ def _block_term_options(coeff: Fraction, eks: list[int], prefix: str):
         return options
 
     if any(e < 0 for e in nz):
-        d = 0
-        for e in nz:
-            d = gcd(d, abs(e))
+        d = gcd(*nz)
         # q* = least positive with q | (q*)^d
         qstar = 1
         for p, qp in factorize(q).factors:
@@ -1008,9 +959,7 @@ def _solve_blocks(poly: Polynomial, bound, backend):
             sub_monos[()] = sub_monos.get((), 0) + m.coeff
             blocks.append(None)
             continue
-        d = 0
-        for e in exps:
-            d = gcd(d, e)
+        d = gcd(*exps)
         wname = f"blk{j}"
         names.append(wname)
         key = ((wname, d),)
@@ -1059,7 +1008,13 @@ def _unsub_blocks(poly: Polynomial, inner: SolutionSet, blocks, names):
     max_deg = max(1, max(sum(e for _, e in parts) for _, _, parts in live))
 
     def inner_bound(b):
-        return min(max(abs(b), 2) ** max_deg, 10**6)
+        # a block value of a box point is at most b^max_deg; listing the
+        # inner set at a smaller bound could lose points, so give up instead
+        inner = max(abs(b), 2) ** max_deg
+        if inner > _BLOCK_INNER_LIMIT:
+            raise ResidueLimit(f"block grouping needs the inner set to bound "
+                               f"{inner}")
+        return inner
 
     out = SolutionSet(variables, status=inner.status, equation=poly,
                       provenance=list(inner.provenance))
@@ -1089,8 +1044,7 @@ def _bounded_reduced_search(poly: Polynomial, bound: int) -> SolutionSet:
     return out
 
 
-def solve_prop4(eq: TrinomialEquation, cert: Prop4Certificate,
-                bound: int = 10_000) -> SolutionSet:
+def solve_prop4(eq: TrinomialEquation, bound: int = 10_000) -> SolutionSet:
     """Complete solving when the z-system is solvable: reduce to independent
     monomials and solve the guaranteed linear-block shapes."""
     out = SolutionSet(list(eq.variables), status=COMPLETE)
@@ -1162,9 +1116,7 @@ def _shape_of_exponents(exps: list[int]):
         return ()
     if all(e < 0 for e in nz):
         return ()
-    d = 0
-    for e in nz:
-        d = gcd(d, abs(e))
+    d = gcd(*nz)
     if any(e < 0 for e in nz):
         return (d,)
     if d >= 2 or len(nz) == 1:
@@ -1527,7 +1479,7 @@ def _solve_multivar(eq: TrinomialEquation, bound, backend, budget):
         return out, path, reduced_strs
     if cert is not None:
         path.append("sufficient-condition")
-        nonzero = solve_prop4(eq, cert, bound=bound)
+        nonzero = solve_prop4(eq, bound=bound)
         return triv.union(nonzero), path, reduced_strs
     path.append("reduction")
     reduced = reduce_to_independent(eq)

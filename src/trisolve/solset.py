@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from .eqparse import Polynomial
-from .expr import ExactDivisionError, Expr
+from .expr import ExactDivisionError, Expr, const, param
 from .intcore import divisors_k, in_divisor_set
 
 
@@ -147,7 +147,12 @@ class SolutionFamily(Family):
     `witness` maps a concrete solution tuple to a parameter assignment
     regenerating it; its presence justifies exact box enumeration
     (`exact_box`), because free parameters of box solutions are bounded by
-    `param_bound(B)` while divisor parameters enumerate exactly.
+    `param_bound(B)` while divisor parameters enumerate exactly.  The
+    divisor families, whose parameters need not be small at a box solution,
+    list their box through `box_enumerator(B)` instead: it evaluates the
+    expressions at the witnesses of candidate points (see
+    `twomon.divisor_family`).  Either way every listed point is a value of
+    the expressions.
     """
 
     variables: list[str]
@@ -203,6 +208,27 @@ class SolutionFamily(Family):
             "kind": "parametric",
             "note": self.note,
         }
+
+
+def pinned_family(variables: list[str], fixed: dict[str, int], note: str,
+                  pname: Callable[[str], str]) -> SolutionFamily:
+    """The points whose coordinates in `fixed` take their given values; every
+    other coordinate v is the parameter pname(v) over Z.  The witness checks
+    the fixed coordinates."""
+    free = [v for v in variables if v not in fixed]
+
+    def witness(solution):
+        point = dict(zip(variables, solution))
+        if any(point[v] != x for v, x in fixed.items()):
+            return None
+        return {pname(v): point[v] for v in free}
+
+    return SolutionFamily(
+        variables=list(variables),
+        params=[(pname(v), AllIntegers()) for v in free],
+        exprs={v: const(fixed[v]) if v in fixed else param(pname(v))
+               for v in variables},
+        witness=witness, exact_box=True, note=note)
 
 
 @dataclass

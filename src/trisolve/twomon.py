@@ -1,8 +1,10 @@
 """Complete solver for two-monomial equations a*prod(x^alpha) = b*prod(x^gamma).
 
 Same-signed exponent differences give finite divisor enumerations; mixed
-signs give the d-th-root criterion and an explicit parametric family with a
-witness, mirroring the direct formula for three monomials.
+signs give the d-th-root criterion and a parametric family built by
+`divisor_family`, which also builds the direct formula for three monomials.
+The family lists its box points as the values of its expressions at the
+witnesses of the box solutions of the power product.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .solset import (
     NonzeroIntegers,
     SolutionFamily,
     SolutionSet,
+    pinned_family,
 )
 
 
@@ -64,25 +67,52 @@ def solve_power_product(exponents: list[int], r: Fraction,
         target = r if pos else 1 / r
         if target.denominator != 1:
             return out
-        sign = 1 if pos else -1
-        tuples = _enumerate_exact_products(
-            [abs(exponents[i]) for i in support], int(target))
-        for tup in tuples:
-            out.families.append(_finite_with_free(variables, support, free,
-                                                  tup, equation))
-        _absorb_pointwise(out)
+        for tup in _enumerate_exact_products(
+                [abs(exponents[i]) for i in support], int(target)):
+            if not free:
+                out.add_finite(tup)
+                continue
+            fixed = {variables[i]: x for i, x in zip(support, tup)}
+            out.families.append(pinned_family(
+                variables, fixed, "finite divisor branch", lambda v: f"u_{v}"))
         return out
 
-    d = 0
-    for i in support:
-        d = gcd(d, abs(exponents[i]))
+    d = gcd(*(exponents[i] for i in support))
     s = rational_root_d(r, d)
     if s is None:
         return out
-    roots = [s, -s] if d % 2 == 0 else [s]
-    for root in roots:
-        fam = _mixed_family(exponents, root, variables, support, free)
-        out.families.append(fam)
+    # prod(x**e') = root with e' = e/d: A prod x^a' = B prod x^g' for
+    # root = B/A, and the divisor family of that two-term identity
+    reduced = [exponents[i] // d for i in support]
+    a_exp = [max(e, 0) for e in reduced]
+    g_exp = [max(-e, 0) for e in reduced]
+    gens = [(e, 0) for e in reduced]
+    stz, z = solve_monoid_target_2d(gens, (-1, 0))
+    stt, t = solve_monoid_target_2d(gens, (1, 0))
+    assert stz == "feasible" and stt == "feasible"
+    svars = [variables[i] for i in support]
+    uname = {v: f"u_{v}" for v in variables}
+    u_params = [(uname[v], NonzeroIntegers() if v in svars else AllIntegers())
+                for v in variables]
+    for root in ([s, -s] if d % 2 == 0 else [s]):
+        lhs = ex.monomial_expr(root.denominator,
+                               [(uname[v], e) for v, e in zip(svars, a_exp)])
+        rhs = ex.monomial_expr(root.numerator,
+                               [(uname[v], e) for v, e in zip(svars, g_exp)])
+
+        def candidates(bound, root=root):
+            # the support coordinates solve prod(x**e') = root; free ones
+            # sweep the box
+            for core in _power_fiber(reduced, root, bound):
+                for vals in itertools.product(range(-bound, bound + 1),
+                                              repeat=len(free)):
+                    point = dict(zip(support + free, core + vals))
+                    yield tuple(point[i] for i in range(len(variables)))
+
+        out.families.append(divisor_family(
+            variables, u_params, lhs, rhs, dict(zip(svars, z)),
+            dict(zip(svars, t)), f"power-product family, root {root}",
+            candidates))
     return out
 
 
@@ -101,99 +131,6 @@ def _enumerate_exact_products(exps: list[int], target: int) -> list[tuple[int, .
 
     rec(0, target, [])
     return sorted(set(results))
-
-
-def _finite_with_free(variables, support, free, tup, equation):
-    exprs = {}
-    params = []
-    for pos, i in enumerate(support):
-        exprs[variables[i]] = ex.const(tup[pos])
-    for i in free:
-        name = f"u_{variables[i]}"
-        params.append((name, AllIntegers()))
-        exprs[variables[i]] = ex.param(name)
-    values = dict(zip([variables[i] for i in support], tup))
-
-    def witness(solution):
-        env = {}
-        for i, v in enumerate(variables):
-            if v in values and solution[i] != values[v]:
-                return None
-            if i in free:
-                env[f"u_{v}"] = solution[i]
-        return env
-
-    return SolutionFamily(
-        variables=list(variables), params=params, exprs=exprs,
-        witness=witness, exact_box=True, note="finite divisor branch")
-
-
-def _mixed_family(exponents, s: Fraction, variables, support, free):
-    """Parametric family for prod(x**e') = s with e' = e/d of mixed sign.
-
-    x_i = (A prod u^a')^{z_i} (B prod u^g')^{t_i} w^{-z_i-t_i} u_i with
-    w running over common divisors; witness takes u = x, w = A prod(x^a').
-    """
-    d = 0
-    for i in support:
-        d = gcd(d, abs(exponents[i]))
-    a_exp = {i: max(exponents[i] // d, 0) for i in support}
-    g_exp = {i: max(-exponents[i] // d, 0) for i in support}
-    A, B = s.denominator, s.numerator
-
-    gens = [(a_exp[i] - g_exp[i], 0) for i in support]
-    stz, z = solve_monoid_target_2d(gens, (-1, 0))
-    stt, t = solve_monoid_target_2d(gens, (1, 0))
-    assert stz == "feasible" and stt == "feasible"
-    zc = dict(zip(support, z))
-    tc = dict(zip(support, t))
-
-    uname = {i: f"u_{variables[i]}" for i in range(len(variables))}
-    lhs = ex.monomial_expr(A, [(uname[i], a_exp[i]) for i in support])
-    rhs = ex.monomial_expr(B, [(uname[i], g_exp[i]) for i in support])
-    params = [(uname[i],
-               NonzeroIntegers() if i in support else AllIntegers())
-              for i in range(len(variables))]
-    params.append(("w", DivisorSet(1, ex.Gcd(lhs, rhs))))
-
-    exprs = {}
-    for i, v in enumerate(variables):
-        if i in free:
-            exprs[v] = ex.param(uname[i])
-            continue
-        num = ex.Mul(ex.Pow(lhs, zc[i]), ex.Pow(rhs, tc[i]), ex.param(uname[i]))
-        den = ex.Pow(ex.param("w"), zc[i] + tc[i])
-        exprs[v] = ex.ExactDiv(num, den) if zc[i] + tc[i] else ex.Mul(
-            ex.Pow(lhs, zc[i]), ex.Pow(rhs, tc[i]), ex.param(uname[i]))
-
-    def witness(solution):
-        if any(solution[i] == 0 for i in support):
-            return None
-        env = {uname[i]: solution[i] for i in range(len(variables))}
-        w = lhs.eval(env)
-        if w == 0:
-            return None
-        env["w"] = w
-        return env
-
-    def box_enumerator(bound):
-        # the support coordinates solve prod(x**(e/d)) = s; free ones sweep
-        out = set()
-        for core in _power_fiber([exponents[i] // d for i in support], s,
-                                 bound):
-            for vals in itertools.product(range(-bound, bound + 1),
-                                          repeat=len(free)):
-                tup = [0] * len(variables)
-                for i, v in zip(support + free, core + vals):
-                    tup[i] = v
-                out.add(tuple(tup))
-        return out
-
-    return SolutionFamily(
-        variables=list(variables), params=params, exprs=exprs,
-        witness=witness, exact_box=True,
-        note=f"power-product family, root {s}",
-        box_enumerator=box_enumerator)
 
 
 def _power_fiber(exps: list[int], target: Fraction, bound: int
@@ -223,13 +160,54 @@ def _power_fiber(exps: list[int], target: Fraction, bound: int
     return out
 
 
-def _absorb_pointwise(out: SolutionSet):
-    """Families whose expressions are all constant collapse to finite tuples."""
-    kept = []
-    for fam in out.families:
-        if isinstance(fam, SolutionFamily) and not fam.params:
-            tup = tuple(fam.exprs[v].eval({}) for v in fam.variables)
-            out.add_finite(tup)
-        else:
-            kept.append(fam)
-    out.families = kept
+def divisor_family(variables: list[str], u_params, lhs: ex.Expr,
+                   rhs: ex.Expr, z: dict[str, int], t: dict[str, int],
+                   note: str, candidates) -> SolutionFamily:
+    """The parametric family of the identity lhs = rhs, two expressions in
+    the u parameters:
+
+        x_v = lhs^{z_v} rhs^{t_v} u_v / w^{z_v + t_v}   for v in z,
+        x_v = u_v                                       otherwise,
+
+    with z and t solving the caller's exponent systems, u_params naming and
+    bounding the u parameter of each variable in order, and w running over
+    D_1(gcd(lhs, rhs)).  The witness of a solution x with its z-coordinates
+    nonzero is u = x, w = rhs(x): lhs(x) = rhs(x) there, so the expressions
+    give back x.  The box listing evaluates the expressions at the witness
+    of every point of `candidates(bound)` and keeps the integral values.
+    The candidates must include every box solution the family stands for;
+    a wrong expression then moves listed points off the solutions."""
+    unames = [name for name, _ in u_params]
+    params = list(u_params) + [("w", DivisorSet(1, ex.Gcd(lhs, rhs)))]
+    exprs = {}
+    for v, u in zip(variables, unames):
+        if v not in z:
+            exprs[v] = ex.param(u)
+            continue
+        num = ex.Mul(ex.Pow(lhs, z[v]), ex.Pow(rhs, t[v]), ex.param(u))
+        exprs[v] = (ex.ExactDiv(num, ex.Pow(ex.param("w"), z[v] + t[v]))
+                    if z[v] + t[v] else num)
+
+    def witness(solution):
+        if any(x == 0 for v, x in zip(variables, solution) if v in z):
+            return None
+        env = dict(zip(unames, solution))
+        env["w"] = rhs.eval(env)
+        return env
+
+    def box_enumerator(bound):
+        out = set()
+        for point in candidates(bound):
+            env = witness(point)
+            if env is None:
+                continue
+            try:
+                out.add(tuple(exprs[v].eval(env) for v in variables))
+            except ex.ExactDivisionError:
+                continue
+        return out
+
+    return SolutionFamily(
+        variables=list(variables), params=params, exprs=exprs,
+        witness=witness, exact_box=True, note=note,
+        box_enumerator=box_enumerator)

@@ -12,7 +12,6 @@ from math import gcd
 
 from .basesolve import (
     BaseSolveRecord,
-    _line_family,
     solve_runge_finite,
     solve_superelliptic,
 )
@@ -34,7 +33,13 @@ from .intcore import (
     valuation,
 )
 from .lindioph import solve_two_term, solve_xy_eq_zt
-from .solset import COMPLETE, MappedFamily, SolutionSet, searched
+from .solset import (
+    COMPLETE,
+    MappedFamily,
+    SolutionSet,
+    pinned_family,
+    searched,
+)
 from .twomon import solve_power_product, solve_two_monomial
 
 
@@ -84,7 +89,8 @@ def trivial_two_var(full_poly: Polynomial, variables: list[str]) -> SolutionSet:
     for idx, var in enumerate(variables):
         sub = full_poly.substitute_zero({var})
         if not sub.monomials:
-            out.families.append(_line_family(variables, idx, 0))
+            out.families.append(pinned_family(
+                variables, {var: 0}, f"{var} = 0", lambda v: "w"))
             continue
         for root in integer_roots(sub.coefficients(variables[1 - idx])):
             tup = [0, 0]

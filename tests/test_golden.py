@@ -17,8 +17,11 @@ import sys
 
 import pytest
 
-from trisolve import multivar, twovar
+from trisolve import expr as ex, multivar, twovar
 from trisolve.cli import main
+from trisolve.eqparse import parse_equation
+from trisolve.oracle import brute_force
+from trisolve.solset import MappedFamily, verify_against_oracle
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -145,6 +148,42 @@ def test_every_path_string_in_the_source_is_reached():
         with open(path_of(name), encoding="utf-8") as fh:
             reached.update(json.load(fh)["path"])
     assert _path_strings(twovar) | _path_strings(multivar) == reached
+
+
+# Entries whose answers hold a family with its own box listing: the direct
+# formula and the power-product families.
+OWN_LISTINGS = ["direct-cyclic", "direct-icosahedral", "direct-mixed",
+                "two-monomial-mixed", "two-monomial-4var",
+                "two-monomial-power", "two-monomial-4var-powers",
+                "equality-lines", "equality-parabolas"]
+
+
+def _own_listings(solset):
+    for fam in solset.families:
+        if isinstance(fam, MappedFamily):
+            yield from _own_listings(fam.inner)
+        elif getattr(fam, "box_enumerator", None) is not None:
+            yield fam
+
+
+@pytest.mark.parametrize("name", OWN_LISTINGS)
+def test_verify_sees_a_wrong_expression(name):
+    # a family with its own box listing must list the values of its
+    # expressions, so moving one coordinate expression must move its points
+    # off the solutions or out of the listing; 6 is the least box in which
+    # direct-mixed has a solution without a zero coordinate
+    text, box = dict(CASES)[name][0], 6
+    poly = parse_equation(text)
+    truth = brute_force(poly, box).solutions
+    count = len(list(_own_listings(multivar.solve(text).solutions)))
+    assert count
+    for index in range(count):
+        solutions = multivar.solve(text).solutions
+        fam = list(_own_listings(solutions))[index]
+        v = fam.variables[0]
+        fam.exprs[v] = ex.Add(ex.Mul(ex.const(2), fam.exprs[v]), ex.const(1))
+        ver = verify_against_oracle(solutions, poly, truth, box)
+        assert not (ver.sound and ver.complete_in_box), (name, fam.note)
 
 
 if __name__ == "__main__":

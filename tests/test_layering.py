@@ -4,8 +4,9 @@ Every import sits at module level, so the module graph is visible at a
 glance.  The one exception is the process pool of the Monte-Carlo
 experiment, imported lazily because importing it costs about 10 ms at
 start-up.  No box listing calls the oracle, so `verify` stays an independent
-check.  Every private top-level function or class is used somewhere in the
-package, so no helper outlives its callers."""
+check, and every box listing reads the expressions of its family, so a
+wrong expression shows up in `verify`.  Every private top-level function or
+class is used somewhere in the package, so no helper outlives its callers."""
 
 import ast
 import pathlib
@@ -57,6 +58,25 @@ def test_no_box_listing_calls_the_oracle():
                 if ident.startswith("brute_force"):
                     found.append(f"{name}:{node.lineno} {ident}")
     assert not found, found
+
+
+def test_every_box_listing_evaluates_its_expressions():
+    # a listing that skips the expressions would list points the family
+    # does not produce, and `verify` could not tell
+    found = 0
+    lazy = []
+    for name, tree in _trees().items():
+        for func in ast.walk(tree):
+            if not (isinstance(func, ast.FunctionDef)
+                    and func.name == "box_enumerator"):
+                continue
+            found += 1
+            if not any((isinstance(node, ast.Name) and node.id == "exprs")
+                       or (isinstance(node, ast.Attribute)
+                           and node.attr == "exprs")
+                       for node in ast.walk(func)):
+                lazy.append(f"{name}:{func.lineno}")
+    assert found and not lazy, lazy
 
 
 def test_every_private_top_level_definition_is_used():

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from trisolve import multivar
+from trisolve.cli import main
 from trisolve.eqparse import (
     Monomial,
     NotATrinomial,
@@ -323,6 +324,21 @@ def test_verify_sees_an_emptied_block_grouping():
     ver = verify_against_oracle(rep.solutions, poly,
                                 brute_force(poly, box).solutions, box)
     assert ver.sound and not ver.complete_in_box and ver.missing
+
+
+def test_block_grouping_refuses_a_capped_inner_listing(capsys):
+    # a box point's block values reach box^max_deg; past the inner limit
+    # the listing would be cut, so `verify` must stop with exit code 3
+    # instead of answering from a truncated listing
+    text = "-2*y - 3*x^2*z^2 - 2*x*y^2 = 0"
+    groupings = list(_block_groupings(solve(text).solutions))
+    assert groupings
+    assert {fam.inner_bound(5) for fam in groupings} == {3125}
+    for fam in groupings:
+        with pytest.raises(ResidueLimit):
+            fam.inner_bound(16)
+    assert main(["verify", text, "--box", "16"]) == 3
+    assert "resource limit" in capsys.readouterr().err
 
 
 def test_verify_sees_a_point_dropped_from_the_direct_formula(monkeypatch):
