@@ -297,9 +297,8 @@ def _feasible_valuations(ap: int, bp: int, cp: int, N: int, M: int, p: int):
     return "free"
 
 
-def _twopower_axis_solutions(tp: _TwoPower) -> list[tuple[int, int]] | None:
-    """Solutions with x = 0 or y = 0, or None when 0 = C makes them free
-    (cannot happen for C != 0)."""
+def _twopower_axis_solutions(tp: _TwoPower) -> list[tuple[int, int]]:
+    """Solutions with x = 0 or y = 0 (finitely many, since C != 0)."""
     out = []
     # x = 0: B y^M = C
     if tp.C % tp.B == 0:

@@ -136,27 +136,18 @@ def cmd_reduce(args) -> int:
 def cmd_classify(args) -> int:
     degree = args.degree
     families = enumerate_families(degree)
-    kept = []
-    for rows in families:
-        if any(all(e == 0 for e in row) for row in rows):
-            continue  # constant monomial
-        cols = [tuple(rows[j][i] for j in range(3))
-                for i in range(len(rows[0]))]
-        if len(set(cols)) < len(cols):
-            continue  # twin variables
-        kept.append(rows)
-    solvable = sum(1 for rows in kept
+    solvable = sum(1 for rows in families
                    if classify_family(rows)[0] == "prop4")
-    expected = {3: (96, 88), 4: (None, None)}.get(degree, (None, None))
+    expected = {3: (96, 88)}.get(degree, (None, None))
     payload = {
         "degree": degree,
         "rules": ["no variable shared by all three monomials",
                   "at least three effective variables",
                   "no constant monomial",
                   "no two variables with identical exponent columns"],
-        "total": len(kept),
+        "total": len(families),
         "prop4_solvable": solvable,
-        "not_solvable": len(kept) - solvable,
+        "not_solvable": len(families) - solvable,
         "reported_total": expected[0],
         "reported_solvable": expected[1],
     }

@@ -55,9 +55,7 @@ def solve_two_term(n: int, m: int, b: int) -> TwoTermSolution:
     # x must satisfy n*x == b (mod m) and n*x >= b.
     ng, mg, bg = n // g, m // g, b // g
     x_res = bg * pow(ng, -1, mg) % mg
-    x_min = max(0, -((-b) // n) if b > 0 else 0)
-    if b > 0:
-        x_min = max(x_min, (b + n - 1) // n)
+    x_min = max(0, (b + n - 1) // n)
     if x_res >= x_min:
         x0 = x_res
     else:

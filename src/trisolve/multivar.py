@@ -53,9 +53,9 @@ from .solset import (
 )
 from .oracle import brute_force
 from .twomon import (
-    _enumerate_exact_products,
-    _power_fiber,
     divisor_family,
+    exact_products,
+    power_fiber,
     solve_two_monomial,
 )
 from .twovar import solve_two_var
@@ -270,8 +270,9 @@ def find_separated_linear(poly: Polynomial):
 
 
 def solve_separated_linear(poly: Polynomial) -> SolutionSet:
-    """Complete solving of a*x + P(rest) = 0: free parametrization for
-    |a| = 1, one family per admissible residue class modulo |a| otherwise."""
+    """Complete solving of a*x + P(rest) = 0: one family per admissible
+    residue class of the other variables modulo |a| (a single class for
+    |a| = 1)."""
     idx = find_separated_linear(poly)
     if idx is None:
         raise ValueError("no separated linear monomial")
@@ -283,24 +284,6 @@ def solve_separated_linear(poly: Polynomial) -> SolutionSet:
     variables = list(poly.variables)
     out = SolutionSet(variables, status=COMPLETE, equation=poly)
     aa = abs(a)
-
-    if aa == 1:
-        params = [(f"u_{v}", AllIntegers()) for v in rest_vars]
-        terms = [ex.monomial_expr(-m.coeff * a,
-                                  [(f"u_{v}", m.exp_of(v))
-                                   for v in rest_vars if m.exp_of(v)])
-                 for m in rest]
-        exprs = {v: ex.param(f"u_{v}") for v in rest_vars}
-        exprs[xvar] = ex.Add(*terms) if terms else ex.const(0)
-
-        def witness(sol):
-            return {f"u_{v}": x for v, x in zip(variables, sol)
-                    if v != xvar}
-
-        out.families.append(SolutionFamily(
-            variables=variables, params=params, exprs=exprs,
-            witness=witness, exact_box=True, note=f"{xvar} = -P/{a}"))
-        return out
 
     if aa ** len(rest_vars) > _RESIDUE_CLASS_LIMIT:
         raise ResidueLimit(f"{aa}^{len(rest_vars)} residue classes")
@@ -555,8 +538,7 @@ def _block_term_options(coeff: Fraction, eks: list[int], prefix: str):
             if target == 0:
                 continue
             side_exps = tuple(-e for e in eks)
-            if not _enumerate_exact_products(
-                    [e for e in side_exps if e], target):
+            if not exact_products([e for e in side_exps if e], target):
                 continue
             options.append(ReducedTerm(
                 coeff=m, exps=(), varnames=(), kind="const",
@@ -729,7 +711,7 @@ def _fiber_core_options(term: ReducedTerm, values: dict[str, int],
         support = [i for i, e in enumerate(term.side_exps) if e]
         if not support:
             return [], [()]
-        tuples = _enumerate_exact_products(
+        tuples = exact_products(
             [term.side_exps[i] for i in support], abs(term.side_target))
         mags = sorted({tuple(abs(x) for x in t) for t in tuples
                        if all(abs(x) <= bound for x in t)})
@@ -752,7 +734,7 @@ def _fiber_core_options(term: ReducedTerm, values: dict[str, int],
     red_exps = [term.orig_exps[i] // term.d for i in support]
     if ratio == 0:
         return support, []
-    tuples = _power_fiber(red_exps, ratio, bound)
+    tuples = power_fiber(red_exps, ratio, bound)
     mags = sorted({tuple(abs(x) for x in t) for t in tuples})
     return support, mags
 
@@ -989,7 +971,7 @@ def _unsub_blocks(poly: Polynomial, inner: SolutionSet, blocks, names):
             wval = vals.get(wname)
             if wval is None or wval == 0:
                 return []
-            tuples = [t for t in _enumerate_exact_products(
+            tuples = [t for t in exact_products(
                 [e for _, e in parts], wval)
                 if all(abs(x) <= bound for x in t)]
             if not tuples:
@@ -1131,97 +1113,30 @@ def _shape_sort_key(shape):
 # enumeration of families by degree ----------------------------------------
 
 def enumerate_families(degree: int):
-    """Canonical exponent matrices of three-monomial families of the given
-    total degree (max monomial degree = degree), up to renaming of variables
-    and reordering of monomials; excludes families where all three monomials
-    share a variable and families with at most two effective variables."""
-    monomial_patterns = []
-    for d in range(degree + 1):
-        monomial_patterns.extend(_partitions(d))
+    """Canonical exponent matrices (rows = monomials) of the three-monomial
+    families of the given degree, up to renaming of variables and reordering
+    of monomials.  A family is a set of at least three distinct exponent
+    columns, one per variable, each with a zero entry (no variable shared by
+    all three monomials) and a nonzero one; its rows are distinct and
+    nonzero (no constant monomial), and its largest row sum is the degree."""
+    columns = [col for col in itertools.product(range(degree + 1), repeat=3)
+               if 0 in col and any(col)]
     out = set()
-    for pat1 in monomial_patterns:
-        for pat2 in monomial_patterns:
-            for pat3 in monomial_patterns:
-                if max(sum(pat1), sum(pat2), sum(pat3)) != degree:
-                    continue
-                for mat in _overlap_matrices(pat1, pat2, pat3):
-                    rows = _canonical_matrix(mat)
-                    if rows is None:
-                        continue
-                    out.add(rows)
+
+    def walk(start, chosen, sums):
+        if len(chosen) >= 3 and max(sums) == degree and all(sums):
+            rows = list(zip(*chosen))
+            if len(set(rows)) == 3:
+                out.add(min(
+                    tuple(zip(*sorted(zip(*perm), reverse=True)))
+                    for perm in itertools.permutations(rows)))
+        for i in range(start, len(columns)):
+            grown = tuple(s + e for s, e in zip(sums, columns[i]))
+            if max(grown) <= degree:
+                walk(i + 1, chosen + [columns[i]], grown)
+
+    walk(0, [], (0, 0, 0))
     return sorted(out)
-
-
-def _partitions(d: int):
-    """Multiplicative monomial patterns: partitions of d (empty for d=0)."""
-    if d == 0:
-        return [()]
-    out = []
-
-    def rec(remaining, mx, prefix):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for k in range(min(mx, remaining), 0, -1):
-            rec(remaining - k, k, prefix + [k])
-
-    rec(d, d, [])
-    return out
-
-
-def _overlap_matrices(pat1, pat2, pat3):
-    """All ways to identify variable slots across the three patterns: assign
-    each slot a variable id, where slots of the same monomial stay distinct."""
-    slots = ([(0, e) for e in pat1] + [(1, e) for e in pat2]
-             + [(2, e) for e in pat3])
-    n = len(slots)
-    results = []
-
-    def rec(idx, assignment, nvars):
-        if idx == n:
-            cols = []
-            for var in range(nvars):
-                col = [0, 0, 0]
-                for (mono, e), a in zip(slots, assignment):
-                    if a == var:
-                        col[mono] += e
-                cols.append(tuple(col))
-            results.append(tuple(cols))
-            return
-        mono, _ = slots[idx]
-        used_here = {assignment[j] for j in range(idx)
-                     if slots[j][0] == mono}
-        for var in range(nvars + 1):
-            if var in used_here:
-                continue
-            rec(idx + 1, assignment + [var], max(nvars, var + 1))
-
-    rec(0, [], 0)
-    return results
-
-
-def _canonical_matrix(cols):
-    """Canonical form of a 3 x n exponent matrix (columns = variables) up to
-    row and column permutation, with the exclusion rules applied; None when
-    excluded."""
-    n = len(cols)
-    if n < 3:
-        return None  # at most two effective variables
-    if any(all(col[j] > 0 for j in range(3)) for col in cols):
-        return None  # all three monomials share a variable
-    rows = [tuple(col[j] for col in cols) for j in range(3)]
-    if len(set(rows)) < 3:
-        return None  # coinciding monomials
-    best = None
-    for perm in itertools.permutations(range(3)):
-        permuted = [rows[p] for p in perm]
-        col_sorted = tuple(sorted(
-            (tuple(permuted[j][i] for j in range(3)) for i in range(n)),
-            reverse=True))
-        key = tuple(tuple(col[j] for col in col_sorted) for j in range(3))
-        if best is None or key < best:
-            best = key
-    return best
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,7 @@ def solve_power_product(exponents: list[int], r: Fraction,
         target = r if pos else 1 / r
         if target.denominator != 1:
             return out
-        for tup in _enumerate_exact_products(
+        for tup in exact_products(
                 [abs(exponents[i]) for i in support], int(target)):
             if not free:
                 out.add_finite(tup)
@@ -103,7 +103,7 @@ def solve_power_product(exponents: list[int], r: Fraction,
         def candidates(bound, root=root):
             # the support coordinates solve prod(x**e') = root; free ones
             # sweep the box
-            for core in _power_fiber(reduced, root, bound):
+            for core in power_fiber(reduced, root, bound):
                 for vals in itertools.product(range(-bound, bound + 1),
                                               repeat=len(free)):
                     point = dict(zip(support + free, core + vals))
@@ -116,7 +116,7 @@ def solve_power_product(exponents: list[int], r: Fraction,
     return out
 
 
-def _enumerate_exact_products(exps: list[int], target: int) -> list[tuple[int, ...]]:
+def exact_products(exps: list[int], target: int) -> list[tuple[int, ...]]:
     """All tuples of nonzero integers with prod(x_i**e_i) == target."""
     results: list[tuple[int, ...]] = []
 
@@ -133,8 +133,8 @@ def _enumerate_exact_products(exps: list[int], target: int) -> list[tuple[int, .
     return sorted(set(results))
 
 
-def _power_fiber(exps: list[int], target: Fraction, bound: int
-                 ) -> list[tuple[int, ...]]:
+def power_fiber(exps: list[int], target: Fraction, bound: int
+                ) -> list[tuple[int, ...]]:
     """Nonzero tuples with prod x^exps == target, |x| <= bound, for exps of
     mixed signs: all but the largest exponent's variable are swept."""
     out = []

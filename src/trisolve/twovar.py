@@ -1,6 +1,6 @@
 """The complete pipeline for two-variable three-monomial equations:
 trivial split, normalization to a*x^n + b*x^k*y^l + c*y^m = 0, the finite
-divisor branches, the equality case (rational roots of a one-variable
+divisor branch, the equality case (rational roots of a one-variable
 trinomial), the strict case (prime-split candidates and base equations), the
 Runge fallback, and the dedicated x^4 + a*x*y + y^3 solver.
 """
@@ -104,8 +104,9 @@ def trivial_two_var(full_poly: Polynomial, variables: list[str]) -> SolutionSet:
 # ---------------------------------------------------------------------------
 
 def normalize_two_var(eq: TrinomialEquation):
-    """Either a TwoVarForm, or ('divisors', const_coeff) when both non-constant
-    monomials involve both variables (finite check through divisors)."""
+    """Either a TwoVarForm, or ("divisors", index of the constant monomial)
+    when both non-constant monomials involve both variables (finite check
+    through divisors)."""
     if len(eq.variables) != 2:
         raise ValueError("normalize_two_var needs exactly two variables")
     xs = [row[0] for row in eq.rows]
@@ -127,46 +128,26 @@ def normalize_two_var(eq: TrinomialEquation):
 
 
 # ---------------------------------------------------------------------------
-# finite divisor branches
+# finite divisor branch
 # ---------------------------------------------------------------------------
 
-def _divisor_branch_const(eq: TrinomialEquation, const_index: int) -> SolutionSet:
-    """Both non-constant monomials contain y (and x): y divides the constant
-    coefficient; substitute each divisor and solve for x."""
-    variables = list(eq.variables)
-    out = SolutionSet(variables, status=COMPLETE, equation=eq.polynomial())
-    c_const = eq.coeffs[const_index]
-    poly = eq.polynomial()
-    vx, vy = variables
-    for y0 in divisors_k(c_const, 1):
-        coeffs = _substitute_univariate(poly, vy, y0, vx)
-        for x0 in integer_roots(coeffs):
-            if x0 != 0:
-                out.add_finite((x0, y0))
-    return out
-
-
-def _substitute_univariate(poly: Polynomial, var: str, value: int,
-                           remaining: str) -> list[int]:
-    deg = poly.degree_in(remaining)
-    coeffs = [0] * (deg + 1)
-    for mono in poly.monomials:
-        coeffs[mono.exp_of(remaining)] += mono.coeff * value ** mono.exp_of(var)
-    return coeffs
-
-
-def _divisor_branch_form(form: TwoVarForm) -> SolutionSet:
-    """(11)-form with m = 0 and k*l > 0: x divides c, finitely many x."""
-    variables = form.variables
-    out = SolutionSet(variables, status=COMPLETE)
-    for x0 in divisors_k(form.c, 1):
-        rhs = -(form.a * x0**form.n + form.c)
-        coeff = form.b * x0**form.k
-        if rhs % coeff:
-            continue
-        for y in exact_roots(rhs // coeff, form.l):
-            if y != 0:
-                out.add_finite((x0, y))
+def _divisor_branch(poly: Polynomial, var: str) -> SolutionSet:
+    """Nonzero solutions of an equation with a constant monomial whose other
+    two monomials both contain var: var divides the constant, and each
+    divisor leaves a one-variable polynomial in the other variable."""
+    variables = list(poly.variables)
+    other = variables[1 - variables.index(var)]
+    const = next(mono.coeff for mono in poly.monomials if not mono.exps)
+    degree = poly.degree_in(other)
+    out = SolutionSet(variables, status=COMPLETE, equation=poly)
+    for d in divisors_k(const, 1):
+        coeffs = [0] * (degree + 1)
+        for mono in poly.monomials:
+            coeffs[mono.exp_of(other)] += mono.coeff * d ** mono.exp_of(var)
+        for root in integer_roots(coeffs):
+            if root != 0:
+                point = {var: d, other: root}
+                out.add_finite(tuple(point[v] for v in variables))
     return out
 
 
@@ -334,25 +315,28 @@ def solve_two_var(eq: TrinomialEquation, bound: int = 10_000,
     trace: list[BaseSolveRecord] = []
     path = []
     trivial = trivial_two_var(eq.full_polynomial(), variables)
+    poly = eq.polynomial()
     norm = normalize_two_var(eq)
     if isinstance(norm, tuple):
         path.append("divisor-branch")
-        nonzero = _divisor_branch_const(eq, norm[1])
+        nonzero = _divisor_branch(poly, variables[1])
     else:
-        nonzero, path = _solve_form(norm, bound, backend, trace)
+        nonzero, path = _solve_form(norm, poly, bound, backend, trace)
     merged = trivial.union(nonzero)
     merged.equation = eq.full_polynomial()
     return TwoVarReport(eq, path, merged, trace)
 
 
-def _solve_form(form: TwoVarForm, bound, backend, trace):
+def _solve_form(form: TwoVarForm, poly: Polynomial, bound, backend, trace):
     n, k, l, m = form.n, form.k, form.l, form.m
     path: list[str] = []
 
     # canonicalize sorts the monomials by descending exponent vector and
     # normalize_two_var takes the first pure-x and the first other pure-y
-    # monomial, so n, m > 0; l = 0 gives 0 < k < n and k = 0 gives
-    # 0 < l < m, both strict cases
+    # monomial, so l = 0 gives 0 < k < n and k = 0 gives 0 < l < m; then
+    # n*l + m*k is m*k or n*l, below m*n, and the comparison below takes
+    # both to the strict case.  A constant monomial (m = 0 or n = 0) comes
+    # with k*l > 0, so the variable of its pure monomial divides it.
     if k == 0 and l == 0:
         path.append("base-equation")
         out = solve_superelliptic(form.c, -form.a, -form.b, n, m,
@@ -360,23 +344,10 @@ def _solve_form(form: TwoVarForm, bound, backend, trace):
                                   backend=backend, trace=trace)
         return out, path
 
-    if k == 0 or l == 0:
-        path.append("strict")
-        return solve_strict_case(form, bound, backend, trace), path
-
-    # k*l > 0 from here on
-    if m == 0:
+    if m == 0 or n == 0:
         path.append("divisor-branch")
-        return _divisor_branch_form(form), path
-    if n == 0:
-        flipped = TwoVarForm(form.c, form.b, form.a, m, l, k, 0,
-                             [form.variables[1], form.variables[0]])
-        path.append("divisor-branch")
-        sols = _divisor_branch_form(flipped)
-        out = SolutionSet(form.variables, status=sols.status)
-        for (y, x) in sols.finite:
-            out.add_finite((x, y))
-        return out, path
+        var = form.variables[0] if m == 0 else form.variables[1]
+        return _divisor_branch(poly, var), path
 
     lhs, rhs = n * l + m * k, m * n
     if lhs < rhs:

@@ -276,6 +276,7 @@ def test_acceptance_6_enumeration_report():
         if len(set(cols)) < len(cols):
             continue
         kept.append(rows)
+    assert kept == fams and len(kept) == 166  # the rules live in the walk
     unsolvable = [r for r in kept if classify_family(r)[0] != "prop4"]
     assert len(unsolvable) == 8
     print(f"\nACCEPTANCE 6 (enumeration): cubic families under the rules "

@@ -6,7 +6,9 @@ experiment, imported lazily because importing it costs about 10 ms at
 start-up.  No box listing calls the oracle, so `verify` stays an independent
 check, and every box listing reads the expressions of its family, so a
 wrong expression shows up in `verify`.  Every private top-level function or
-class is used somewhere in the package, so no helper outlives its callers."""
+class is used somewhere in the package, so no helper outlives its callers,
+and no module imports another module's private name, so what one module
+uses of another is its public surface."""
 
 import ast
 import pathlib
@@ -41,6 +43,16 @@ def test_no_imports_inside_function_bodies():
 def _trees():
     return {path.name: ast.parse(path.read_text(encoding="utf-8"))
             for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def test_no_module_imports_a_private_name():
+    found = []
+    for name, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                found.extend(f"{name}:{node.lineno} {a.name}"
+                             for a in node.names if a.name.startswith("_"))
+    assert not found, found
 
 
 def test_no_box_listing_calls_the_oracle():

@@ -1,5 +1,6 @@
 import dataclasses
 import glob
+import itertools
 import json
 import os
 import random
@@ -32,6 +33,7 @@ from trisolve.multivar import (
     classify_cyclic,
     classify_family,
     direct_formula,
+    enumerate_families,
     monte_carlo_prop4,
     reduce_to_independent,
     solve,
@@ -160,10 +162,11 @@ def test_direct_formula_domain_violation():
 # ---------------------------------------------------------------------------
 
 def test_separated_linear_unit():
-    s = solve_separated_linear(parse_equation("x - y*z + 1"))
-    pts, exact = s.enumerate_box(10)
-    truth = brute_force(parse_equation("x - y*z + 1"), 10).solutions
-    assert exact and set(pts) == set(truth)
+    for text in ("x - y*z + 1", "-x - y*z + 1"):
+        s = solve_separated_linear(parse_equation(text))
+        pts, exact = s.enumerate_box(10)
+        truth = brute_force(parse_equation(text), 10).solutions
+        assert exact and set(pts) == set(truth), text
 
 
 def test_separated_linear_modulus():
@@ -442,6 +445,72 @@ def test_tables45_fail_condition_and_shapes():
         kind, *rest = classify_family(rows)
         assert kind == "reduced", text
         assert rest[0].replace("=0", "") == shape, (text, rest[0], shape)
+
+
+def _partition_families(degree):
+    """The partition-and-overlap enumeration that enumerate_families
+    replaced, followed by the filter `classify` applied to it, kept as its
+    reference: each monomial is a partition of its degree, variable slots
+    are identified across monomials in every way, and the 3 x n matrix is
+    canonicalized over row and column permutations."""
+    def partitions(d, mx):
+        if d == 0:
+            return [()]
+        return [(k,) + rest for k in range(min(d, mx), 0, -1)
+                for rest in partitions(d - k, k)]
+
+    def overlaps(slots, idx=0, assignment=()):
+        if idx == len(slots):
+            nvars = max(assignment, default=-1) + 1
+            cols = []
+            for var in range(nvars):
+                col = [0, 0, 0]
+                for (mono, e), a in zip(slots, assignment):
+                    if a == var:
+                        col[mono] += e
+                cols.append(tuple(col))
+            yield cols
+            return
+        mono = slots[idx][0]
+        used = {a for (m, _), a in zip(slots, assignment) if m == mono}
+        for var in range(max(assignment, default=-1) + 2):
+            if var not in used:
+                yield from overlaps(slots, idx + 1, assignment + (var,))
+
+    def canonical(cols):
+        rows = [tuple(col[j] for col in cols) for j in range(3)]
+        return min(tuple(zip(*sorted(zip(*(rows[p] for p in perm)),
+                                     reverse=True)))
+                   for perm in itertools.permutations(range(3)))
+
+    patterns = [p for d in range(degree + 1) for p in partitions(d, d)]
+    out = set()
+    for pats in itertools.product(patterns, repeat=3):
+        if max(map(sum, pats)) != degree:
+            continue
+        slots = [(mono, e) for mono, pat in enumerate(pats) for e in pat]
+        for cols in overlaps(slots):
+            rows = [tuple(col[j] for col in cols) for j in range(3)]
+            if (len(cols) < 3 or any(all(col) for col in cols)
+                    or len(set(rows)) < 3
+                    or any(not any(row) for row in rows)
+                    or len(set(cols)) < len(cols)):
+                continue
+            out.add(canonical(cols))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("degree,total", [(2, 13), (3, 166)])
+def test_enumerate_families_equals_partition_reference(degree, total):
+    fams = enumerate_families(degree)
+    assert fams == _partition_families(degree)
+    assert len(fams) == total
+    for rows in fams:
+        cols = list(zip(*rows))
+        assert len(cols) >= 3 and len(set(cols)) == len(cols)
+        assert all(0 in col and any(col) for col in cols)
+        assert max(map(sum, rows)) == degree
+        assert all(any(row) for row in rows) and len(set(rows)) == 3
 
 
 def test_cyclic_cases():

@@ -42,6 +42,34 @@ def test_normalize_divisor_case():
     box_match("x^4*y + x*y^2 + y", B=20)
 
 
+def test_divisor_branch_shapes_vs_oracle():
+    # a constant monomial with both variables, x only or y only in both
+    # other monomials: every shape takes the one divisor branch
+    rng = random.Random(23)
+    left = {("x", "y"): 50, ("x",): 50, ("y",): 50}
+    while any(left.values()):
+        shared = rng.choice([s for s, n in left.items() if n])
+        monos = [Monomial.make(rng.choice((-12, -6, -4, -1, 1, 2, 6, 24)), {})]
+        for _ in range(2):
+            monos.append(Monomial.make(
+                rng.choice((-3, -2, -1, 1, 2, 3)),
+                {v: rng.randint(v in shared, 3) for v in ("x", "y")}))
+        try:
+            eq = canonicalize(Polynomial(monos, ["x", "y"]))
+        except NotATrinomial:
+            continue
+        rows = [row for row in eq.rows if any(row)]
+        if (len(eq.variables) != 2 or len(rows) != 2 or shared != tuple(
+                v for v, a, b in zip(eq.variables, *rows) if a and b)):
+            continue
+        left[shared] -= 1
+        rep = solve_two_var(eq)
+        assert rep.path == ["divisor-branch"], eq
+        pts, exact = rep.solutions.enumerate_box(15)
+        truth = brute_force(eq.full_polynomial(), 15).solutions
+        assert exact and set(pts) == set(truth), eq
+
+
 def test_monomial_gcd_cancellation():
     rep = box_match("x^2*y^2 + x^3*y + x*y", B=20)
     assert rep.equation.cancelled == {"x": 1, "y": 1}
