@@ -447,7 +447,7 @@ class ReducedTerm:
     coeff: int
     exps: tuple[int, ...]          # exponents of the fresh variables
     varnames: tuple[str, ...]
-    kind: str                      # 'const' | 'case2' | 'case3' | 'plain'
+    kind: str                      # 'const' | 'case2' | 'case3'
     # case 'const': side equation prod U^{side_exps} = side_target
     side_exps: tuple[int, ...] = ()
     side_target: int = 0
@@ -681,21 +681,8 @@ def reduce_to_independent(eq: TrinomialEquation) -> list[ReducedEquation]:
                                tuple(e_basis))))
                     if len(out) > _MAX_BRANCHES:
                         raise ResidueLimit("reduction branch explosion")
-    return _dedupe_reduced(out)
-
-
-def _dedupe_reduced(reds: list[ReducedEquation]) -> list[ReducedEquation]:
-    seen = set()
-    out = []
-    for r in reds:
-        key = (tuple((t.coeff, t.exps, t.kind, t.side_exps, t.side_target,
-                      t.orig_exps, t.d, t.qstar, t.vdiv, t.scales)
-                     for t in r.terms), r.particular, r.signs)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(r)
     return out
+
 
 # ---------------------------------------------------------------------------
 # solving reduced equations and lifting back
@@ -886,8 +873,8 @@ def _term_value(term: ReducedTerm, values: dict[str, int]) -> int:
 
 def solve_reduced(red: ReducedEquation, bound: int = 10_000,
                   backend: str | None = None):
-    """Solve one reduced equation over nonzero integers; returns
-    (solution set over the reduced variables, status)."""
+    """Solve one reduced equation over nonzero integers: the solution set
+    over the reduced variables, whose status is that of the equation."""
     poly = red.polynomial()
     variables = list(poly.variables)
     monos = poly.monomials
@@ -896,35 +883,33 @@ def solve_reduced(red: ReducedEquation, bound: int = 10_000,
         out = SolutionSet([], status=COMPLETE)
         if total == 0:
             out.add_finite(())
-        return out, COMPLETE
+        return out
     if len(monos) == 1:
-        return SolutionSet(variables, status=COMPLETE), COMPLETE
+        return SolutionSet(variables, status=COMPLETE)
     if len(monos) == 2:
-        out = solve_two_monomial(poly)
-        return out, COMPLETE
+        return solve_two_monomial(poly)
     # trinomial in the reduced variables, whose terms share no variable: in
     # at most two variables it is a constant plus two one-variable terms
     if len(variables) <= 2:
-        rep = solve_two_var(canonicalize(poly), bound=bound, backend=backend)
-        return rep.solutions, rep.solutions.status
+        return solve_two_var(canonicalize(poly), bound=bound,
+                             backend=backend).solutions
     lin_idx = None
     for idx, mono in enumerate(monos):
         if any(e == 1 for _, e in mono.exps):
             lin_idx = idx
             break
     if lin_idx is not None:
-        out = solve_x1k_x2(poly, lin_idx)
-        return out, out.status
+        return solve_x1k_x2(poly, lin_idx)
     blocks = _solve_blocks(poly, bound, backend)
     if blocks is not None:
-        return blocks, blocks.status
+        return blocks
     # definite check: all exponents even, coefficients of one sign
     if _definite_empty(monos):
-        return SolutionSet(variables, status=COMPLETE), COMPLETE
+        return SolutionSet(variables, status=COMPLETE)
     cap = {1: 60, 2: 60, 3: 25}.get(len(variables), 10)
     searched_set = _bounded_reduced_search(poly, min(bound, cap))
     searched_set.status = REDUCED_ONLY
-    return searched_set, REDUCED_ONLY
+    return searched_set
 
 
 def _solve_blocks(poly: Polynomial, bound, backend):
@@ -1035,24 +1020,47 @@ def solve_prop4(eq: TrinomialEquation, bound: int = 10_000) -> SolutionSet:
 
 
 def _lift_reduced(reduced: list[ReducedEquation], bound, backend=None):
-    """Solve each reduced equation and map its solutions back to the source
-    variables: one family per reduced equation, listed from the reduced
-    solution set, and the weakest status among them."""
+    """Solve each distinct reduced equation once and map its solutions back
+    to the source variables through every branch that produced it: one
+    family per reduced equation, listed from the reduced solution set, and
+    the weakest status among them."""
+    groups: dict[str, dict[tuple, ReducedEquation]] = {}
+    for red in reduced:
+        key = (tuple((t.coeff, t.exps, t.kind, t.side_exps, t.side_target,
+                      t.orig_exps, t.d, t.qstar, t.vdiv, t.scales)
+                     for t in red.terms), red.particular, red.signs)
+        groups.setdefault(red.describe(), {}).setdefault(key, red)
     families = []
     status = COMPLETE
-    for red in reduced:
-        inner, st = solve_reduced(red, bound=bound, backend=backend)
-        status = status.combine(st)
+    for text, group in groups.items():
+        branches = list(group.values())
+        inner = solve_reduced(branches[0], bound=bound, backend=backend)
+        status = status.combine(inner.status)
+        # a case2 variable is vdiv/qstar * prod U_k^(e_k/d), and every block
+        # value U_k of a box point is at most the box bound
+        case2 = [(t.vdiv, sum(e for e in t.orig_exps if e > 0) // t.d,
+                  t.qstar)
+                 for red in branches for t in red.terms if t.kind == "case2"]
 
-        def lift(point, box, red=red, names=inner.variables):
+        def lift(point, box, branches=branches, names=inner.variables):
             if any(x == 0 for x in point):
                 return []
-            return lift_reduced_solution(red, dict(zip(names, point)), box)
+            values = dict(zip(names, point))
+            return [p for red in branches
+                    for p in lift_reduced_solution(red, values, box)]
+
+        def inner_bound(b, case2=case2):
+            need = max([b] + [-(-v * b**p // q) for v, p, q in case2])
+            if need > _BLOCK_INNER_LIMIT:
+                raise ResidueLimit(f"a reduced lift needs the inner set to "
+                                   f"bound {need}")
+            return need
 
         families.append(MappedFamily(
-            variables=list(red.source.variables), inner=inner, lift=lift,
+            variables=list(branches[0].source.variables), inner=inner,
+            lift=lift, inner_bound=inner_bound,
             exact_box=all(f.exact_box for f in inner.families),
-            note=f"lift of {red.describe()}"))
+            note=f"lift of {text}"))
     return families, status
 
 # ---------------------------------------------------------------------------
@@ -1376,32 +1384,26 @@ def solve(text_or_poly, bound: int = 10_000, backend: str | None = None,
 
 def _solve_multivar(eq: TrinomialEquation, bound, backend, budget):
     path = ["n-variable"]
-    triv = trivial_solutions(eq.full_polynomial())
+    out = trivial_solutions(eq.full_polynomial())
     cert = check_prop4(eq, budget)
-    reduced_strs: list[str] = []
     if cert is not None and cert.unknown:
         path.append("feasibility-unknown")
-        out = triv
         out.status = out.status.combine(UNKNOWN)
-        return out, path, reduced_strs
+        return out, path, []
     if cert is not None and cert.t is not None:
         path.append("direct-formula")
-        fam = direct_formula(eq, cert)
-        out = triv
-        out.families.append(fam)
+        out.families.append(direct_formula(eq, cert))
         out.provenance.append("direct parametrization of all nontrivial "
                               "solutions")
-        return out, path, reduced_strs
-    if cert is not None:
-        path.append("sufficient-condition")
-        nonzero = solve_prop4(eq, bound=bound)
-        return triv.union(nonzero), path, reduced_strs
-    path.append("reduction")
+        return out, path, []
+    # a certificate without a direct formula still guarantees that the
+    # reduced equations have the solvable shapes
+    path.append("reduction" if cert is None else "sufficient-condition")
     reduced = reduce_to_independent(eq)
     families, status = _lift_reduced(reduced, bound, backend)
-    triv.families.extend(families)
-    triv.status = triv.status.combine(status)
-    return triv, path, sorted({red.describe() for red in reduced})
+    out.families.extend(families)
+    out.status = out.status.combine(status)
+    return out, path, sorted({red.describe() for red in reduced})
 
 
 def _solve_one_monomial(poly: Polynomial) -> SolutionSet:

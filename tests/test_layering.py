@@ -8,9 +8,11 @@ check, and every box listing reads the expressions of its family, so a
 wrong expression shows up in `verify`.  Every private top-level function or
 class is used somewhere in the package, so no helper outlives its callers,
 and no module imports another module's private name, so what one module
-uses of another is its public surface."""
+uses of another is its public surface.  The benchmark's tracer wraps package
+functions by name, so every name it lists exists."""
 
 import ast
+import importlib
 import pathlib
 
 import trisolve
@@ -115,3 +117,23 @@ def test_every_private_top_level_definition_is_used():
                        for mod, line, ident in refs):
                 unused.append(f"{name}:{node.lineno} {node.name}")
     assert not unused, unused
+
+
+def test_bench_trace_targets_resolve():
+    # bench/tracing.py is read, not imported; a name it wraps that the
+    # package no longer has would break traced benchmark runs
+    tracing = pathlib.Path(__file__).parents[1] / "bench" / "tracing.py"
+    tree = ast.parse(tracing.read_text(encoding="utf-8"))
+    targets = next(node.value.elts for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and [t.id for t in node.targets] == ["TARGETS"])
+    assert targets
+    missing = []
+    for entry in targets:
+        module, attribute = (ast.literal_eval(e) for e in entry.elts[:2])
+        obj = importlib.import_module(f"trisolve.{module}")
+        for part in attribute.split("."):
+            obj = getattr(obj, part, None)
+        if obj is None:
+            missing.append(f"{module}.{attribute}")
+    assert not missing, missing

@@ -344,6 +344,79 @@ def test_block_grouping_refuses_a_capped_inner_listing(capsys):
     assert "resource limit" in capsys.readouterr().err
 
 
+def _lifts(solset):
+    return [f for f in solset.families if f.note.startswith("lift of ")]
+
+
+def test_lift_family_refuses_a_capped_inner_listing():
+    # the case-2 variable u1 stands for x*z/t, so a box point reaches
+    # u1 = box^2; past the inner limit the listing would be cut, so it must
+    # raise instead
+    lifts = _lifts(solve("3*y*t + 3*x*z + 3*t = 0").solutions)
+    assert lifts
+    for fam in lifts:
+        assert fam.inner_bound(3) == 9
+        assert fam.inner_bound(1000) == 10**6
+        with pytest.raises(ResidueLimit):
+            fam.enumerate_box(1001)
+
+
+def _draw_trinomial(rng):
+    """A seeded trinomial in three or four variables in which every variable
+    occurs and none divides all three monomials."""
+    while True:
+        names = "xyzt"[:rng.choice((3, 4))]
+        exps = (0, 0, 1, 1, 2) if len(names) == 3 else (0, 0, 1, 1)
+        rows = [tuple(rng.choice(exps) for _ in names) for _ in range(3)]
+        cols = list(zip(*rows))
+        if (len(set(rows)) == 3 and all(any(c) for c in cols)
+                and not any(all(c) for c in cols)):
+            return Polynomial([Monomial.make(rng.choice((-4, -3, -2, -1, 1,
+                                                          2, 3, 4)),
+                                             dict(zip(names, row)))
+                               for row in rows], list(names))
+
+
+def _has_one_lift_per_reduced_equation(poly):
+    """False when `solve` takes neither the sufficient-condition nor the
+    reduction path; otherwise asserts that the lift families have distinct
+    notes, one per distinct reduced equation, and list the box exactly."""
+    rep = solve(poly, bound=1000)
+    if rep.path[-1] not in ("sufficient-condition", "reduction"):
+        return False
+    notes = [f.note for f in _lifts(rep.solutions)]
+    assert len(set(notes)) == len(notes), notes
+    reduced = reduce_to_independent(canonicalize(poly))
+    assert len(notes) == len({r.describe() for r in reduced})
+    box = 3 if len(poly.variables) == 4 else 4
+    ver = verify_against_oracle(rep.solutions, poly,
+                                brute_force(poly, box).solutions, box)
+    assert ver.sound and ver.complete_in_box, (rep.input_text,
+                                               ver.missing[:4])
+    return True
+
+
+def test_one_lift_family_per_reduced_equation():
+    # each distinct reduced equation is solved once and lifted through all
+    # the branches that produce it, so its lift family lists every box point
+    # those branches reach
+    golden = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          "golden")
+    texts = []
+    for name in sorted(glob.glob(os.path.join(golden, "*.json"))):
+        if os.path.basename(name).startswith(("sufficient-", "reduction-")):
+            with open(name, encoding="utf-8") as fh:
+                texts.append(json.load(fh)["input"])
+    assert len(texts) == 10
+    texts += ["3*y*t + 3*x*z + 3*t = 0", "2*y + 2*x*z + 3*y*t = 0"]
+    for text in texts:
+        assert _has_one_lift_per_reduced_equation(parse_equation(text))
+    rng = random.Random(11)
+    seeded = 0
+    while seeded < 60:
+        seeded += _has_one_lift_per_reduced_equation(_draw_trinomial(rng))
+
+
 def test_verify_sees_a_point_dropped_from_the_direct_formula(monkeypatch):
     # golden entry direct-icosahedral; the trivial families list only points
     # with a zero coordinate, so a point without one comes from the formula
