@@ -1,5 +1,6 @@
 """Solvers for the base equation shapes a*y^m = b*x^n + c, quadratic forms
-A*u^2 + B*v^2 + C = 0, and Runge-condition bounded search.
+A*u^2 + B*v^2 + C = 0, and trinomials a*x^n + b*x^k*y^l + c*y^m = 0 under
+Runge's condition n*l + m*k > m*n.
 
 Everything elementary is solved completely (m = 1, quadratics, two-monomial,
 definite or factorable power forms, p-adically impossible equations).  The
@@ -7,6 +8,13 @@ remaining Thue / superelliptic cases run a bounded search whose status is
 SearchedToBound unless an external backend certifies completeness, or the
 equation has |C| = 1 in reduced two-power form and the search exhibits the
 unique positive solution (uniqueness by Bennett's theorem on |ax^n - by^n|=1).
+
+Under Runge's condition the answer is finite and complete.  At each prime
+the least term valuation is attained twice.  When the middle term is one of
+the two, the condition bounds v_p(x) and v_p(y); otherwise they are free
+only along (m', n') = (m, n) / gcd(n, m).  So x = X*u^m', y = Y*u^n' with
+(X, Y) from finitely many candidates, and the equation fixes u (C. Runge,
+J. reine angew. Math. 100, 1887; P. G. Walsh, Acta Arith. 62, 1992).
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from .intcore import (
     shifted_power,
     valuation,
 )
-from .oracle import brute_force
+from .lindioph import valuation_candidates
 from .solset import (
     COMPLETE,
     AllIntegers,
@@ -612,31 +620,41 @@ def _swap_family(fam, variables):
 
 
 # ---------------------------------------------------------------------------
-# Runge-condition bounded solving
+# Runge's condition n*l + m*k > m*n
 # ---------------------------------------------------------------------------
 
-def check_runge_c1(poly: Polynomial) -> bool:
-    """Condition (C1): some monomial a_ij x^i y^j has n*j + m*i > m*n, where
-    n, m are the degrees in x and y."""
-    if len(poly.variables) != 2:
-        raise ValueError("Runge check needs a bivariate polynomial")
-    vx, vy = poly.variables
-    n = poly.degree_in(vx)
-    m = poly.degree_in(vy)
-    if n == 0 or m == 0:
-        raise RungeConditionError("polynomial must use both variables")
-    return any(n * mo.exp_of(vy) + m * mo.exp_of(vx) > m * n
-               for mo in poly.monomials)
+def solve_runge_finite(a: int, b: int, c: int, n: int, k: int, l: int,
+                       m: int, variables: list[str],
+                       trace: list | None = None) -> SolutionSet:
+    """Every solution with xy != 0 of a*x^n + b*x^k*y^l + c*y^m = 0 under
+    Runge's condition n*l + m*k > m*n, with status Complete; the middle
+    monomial must contain both variables.
 
-
-def solve_runge_finite(poly: Polynomial, bound: int) -> SolutionSet:
-    """Bounded search for equations satisfying Runge's condition (C1), with
-    status SearchedToBound(bound)."""
-    if not check_runge_c1(poly):
-        raise RungeConditionError("condition (C1) does not hold")
-    run = brute_force(poly, bound)
-    out = SolutionSet(list(poly.variables), status=searched(bound),
-                      equation=poly)
-    for t in run.solutions:
-        out.add_finite(t)
+    With e = gcd(n, m), m' = m/e and n' = n/e, each solution is
+    x = X*u^m', y = Y*u^n' with u > 0 and (|X|, |Y|) a valuation candidate,
+    and then u^(M - N) = -(a*X^n + c*Y^m) / (b*X^k*Y^l) for N = n*m' and
+    M = k*m' + l*n' > N.
+    """
+    if k < 1 or l < 1 or n * l + m * k <= m * n:
+        raise RungeConditionError("need k, l >= 1 and n*l + m*k > m*n")
+    e = gcd(n, m)
+    mp, np_ = m // e, n // e
+    rise = k * mp + l * np_ - n * mp
+    candidates = valuation_candidates(a, b, c, n, k, l, m)
+    out = SolutionSet(list(variables), status=COMPLETE)
+    for xa, ya in candidates:
+        for X in (xa, -xa):
+            for Y in (ya, -ya):
+                num, den = -(a * X**n + c * Y**m), b * X**k * Y**l
+                if num % den:
+                    continue
+                for u in exact_roots(num // den, rise):
+                    x, y = X * u**mp, Y * u**np_
+                    if u > 0 and a * x**n + b * x**k * y**l + c * y**m == 0:
+                        out.add_finite((x, y))
+    if trace is not None:
+        vx, vy = variables
+        trace.append(BaseSolveRecord(
+            f"runge {a}*{vx}^{n} + {b}*{vx}^{k}*{vy}^{l} + {c}*{vy}^{m} = 0, "
+            f"{len(candidates)} candidates", sorted(out.finite), "complete"))
     return out

@@ -1,6 +1,7 @@
 """Linear Diophantine machinery over the non-negative integers.
 
-Covers the two-term solver (n*x = m*y + b), Hilbert bases / minimal solutions
+Covers the two-term solver (n*x = m*y + b), the per-prime valuation split
+of a two-variable trinomial built on it, Hilbert bases / minimal solutions
 of linear systems via a Contejean-Devie completion, the xy = zt
 parametrization, minimal divisibility sets, and an exact decision procedure
 for membership of a target vector in the monoid generated by a finite set of
@@ -14,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from math import gcd
 
-from .intcore import factorize
+from .intcore import factorize, valuation
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +63,64 @@ def solve_two_term(n: int, m: int, b: int) -> TwoTermSolution:
         x0 = x_res + ((x_min - x_res + mg - 1) // mg) * mg
     y0 = (n * x0 - b) // m
     return TwoTermSolution(True, x0, y0, step_x, step_y)
+
+
+# ---------------------------------------------------------------------------
+# Per-prime valuation split of a*x^n + b*x^k*y^l + c*y^m = 0
+# ---------------------------------------------------------------------------
+
+def valuation_candidates(a: int, b: int, c: int, n: int, k: int, l: int,
+                         m: int) -> list[tuple[int, int]]:
+    """Candidate magnitudes (X, Y) of the nonzero solutions of
+    a*x^n + b*x^k*y^l + c*y^m = 0 when n*l + m*k != m*n.
+
+    At a prime p the least of the three term valuations is attained twice,
+    so (v_p(x), v_p(y)) lies on a line where two term valuations are equal
+    and the third is at least as large.  Where the gap to the third shrinks
+    along the line, every point with a positive gap is listed; where it
+    grows, only the line's first non-negative point is kept, and the rest of
+    the line is left to the free factors of the caller's lift.  Primes
+    outside abc contribute through those factors alone.
+    """
+    exps = ((n, 0), (k, l), (0, m))
+    candidates = {(1, 1)}
+    for p in factorize(a * b * c).primes():
+        vals = [valuation(coef, p) for coef in (a, b, c)]
+        options = set()
+        for i, j, h in ((0, 2, 1), (0, 1, 2), (1, 2, 0)):
+            options.update(_equal_valuation_points(vals, exps, i, j, h))
+        candidates = {(cx * p**xe, cy * p**ye)
+                      for cx, cy in candidates for xe, ye in options}
+    return sorted(candidates)
+
+
+def _equal_valuation_points(vals, exps, i, j, h):
+    """The (alpha, beta) >= 0 kept on the line where term valuations
+    vals[t] + exps[t] . (alpha, beta) of terms i and j are equal."""
+    (xi, yi), (xj, yj), (xh, yh) = exps[i], exps[j], exps[h]
+    A, B, C = xi - xj, yi - yj, vals[j] - vals[i]
+
+    def gap(alpha, beta):
+        return vals[h] - vals[i] + (xh - xi) * alpha + (yh - yi) * beta
+
+    if A * B > 0:
+        # A*alpha + B*beta = C with A, B of one sign: a finite segment
+        if A < 0:
+            A, B, C = -A, -B, -C
+        points = [(al, (C - A * al) // B) for al in range(C // A + 1)
+                  if (C - A * al) % B == 0]
+        return [pt for pt in points if gap(*pt) > 0]
+    if A < 0 or B > 0:
+        A, B, C = -A, -B, -C
+    s = solve_two_term(A, -B, C)
+    if not s.solvable:
+        return []
+    first = gap(s.x0, s.y0)
+    slope = gap(s.x0 + s.step_x, s.y0 + s.step_y) - first
+    if slope >= 0:
+        return [(s.x0, s.y0)]
+    return [(s.x0 + s.step_x * t, s.y0 + s.step_y * t)
+            for t in range((first - 1) // -slope + 1)]
 
 
 # ---------------------------------------------------------------------------

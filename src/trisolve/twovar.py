@@ -2,7 +2,15 @@
 trivial split, normalization to a*x^n + b*x^k*y^l + c*y^m = 0, the finite
 divisor branch, the equality case (rational roots of a one-variable
 trinomial), the strict case (prime-split candidates and base equations), the
-Runge fallback, and the dedicated x^4 + a*x*y + y^3 solver.
+Runge case, and the dedicated x^4 + a*x*y + y^3 solver.
+
+The strict and Runge cases share one valuation argument: at each prime of
+abc the least of the three term valuations is attained twice, which leaves
+finitely many candidates (X, Y) up to the directions along which the
+inequality n*l + m*k < m*n or > m*n lets the valuations grow.  The strict
+case lifts each candidate through a base equation; the Runge case fixes the
+one free factor by an exact root (C. Runge, J. reine angew. Math. 100, 1887;
+P. G. Walsh, Acta Arith. 62, 1992).
 """
 
 from __future__ import annotations
@@ -16,30 +24,14 @@ from .basesolve import (
     solve_superelliptic,
 )
 from .eqparse import (
-    Monomial,
     Polynomial,
     TrinomialEquation,
     parse_equation,
     parse_trinomial,
 )
-from .intcore import (
-    divisors,
-    divisors_k,
-    exact_roots,
-    factorize,
-    integer_roots,
-    iroot,
-    solve_univariate,
-    valuation,
-)
-from .lindioph import solve_two_term, solve_xy_eq_zt
-from .solset import (
-    COMPLETE,
-    MappedFamily,
-    SolutionSet,
-    pinned_family,
-    searched,
-)
+from .intcore import divisors, divisors_k, integer_roots, solve_univariate
+from .lindioph import solve_xy_eq_zt, valuation_candidates
+from .solset import COMPLETE, MappedFamily, SolutionSet, pinned_family
 from .twomon import solve_power_product, solve_two_monomial
 
 
@@ -180,49 +172,6 @@ def solve_equality_case(form: TwoVarForm, trace=None) -> SolutionSet:
 # strict case: nl + mk < mn
 # ---------------------------------------------------------------------------
 
-def _candidate_pairs(form: TwoVarForm):
-    """All (x_i, y_i) candidate magnitudes from splitting the primes of abc
-    into the three valuation cases, with bounded enumeration in the first."""
-    n, k, l, m = form.n, form.k, form.l, form.m
-    primes = factorize(form.a * form.b * form.c).primes()
-    D = n * m - k * m - l * n
-    g = gcd(n, m)
-    per_prime_options: list[list[list[tuple[int, int]]]] = []
-    for p in primes:
-        ap, bp, cp = (valuation(form.a, p), valuation(form.b, p),
-                      valuation(form.c, p))
-        opts_by_case = []
-        # case 3: b-monomial valuation strictly largest
-        s = solve_two_term(n, m, cp - ap)
-        case3 = []
-        if s.solvable:
-            hp = bp + k * s.x0 + l * s.y0 - ap - n * s.x0
-            if hp * g >= 1:
-                u_max = (hp * g - 1) // D
-                for uu in range(u_max + 1):
-                    case3.append((s.x0 + s.step_x * uu, s.y0 + s.step_y * uu))
-        opts_by_case.append(case3)
-        # case 4: equality with the first monomial
-        s = solve_two_term(n - k, l, bp - ap)
-        opts_by_case.append([(s.x0, s.y0)] if s.solvable else [])
-        # case 5: equality with the third monomial
-        s = solve_two_term(k, m - l, cp - bp)
-        opts_by_case.append([(s.x0, s.y0)] if s.solvable else [])
-        per_prime_options.append(opts_by_case)
-
-    candidates = {(1, 1)}
-    for p, opts_by_case in zip(primes, per_prime_options):
-        new = set()
-        merged = [pair for case in opts_by_case for pair in case]
-        for xe, ye in merged:
-            for cx, cy in candidates:
-                new.add((cx * p**xe, cy * p**ye))
-        candidates = new
-        if not candidates:
-            break
-    return sorted(candidates)
-
-
 def solve_strict_case(form: TwoVarForm, bound: int = 10_000,
                       backend: str | None = None,
                       trace: list | None = None) -> SolutionSet:
@@ -230,7 +179,8 @@ def solve_strict_case(form: TwoVarForm, bound: int = 10_000,
     variables = form.variables
     out = SolutionSet(variables, status=COMPLETE)
     cache: dict[tuple, SolutionSet] = {}
-    for xa, ya in _candidate_pairs(form):
+    for xa, ya in valuation_candidates(form.a, form.b, form.c, form.n,
+                                       form.k, form.l, form.m):
         for sx in (1, -1):
             for sy in (1, -1):
                 xi, yi = sx * xa, sy * ya
@@ -270,39 +220,6 @@ def _lifted_family(fam, variables, xi, yi, lp, np_, mp, kp):
         variables=list(variables), inner=inner, lift=lift,
         exact_box=fam.exact_box,
         note=f"strict-case lift x={xi}*u^{lp}*v^{mp}, y={yi}*u^{np_}*v^{kp}")
-
-
-# ---------------------------------------------------------------------------
-# Runge path
-# ---------------------------------------------------------------------------
-
-def solve_runge_path(form: TwoVarForm, bound: int,
-                     trace: list | None = None) -> SolutionSet:
-    n, k, l, m = form.n, form.k, form.l, form.m
-    d = gcd(gcd(n, m), gcd(k, l))
-    vx, vy = form.variables
-    monos = []
-    for coeff, (i, j) in ((form.a, (n, 0)), (form.b, (k, l)), (form.c, (0, m))):
-        exps = {}
-        if i:
-            exps[vx] = i // d
-        if j:
-            exps[vy] = j // d
-        monos.append(Monomial.make(coeff, exps))
-    sub_poly = Polynomial(monos, [vx, vy])
-    inner = solve_runge_finite(sub_poly, bound)
-    eff = iroot(bound, d) if d > 1 else bound
-    out = SolutionSet(form.variables, status=searched(eff))
-    if trace is not None:
-        trace.append(BaseSolveRecord(
-            f"runge d={d}: {len(inner.finite)} solutions of the power form",
-            sorted(inner.finite), str(inner.status)))
-    for (X, Y) in inner.finite:
-        for x in exact_roots(X, d):
-            for y in exact_roots(Y, d):
-                if x != 0 and y != 0:
-                    out.add_finite((x, y))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +274,8 @@ def _solve_form(form: TwoVarForm, poly: Polynomial, bound, backend, trace):
         path.append("equality")
         return solve_equality_case(form, trace), path
     path.append("runge")
-    return solve_runge_path(form, bound, trace), path
+    return solve_runge_finite(form.a, form.b, form.c, n, k, l, m,
+                              form.variables, trace), path
 
 
 # ---------------------------------------------------------------------------

@@ -11,14 +11,13 @@ from trisolve.basesolve import (
     _TwoPower,
     _twopower_axis_solutions,
     _twopower_search,
-    check_runge_c1,
     pell_fundamental,
     RungeConditionError,
     solve_quadratic,
     solve_runge_finite,
     solve_superelliptic,
 )
-from trisolve.eqparse import parse_equation
+from trisolve.eqparse import Monomial, Polynomial, parse_equation
 from trisolve.intcore import exact_iroot
 from trisolve.multivar import solve
 from trisolve.oracle import brute_force
@@ -174,21 +173,54 @@ def test_superelliptic_monotone_in_bound():
 
 
 def test_runge_condition_checks():
-    # x^4 + x^2 y^4 + y^2 with (n, m) = (4, 4): middle monomial passes (C1)
-    assert check_runge_c1(parse_equation("x^4+x^2*y^4+y^2"))
-    # x^4 + x y + y^3: every monomial fails the strict inequality
-    assert not check_runge_c1(parse_equation("x^4+x*y+y^3"))
+    # x^4 + x*y + y^3: n*l + m*k = 7 <= 12 = m*n, the strict case
     with pytest.raises(RungeConditionError):
-        solve_runge_finite(parse_equation("x^4+x*y+y^3"), 10)
+        solve_runge_finite(1, 1, 1, 4, 1, 1, 3, ["x", "y"])
+    # x^3 + 3*y^5 + 2*y^4 passes the inequality, but its middle monomial
+    # lacks x, so v_p(x) is not tied to v_p(y) and (4, -2) has no candidate
     with pytest.raises(RungeConditionError):
-        check_runge_c1(parse_equation("x^2+x^3+y^0"))
+        solve_runge_finite(1, 3, 2, 3, 0, 5, 4, ["x", "y"])
 
 
 def test_runge_bounded_search():
-    out = solve_runge_finite(parse_equation("x^2+x^2*y^4+y^2"), 10)
+    out = solve_runge_finite(1, 1, 1, 2, 2, 4, 2, ["x", "y"])
     truth = brute_force(parse_equation("x^2+x^2*y^4+y^2"), 10).solutions
-    assert set(out.finite) == set(truth)
-    assert str(out.status) == "SearchedToBound(10)"
+    assert out.finite == {t for t in truth if 0 not in t}
+    assert str(out.status) == "Complete"
+
+
+def test_runge_trinomials_vs_oracle():
+    rng = random.Random(23)
+    box, checked = 30, 0
+    while checked < 1000:
+        n, m = rng.randint(0, 6), rng.randint(0, 6)
+        k, l = rng.randint(1, 6), rng.randint(1, 6)
+        if n * l + m * k <= m * n:
+            continue
+        a, b, c = (rng.choice((-1, 1)) * rng.randint(1, 12) for _ in range(3))
+        out = solve_runge_finite(a, b, c, n, k, l, m, ["x", "y"])
+        poly = Polynomial([Monomial.make(a, {"x": n}),
+                           Monomial.make(b, {"x": k, "y": l}),
+                           Monomial.make(c, {"y": m})], ["x", "y"])
+        truth = {t for t in brute_force(poly, box).solutions if 0 not in t}
+        assert str(out.status) == "Complete"
+        assert {t for t in out.finite if max(map(abs, t)) <= box} == truth, (
+            a, b, c, n, k, l, m)
+        checked += 1
+
+
+def test_verify_sees_a_dropped_runge_candidate(monkeypatch):
+    # x*y + x + y = 0 has the one candidate (1, 1), which gives (-2, -2)
+    text, box = "x*y + x + y = 0", 5
+    poly = parse_equation(text)
+    truth = brute_force(poly, box).solutions
+    assert verify_against_oracle(solve(text).solutions, poly, truth,
+                                 box).complete_in_box
+    real = basesolve.valuation_candidates
+    monkeypatch.setattr(basesolve, "valuation_candidates",
+                        lambda *form: real(*form)[1:])
+    ver = verify_against_oracle(solve(text).solutions, poly, truth, box)
+    assert ver.sound and ver.missing == [(-2, -2)]
 
 
 def test_backend_hook(tmp_path):

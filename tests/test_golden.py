@@ -25,8 +25,8 @@ from trisolve.solset import MappedFamily, verify_against_oracle
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
-# (entry name, solve arguments).  Lower bounds keep the Runge path and the
-# bounded base-equation searches fast; a budget of 1 makes the
+# (entry name, solve arguments).  Lower bounds keep the bounded
+# base-equation searches fast; a budget of 1 makes the
 # sufficient-condition decision give up (`feasibility-unknown`).
 CASES = [
     ("zero-x", ["x - x = 0"]),

@@ -3,9 +3,9 @@
 Every import sits at module level, so the module graph is visible at a
 glance.  The one exception is the process pool of the Monte-Carlo
 experiment, imported lazily because importing it costs about 10 ms at
-start-up.  No box listing calls the oracle, so `verify` stays an independent
-check, and every box listing reads the expressions of its family, so a
-wrong expression shows up in `verify`.  Every private top-level function or
+start-up.  No box listing calls the oracle, and only `cli` and `multivar`
+import it, so `verify` stays an independent check; every box listing reads
+the expressions of its family, so a wrong expression shows up in `verify`.  Every private top-level function or
 class is used somewhere in the package, so no helper outlives its callers,
 and no module imports another module's private name, so what one module
 uses of another is its public surface.  The benchmark's tracer wraps package
@@ -71,6 +71,26 @@ def test_no_box_listing_calls_the_oracle():
                          node.attr if isinstance(node, ast.Attribute) else "")
                 if ident.startswith("brute_force"):
                     found.append(f"{name}:{node.lineno} {ident}")
+    assert not found, found
+
+
+def test_only_cli_and_multivar_import_the_oracle():
+    # `cli` runs it for `oracle` and `verify`; `multivar` only for the
+    # ReducedOnly fallback.  A solver that answered from the oracle would
+    # make `verify` compare the oracle with itself
+    found = []
+    for name, tree in _trees().items():
+        if name in ("cli.py", "multivar.py"):
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            if any(part == "oracle" for n in names for part in n.split(".")):
+                found.append(f"{name}:{node.lineno}")
     assert not found, found
 
 

@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 from trisolve.eqparse import (
     Monomial,
@@ -7,6 +8,8 @@ from trisolve.eqparse import (
     canonicalize,
     parse_trinomial,
 )
+from trisolve.intcore import factorize, valuation
+from trisolve.lindioph import solve_two_term, valuation_candidates
 from trisolve.oracle import brute_force
 from trisolve.twovar import (
     TwoVarForm,
@@ -165,6 +168,63 @@ def test_strict_case_identity_assertion():
         checked += 1
 
 
+def _reference_candidate_pairs(form):
+    """The strict-case candidates as listed before one enumerator served
+    both cases: the three valuation cases written out one by one."""
+    n, k, l, m = form.n, form.k, form.l, form.m
+    primes = factorize(form.a * form.b * form.c).primes()
+    D = n * m - k * m - l * n
+    g = gcd(n, m)
+    per_prime_options = []
+    for p in primes:
+        ap, bp, cp = (valuation(form.a, p), valuation(form.b, p),
+                      valuation(form.c, p))
+        opts_by_case = []
+        # case 3: b-monomial valuation strictly largest
+        s = solve_two_term(n, m, cp - ap)
+        case3 = []
+        if s.solvable:
+            hp = bp + k * s.x0 + l * s.y0 - ap - n * s.x0
+            if hp * g >= 1:
+                u_max = (hp * g - 1) // D
+                for uu in range(u_max + 1):
+                    case3.append((s.x0 + s.step_x * uu, s.y0 + s.step_y * uu))
+        opts_by_case.append(case3)
+        # case 4: equality with the first monomial
+        s = solve_two_term(n - k, l, bp - ap)
+        opts_by_case.append([(s.x0, s.y0)] if s.solvable else [])
+        # case 5: equality with the third monomial
+        s = solve_two_term(k, m - l, cp - bp)
+        opts_by_case.append([(s.x0, s.y0)] if s.solvable else [])
+        per_prime_options.append(opts_by_case)
+
+    candidates = {(1, 1)}
+    for p, opts_by_case in zip(primes, per_prime_options):
+        new = set()
+        merged = [pair for case in opts_by_case for pair in case]
+        for xe, ye in merged:
+            for cx, cy in candidates:
+                new.add((cx * p**xe, cy * p**ye))
+        candidates = new
+        if not candidates:
+            break
+    return sorted(candidates)
+
+
+def test_strict_candidates_match_the_reference():
+    rng = random.Random(31)
+    checked = 0
+    while checked < 1000:
+        n, k, l, m = (rng.randint(0, 7) for _ in range(4))
+        if n < 1 or m < 1 or k + l == 0 or n * l + m * k >= m * n:
+            continue
+        a, b, c = (rng.choice((-1, 1)) * rng.randint(1, 200) for _ in range(3))
+        form = TwoVarForm(a, b, c, n, k, l, m, ["x", "y"])
+        assert valuation_candidates(a, b, c, n, k, l, m) == (
+            _reference_candidate_pairs(form)), (a, b, c, n, k, l, m)
+        checked += 1
+
+
 def test_table2_family_rows_box100():
     for text in ("x^4+x*y^2+y^3", "x^4+x^2*y+y^3", "x^5+x^2*y^2+y^4"):
         rep = box_match(text, B=100, bound=10_000)
@@ -174,6 +234,7 @@ def test_table2_family_rows_box100():
 def test_runge_path():
     rep = box_match("x^2+x^3*y^3+y^2", B=25)
     assert "runge" in rep.path
+    assert str(rep.solutions.status) == "Complete"
 
 
 def test_masser_rows():
