@@ -448,9 +448,10 @@ class ReducedTerm:
     exps: tuple[int, ...]          # exponents of the fresh variables
     varnames: tuple[str, ...]
     kind: str                      # 'const' | 'case2' | 'case3'
-    # case 'const': side equation prod U^{side_exps} = side_target
+    # case 'const': side equation prod U^{side_exps} = target, and the
+    # magnitudes of its solutions on the nonzero side_exps, sorted
     side_exps: tuple[int, ...] = ()
-    side_target: int = 0
+    side_mags: tuple[tuple[int, ...], ...] = ()
     # case 'case2': prod U^{orig_exps/d} = root_num/root_den * U' (sign split
     # for even d); orig block exponent list and substitution data
     orig_exps: tuple[int, ...] = ()
@@ -488,6 +489,10 @@ class ReducedEquation:
     signs: tuple[int, int, int]
     particular: tuple[int, ...]              # P_i per source variable
     bases: tuple[tuple[tuple[int, ...], ...], ...]  # E/F/G basis row lists
+    # the source's variable sign vectors (1 = negative) keyed by the signs
+    # (True = positive) they give its three monomials; one table shared by
+    # every branch of the source equation
+    sign_table: dict[tuple[bool, bool, bool], list[tuple[int, ...]]]
 
     def describe(self) -> str:
         out = ""
@@ -525,7 +530,7 @@ def _block_term_options(coeff: Fraction, eks: list[int], prefix: str):
         if q == 1:
             options.append(ReducedTerm(
                 coeff=s, exps=(), varnames=(), kind="const",
-                side_exps=(), side_target=1, free_idx=free_idx))
+                side_exps=(), free_idx=free_idx))
         return options
 
     if all(e < 0 for e in nz):
@@ -538,11 +543,14 @@ def _block_term_options(coeff: Fraction, eks: list[int], prefix: str):
             if target == 0:
                 continue
             side_exps = tuple(-e for e in eks)
-            if not exact_products([e for e in side_exps if e], target):
+            tuples = exact_products([e for e in side_exps if e], target)
+            if not tuples:
                 continue
             options.append(ReducedTerm(
                 coeff=m, exps=(), varnames=(), kind="const",
-                side_exps=side_exps, side_target=target, free_idx=free_idx))
+                side_exps=side_exps,
+                side_mags=tuple(sorted({tuple(map(abs, t)) for t in tuples})),
+                free_idx=free_idx))
         return options
 
     if any(e < 0 for e in nz):
@@ -600,6 +608,18 @@ def _block_systems(rows):
     return systems
 
 
+def _sign_table(coeffs, rows) -> dict:
+    """Every variable sign vector (1 = negative) of a trinomial with these
+    coefficients and exponent rows, bucketed by the signs (True = positive)
+    it gives the three monomials."""
+    table: dict = {}
+    for eps in itertools.product((0, 1), repeat=len(rows[0])):
+        key = tuple((co > 0) == (sum(e * x for e, x in zip(row, eps)) % 2 == 0)
+                    for co, row in zip(coeffs, rows))
+        table.setdefault(key, []).append(eps)
+    return table
+
+
 def reduce_to_independent(eq: TrinomialEquation) -> list[ReducedEquation]:
     """Theorem-3 style reduction: enumerate prime splits and particular
     minimal solutions, form the rational coefficients, and apply the
@@ -617,6 +637,7 @@ def reduce_to_independent(eq: TrinomialEquation) -> list[ReducedEquation]:
 
     primes = factorize(a * b * c).primes()
     out: list[ReducedEquation] = []
+    sign_table = _sign_table(eq.coeffs, eq.rows)
 
     # particular minimal solutions per prime and class
     per_prime: dict[tuple[int, int], list[tuple[int, ...]]] = {}
@@ -678,7 +699,8 @@ def reduce_to_independent(eq: TrinomialEquation) -> list[ReducedEquation]:
                         signs=(s1, s2, s3),
                         particular=tuple(particular),
                         bases=(tuple(g_basis), tuple(f_basis),
-                               tuple(e_basis))))
+                               tuple(e_basis)),
+                        sign_table=sign_table))
                     if len(out) > _MAX_BRANCHES:
                         raise ResidueLimit("reduction branch explosion")
     return out
@@ -691,18 +713,14 @@ def reduce_to_independent(eq: TrinomialEquation) -> list[ReducedEquation]:
 def _fiber_core_options(term: ReducedTerm, values: dict[str, int],
                         bound: int):
     """Positive magnitude assignments for the non-free block positions of a
-    term: (positions, list of magnitude tuples).  Signs of block variables
-    never matter downstream (term values come from the transformed variables
-    and the back map uses absolute values), so only magnitudes are listed."""
+    term, each at most the bound: (positions, list of magnitude tuples).
+    Signs of block variables never matter downstream (term values come from
+    the transformed variables and the back map uses absolute values)."""
     if term.kind == "const":
         support = [i for i, e in enumerate(term.side_exps) if e]
         if not support:
             return [], [()]
-        tuples = exact_products(
-            [term.side_exps[i] for i in support], abs(term.side_target))
-        mags = sorted({tuple(abs(x) for x in t) for t in tuples
-                       if all(abs(x) <= bound for x in t)})
-        return support, mags
+        return support, [t for t in term.side_mags if max(t) <= bound]
 
     if term.kind == "case3":
         support = [i for i, e in enumerate(term.exps) if e]
@@ -714,49 +732,12 @@ def _fiber_core_options(term: ReducedTerm, values: dict[str, int],
             core.append(val)
         return support, [tuple(core)]
 
-    # case2: prod U^{e_k/d} = +- qstar * U' / vdiv
-    uprime = values[term.varnames[0]]
-    ratio = Fraction(abs(term.qstar * uprime), term.vdiv)
+    # case2: prod U^{e_k/d} = +- qstar * U' / vdiv, with U' nonzero
     support = [i for i, e in enumerate(term.orig_exps) if e]
     red_exps = [term.orig_exps[i] // term.d for i in support]
-    if ratio == 0:
-        return support, []
-    tuples = power_fiber(red_exps, ratio, bound)
-    mags = sorted({tuple(abs(x) for x in t) for t in tuples})
-    return support, mags
-
-
-def _gf2_sign_solutions(rows, rhs_bits, n):
-    """All epsilon in {0,1}^n with sum(row[i]*eps_i) = rhs (mod 2) per row."""
-    mat = [list(r) + [b] for r, b in zip(rows, rhs_bits)]
-    pivots = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, len(mat)) if mat[i][col] & 1), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] & 1:
-                mat[i] = [(x + y) % 2 for x, y in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-    for i in range(r, len(mat)):
-        if mat[i][n] & 1 and not any(mat[i][j] & 1 for j in range(n)):
-            return []
-    free = [c for c in range(n) if c not in pivots]
-    sols = []
-    for combo in itertools.product((0, 1), repeat=len(free)):
-        eps = [0] * n
-        for c, v in zip(free, combo):
-            eps[c] = v
-        for row_idx, col in reversed(list(enumerate(pivots))):
-            val = mat[row_idx][n]
-            for j in range(col + 1, n):
-                val ^= mat[row_idx][j] & eps[j]
-            eps[col] = val
-        sols.append(tuple(eps))
-    return sols
+    return support, power_fiber(
+        red_exps, abs(term.qstar * values[term.varnames[0]]), term.vdiv,
+        bound)
 
 
 def lift_reduced_solution(red: ReducedEquation, values: dict[str, int],
@@ -764,28 +745,21 @@ def lift_reduced_solution(red: ReducedEquation, values: dict[str, int],
     """Original solutions generated by one solution of the reduced equation,
     restricted to the box.
 
+    The cheap rejections come first: the particular solution past the bound,
+    then term values that do not sum to zero, then an empty term fiber.
     Core block magnitudes come from the term fibers; free block variables
     (zero exponent in the reduced term) sweep positive magnitudes with early
     pruning.  A candidate magnitude vector lifts iff the three source
     monomial magnitudes are in proportion |M_j| = F * |T_j| for a common
-    F > 0; variable signs then come from a GF(2) solve against sign(T_j),
-    tried under both global sign interpretations of the branch.
+    F > 0; its variable signs are the source's sign table entries that give
+    the monomials the signs of the T_j or of the -T_j, the two global sign
+    interpretations of the branch.
     """
-    eq = red.source
-    variables = list(eq.variables)
-    nv = len(variables)
+    if any(m > bound for m in red.particular):
+        return []
     tvals = [_term_value(t, values) for t in red.terms]
     if sum(tvals) != 0 or any(t == 0 for t in tvals):
         return []
-    rows = [[eq.rows[j][i] % 2 for i in range(nv)] for j in range(3)]
-    eps_union = set()
-    for flip in (1, -1):
-        rhs_bits = [0 if (flip * tvals[j] > 0) == (eq.coeffs[j] > 0) else 1
-                    for j in range(3)]
-        eps_union.update(_gf2_sign_solutions(rows, rhs_bits, nv))
-    if not eps_union:
-        return []
-    tabs = [abs(t) for t in tvals]
 
     term_data = []
     free_vecs = []
@@ -797,8 +771,14 @@ def lift_reduced_solution(red: ReducedEquation, values: dict[str, int],
         for i in term.free_idx:
             free_vecs.append(basis[i])
 
-    if any(m > bound for m in red.particular):
+    pattern = tuple(t > 0 for t in tvals)
+    eps_union = (red.sign_table.get(pattern, [])
+                 + red.sign_table.get(tuple(not p for p in pattern), []))
+    if not eps_union:
         return []
+    eq = red.source
+    nv = len(eq.variables)
+    tabs = [abs(t) for t in tvals]
     out = set()
     coeff_abs = [abs(c) for c in eq.coeffs]
 
@@ -1026,7 +1006,7 @@ def _lift_reduced(reduced: list[ReducedEquation], bound, backend=None):
     the weakest status among them."""
     groups: dict[str, dict[tuple, ReducedEquation]] = {}
     for red in reduced:
-        key = (tuple((t.coeff, t.exps, t.kind, t.side_exps, t.side_target,
+        key = (tuple((t.coeff, t.exps, t.kind, t.side_exps, t.side_mags,
                       t.orig_exps, t.d, t.qstar, t.vdiv, t.scales)
                      for t in red.terms), red.particular, red.signs)
         groups.setdefault(red.describe(), {}).setdefault(key, red)

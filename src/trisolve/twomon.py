@@ -15,7 +15,7 @@ from math import gcd
 
 from . import expr as ex
 from .eqparse import Polynomial
-from .intcore import divisors_k, exact_roots, rational_root_d
+from .intcore import divisors_k, exact_iroot, exact_roots, rational_root_d
 from .lindioph import solve_monoid_target_2d
 from .solset import (
     COMPLETE,
@@ -101,13 +101,20 @@ def solve_power_product(exponents: list[int], r: Fraction,
                                [(uname[v], e) for v, e in zip(svars, g_exp)])
 
         def candidates(bound, root=root):
-            # the support coordinates solve prod(x**e') = root; free ones
-            # sweep the box
-            for core in power_fiber(reduced, root, bound):
-                for vals in itertools.product(range(-bound, bound + 1),
-                                              repeat=len(free)):
-                    point = dict(zip(support + free, core + vals))
-                    yield tuple(point[i] for i in range(len(variables)))
+            # the support coordinates solve prod(x**e') = root: each
+            # magnitude tuple under every sign vector whose product has the
+            # sign of root; free ones sweep the box
+            signs = [sg for sg in itertools.product((1, -1), repeat=len(svars))
+                     if sum(e for x, e in zip(sg, reduced) if x < 0) % 2
+                     == (root < 0)]
+            for mags in power_fiber(reduced, root.numerator,
+                                    root.denominator, bound):
+                for sg in signs:
+                    core = tuple(m * x for m, x in zip(mags, sg))
+                    for vals in itertools.product(range(-bound, bound + 1),
+                                                  repeat=len(free)):
+                        point = dict(zip(support + free, core + vals))
+                        yield tuple(point[i] for i in range(len(variables)))
 
         out.families.append(divisor_family(
             variables, u_params, lhs, rhs, dict(zip(svars, z)),
@@ -133,30 +140,33 @@ def exact_products(exps: list[int], target: int) -> list[tuple[int, ...]]:
     return sorted(set(results))
 
 
-def power_fiber(exps: list[int], target: Fraction, bound: int
+def power_fiber(exps: list[int], num: int, den: int, bound: int
                 ) -> list[tuple[int, ...]]:
-    """Nonzero tuples with prod x^exps == target, |x| <= bound, for exps of
-    mixed signs: all but the largest exponent's variable are swept."""
-    out = []
+    """Magnitudes |x| of the nonzero tuples with prod x^exps == num/den and
+    |x| <= bound, for exps of mixed signs and num nonzero: the positive
+    tuples m <= bound with prod m^exps == |num/den|, or none when num/den is
+    negative and every exponent even.  All but the largest exponent's
+    variable sweep 1..bound in integer arithmetic, and that one is an exact
+    root."""
+    if num * den < 0 and all(e % 2 == 0 for e in exps):
+        return []
     j = max(range(len(exps)), key=lambda i: abs(exps[i]))
-    others = [i for i in range(len(exps)) if i != j]
-    nz = [v for v in range(-bound, bound + 1) if v != 0]
-    for combo in itertools.product(nz, repeat=len(others)):
-        lhs = target
-        for i, v in zip(others, combo):
-            lhs /= Fraction(v) ** exps[i]
-        if exps[j] < 0:
-            lhs = 1 / lhs
-        if lhs.denominator != 1:
-            continue
-        for rt in exact_roots(lhs.numerator, abs(exps[j])):
-            if rt == 0 or abs(rt) > bound:
-                continue
-            tup = [0] * len(exps)
-            for i, v in zip(others, combo):
-                tup[i] = v
-            tup[j] = rt
-            out.append(tuple(tup))
+    if exps[j] < 0:  # prod m^exps == num/den iff prod m^-exps == den/num
+        exps, num, den = [-e for e in exps], den, num
+    others = exps[:j] + exps[j + 1:]
+    out = []
+    for combo in itertools.product(range(1, bound + 1), repeat=len(others)):
+        # m_j^exps[j] == top/bottom
+        top, bottom = abs(num), abs(den)
+        for e, v in zip(others, combo):
+            if e > 0:
+                bottom *= v ** e
+            else:
+                top *= v ** -e
+        if top % bottom == 0:
+            rt = exact_iroot(top // bottom, exps[j])
+            if rt is not None and rt <= bound:
+                out.append(combo[:j] + (rt,) + combo[j:])
     return out
 
 

@@ -305,6 +305,94 @@ def test_verify_sees_an_emptied_reduced_lift(text, box):
     assert ver.sound and not ver.complete_in_box and ver.missing
 
 
+def _gf2_sign_solutions(rows, rhs_bits, n):
+    """Reference: all epsilon in {0,1}^n with sum(row[i]*eps_i) = rhs
+    (mod 2) per row, by Gaussian elimination over GF(2)."""
+    mat = [list(r) + [b] for r, b in zip(rows, rhs_bits)]
+    pivots = []
+    r = 0
+    for col in range(n):
+        piv = next((i for i in range(r, len(mat)) if mat[i][col] & 1), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        for i in range(len(mat)):
+            if i != r and mat[i][col] & 1:
+                mat[i] = [(x + y) % 2 for x, y in zip(mat[i], mat[r])]
+        pivots.append(col)
+        r += 1
+    for i in range(r, len(mat)):
+        if mat[i][n] & 1 and not any(mat[i][j] & 1 for j in range(n)):
+            return []
+    free = [c for c in range(n) if c not in pivots]
+    sols = []
+    for combo in itertools.product((0, 1), repeat=len(free)):
+        eps = [0] * n
+        for c, v in zip(free, combo):
+            eps[c] = v
+        for row_idx, col in reversed(list(enumerate(pivots))):
+            val = mat[row_idx][n]
+            for j in range(col + 1, n):
+                val ^= mat[row_idx][j] & eps[j]
+            eps[col] = val
+        sols.append(tuple(eps))
+    return sols
+
+
+def test_sign_table_matches_the_gf2_solve():
+    # for every sign pattern of the reduced terms, the two table buckets of
+    # the pattern and its negation hold exactly the sign vectors a GF(2)
+    # solve finds under the two global flips
+    rng = random.Random(13)
+    for _ in range(500):
+        nv = rng.randint(2, 5)
+        rows = [tuple(rng.randint(0, 4) for _ in range(nv))
+                for _ in range(3)]
+        coeffs = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(3)]
+        table = multivar._sign_table(coeffs, rows)
+        assert sorted(v for bucket in table.values() for v in bucket) == list(
+            itertools.product((0, 1), repeat=nv))
+        parity = [[e % 2 for e in row] for row in rows]
+        for signs in itertools.product((1, -1), repeat=3):
+            pattern = tuple(x > 0 for x in signs)
+            flipped = tuple(not p for p in pattern)
+            got = table.get(pattern, []) + table.get(flipped, [])
+            want = set()
+            for flip in (1, -1):
+                bits = [0 if (flip * x > 0) == (co > 0) else 1
+                        for x, co in zip(signs, coeffs)]
+                want.update(_gf2_sign_solutions(parity, bits, nv))
+            assert len(got) == len(set(got)) and set(got) == want
+
+
+def test_verify_sees_a_dropped_sign_vector(monkeypatch):
+    # a lift takes its variable signs from the source's sign table, which
+    # every branch shares, so a vector dropped from it must show up as
+    # missing points
+    text, box = "-x*z*t - x*z - 4*y*t = 0", 3
+    poly = parse_equation(text)
+    truth = brute_force(poly, box).solutions
+    assert verify_against_oracle(solve(text).solutions, poly, truth,
+                                 box).complete_in_box
+    real = multivar.reduce_to_independent
+
+    def dropping(eq):
+        reduced = real(eq)
+        table = reduced[0].sign_table
+        assert all(red.sign_table is table for red in reduced)
+        for bucket in table.values():
+            if (1, 0, 0, 0) in bucket:
+                bucket.remove((1, 0, 0, 0))
+        return reduced
+
+    monkeypatch.setattr(multivar, "reduce_to_independent", dropping)
+    rep = solve(text)
+    assert rep.solutions.variables == ["x", "z", "t", "y"]
+    ver = verify_against_oracle(rep.solutions, poly, truth, box)
+    assert ver.sound and not ver.complete_in_box
+    assert ver.missing and all(p[0] < 0 for p in ver.missing)
+
+
 def _block_groupings(solset):
     for fam in solset.families:
         if isinstance(fam, MappedFamily):

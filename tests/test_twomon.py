@@ -1,9 +1,16 @@
+import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
-from trisolve.eqparse import parse_equation
+from trisolve.eqparse import Monomial, Polynomial, parse_equation
+from trisolve.intcore import exact_roots
 from trisolve.oracle import brute_force
-from trisolve.twomon import solve_power_product, solve_two_monomial
+from trisolve.twomon import (
+    power_fiber,
+    solve_power_product,
+    solve_two_monomial,
+)
 
 
 def test_divisor_enumeration():
@@ -72,3 +79,97 @@ def test_power_product_direct():
     for (x, y) in pts:
         assert x * x == 4 * y**4
     assert (8, 2) in set(pts)
+
+
+def _fraction_power_fiber(exps, target, bound):
+    """Reference: the signed tuples with prod x^exps == target and
+    |x| <= bound, by a sweep of every nonzero value in Fraction
+    arithmetic."""
+    out = []
+    j = max(range(len(exps)), key=lambda i: abs(exps[i]))
+    others = [i for i in range(len(exps)) if i != j]
+    nz = [v for v in range(-bound, bound + 1) if v != 0]
+    for combo in itertools.product(nz, repeat=len(others)):
+        lhs = target
+        for i, v in zip(others, combo):
+            lhs /= Fraction(v) ** exps[i]
+        if exps[j] < 0:
+            lhs = 1 / lhs
+        if lhs.denominator != 1:
+            continue
+        for rt in exact_roots(lhs.numerator, abs(exps[j])):
+            if rt == 0 or abs(rt) > bound:
+                continue
+            tup = [0] * len(exps)
+            for i, v in zip(others, combo):
+                tup[i] = v
+            tup[j] = rt
+            out.append(tuple(tup))
+    return out
+
+
+def _mixed_exponents(rng, nv, scale=1):
+    while True:
+        exps = [scale * rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(nv)]
+        if min(exps) < 0 < max(exps):
+            return exps
+
+
+def _value_at(exps, point):
+    val = Fraction(1)
+    for e, x in zip(exps, point):
+        val *= Fraction(x) ** e
+    return val
+
+
+def test_power_fiber_is_the_magnitudes_of_the_signed_fiber():
+    rng = random.Random(5)
+    hits = 0
+    for _ in range(2000):
+        nv = rng.randint(2, 3)
+        exps = _mixed_exponents(rng, nv, rng.choice((1, 1, 2)))
+        bound = rng.randint(1, 6)
+        # half the targets are the value at a point, so fibers are not empty
+        if rng.random() < 0.5:
+            target = _value_at(exps, [rng.choice((-1, 1)) * rng.randint(1, 6)
+                                      for _ in exps])
+        else:
+            target = Fraction(rng.choice((-1, 1)) * rng.randint(1, 64),
+                              rng.randint(1, 8))
+        got = power_fiber(exps, target.numerator, target.denominator, bound)
+        assert len(got) == len(set(got))
+        want = {tuple(map(abs, t))
+                for t in _fraction_power_fiber(exps, target, bound)}
+        assert set(got) == want, (exps, target, bound)
+        hits += bool(want)
+    assert hits > 500
+
+
+def test_power_product_listing_matches_brute_force():
+    # mixed-sign exponents with odd and even gcd d and negative roots: the
+    # box listing expands each fiber magnitude into the sign vectors whose
+    # product has the root's sign, and must find every nonzero box solution
+    rng = random.Random(17)
+    names = ["x", "y", "z"]
+    gcds = set()
+    negative_odd_roots = 0
+    for _ in range(200):
+        nv = rng.randint(2, 3)
+        exps = _mixed_exponents(rng, nv, rng.choice((1, 2, 3)))
+        d = gcd(*exps)
+        gcds.add(d % 2)
+        target = _value_at(exps, [rng.choice((-1, 1)) * rng.randint(1, 4)
+                                  for _ in exps])
+        target *= Fraction(rng.choice((-1, 1, 1, 2)), rng.choice((1, 1, 3)))
+        negative_odd_roots += d % 2 == 1 and target < 0
+        variables = names[:nv]
+        lhs = tuple((v, e) for v, e in zip(variables, exps) if e > 0)
+        rhs = tuple((v, -e) for v, e in zip(variables, exps) if e < 0)
+        poly = Polynomial([Monomial(target.denominator, lhs),
+                           Monomial(-target.numerator, rhs)], variables)
+        sols = solve_power_product(exps, target, variables, equation=poly)
+        pts, exact = sols.enumerate_box(12)
+        assert exact
+        truth = {t for t in brute_force(poly, 12).solutions if 0 not in t}
+        assert set(pts) == truth, (exps, target)
+    assert gcds == {0, 1} and negative_odd_roots > 20
