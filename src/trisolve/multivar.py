@@ -10,7 +10,7 @@ import itertools
 import random
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd
 
@@ -480,13 +480,20 @@ class ReducedTerm:
 class ReducedEquation:
     """A * prod W^g + B * prod V^f + C * prod U^e = 0 with integral
     coefficients, non-negative exponents, disjoint fresh variables, and a
-    back map onto the source equation.  Only primitive solutions (block
-    variables pairwise coprime across blocks) are needed; the solvers here
-    do not exploit that, which is sound."""
+    back map onto the source equation.
+
+    A term with a variable of odd exponent is sign-free: negating its
+    coefficient and that variable maps the solutions one to one and keeps
+    every term value, and the lift reads only the term values up to a
+    global sign and the magnitudes of the reduced variables.  So branches
+    equal up to negating sign-free coefficients and all three coefficients
+    at once lift to the same points, and only one of them is lifted.
+    Only primitive solutions (block variables pairwise coprime across
+    blocks) are needed; the solvers here do not exploit that, which is
+    sound."""
 
     source: TrinomialEquation
     terms: tuple[ReducedTerm, ReducedTerm, ReducedTerm]
-    signs: tuple[int, int, int]
     particular: tuple[int, ...]              # P_i per source variable
     bases: tuple[tuple[tuple[int, ...], ...], ...]  # E/F/G basis row lists
     # the source's variable sign vectors (1 = negative) keyed by the signs
@@ -696,7 +703,6 @@ def reduce_to_independent(eq: TrinomialEquation) -> list[ReducedEquation]:
                 for ta, tb, tc in itertools.product(a_opts, b_opts, c_opts):
                     out.append(ReducedEquation(
                         source=eq, terms=(ta, tb, tc),
-                        signs=(s1, s2, s3),
                         particular=tuple(particular),
                         bases=(tuple(g_basis), tuple(f_basis),
                                tuple(e_basis)),
@@ -999,16 +1005,31 @@ def solve_prop4(eq: TrinomialEquation, bound: int = 10_000) -> SolutionSet:
     return out
 
 
+def _sign_class_representative(red: ReducedEquation) -> ReducedEquation:
+    """The branch of red's sign class (see ReducedEquation) whose sign-free
+    coefficients are positive, flipped globally so that its first other
+    coefficient is positive."""
+    free = [any(e % 2 for e in t.exps) for t in red.terms]
+    flip = next((t.coeff < 0 for t, f in zip(red.terms, free) if not f),
+                False)
+    coeffs = [abs(t.coeff) if f else -t.coeff if flip else t.coeff
+              for t, f in zip(red.terms, free)]
+    if all(c == t.coeff for c, t in zip(coeffs, red.terms)):
+        return red
+    return replace(red, terms=tuple(replace(t, coeff=c)
+                                    for t, c in zip(red.terms, coeffs)))
+
+
 def _lift_reduced(reduced: list[ReducedEquation], bound, backend=None):
     """Solve each distinct reduced equation once and map its solutions back
-    to the source variables through every branch that produced it: one
-    family per reduced equation, listed from the reduced solution set, and
-    the weakest status among them."""
+    to the source variables through one branch per sign class that gives
+    it: one family per reduced equation, listed from the reduced solution
+    set, and the weakest status among them."""
     groups: dict[str, dict[tuple, ReducedEquation]] = {}
-    for red in reduced:
+    for red in map(_sign_class_representative, reduced):
         key = (tuple((t.coeff, t.exps, t.kind, t.side_exps, t.side_mags,
                       t.orig_exps, t.d, t.qstar, t.vdiv, t.scales)
-                     for t in red.terms), red.particular, red.signs)
+                     for t in red.terms), red.particular)
         groups.setdefault(red.describe(), {}).setdefault(key, red)
     families = []
     status = COMPLETE

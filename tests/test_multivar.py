@@ -465,17 +465,40 @@ def _draw_trinomial(rng):
                                for row in rows], list(names))
 
 
-def _has_one_lift_per_reduced_equation(poly):
+def _sign_orbit(red):
+    """The texts red takes when the coefficient of any term with a variable
+    of odd exponent is negated, and when all three coefficients are."""
+    options = [(1, -1) if any(e % 2 for e in t.exps) else (1,)
+               for t in red.terms]
+    return frozenset(
+        dataclasses.replace(red, terms=tuple(
+            dataclasses.replace(t, coeff=g * s * t.coeff)
+            for t, s in zip(red.terms, signs))).describe()
+        for signs in itertools.product(*options) for g in (1, -1))
+
+
+def _reduction_report(poly):
+    """The report of `solve` when it takes the sufficient-condition or the
+    reduction path, else None."""
+    rep = solve(poly, bound=1000)
+    return rep if rep.path[-1] in ("sufficient-condition",
+                                   "reduction") else None
+
+
+def _has_one_lift_per_sign_class(poly):
     """False when `solve` takes neither the sufficient-condition nor the
     reduction path; otherwise asserts that the lift families have distinct
-    notes, one per distinct reduced equation, and list the box exactly."""
-    rep = solve(poly, bound=1000)
-    if rep.path[-1] not in ("sufficient-condition", "reduction"):
+    notes, one per sign class of reduced equations, and list the box
+    exactly."""
+    rep = _reduction_report(poly)
+    if rep is None:
         return False
     notes = [f.note for f in _lifts(rep.solutions)]
     assert len(set(notes)) == len(notes), notes
-    reduced = reduce_to_independent(canonicalize(poly))
-    assert len(notes) == len({r.describe() for r in reduced})
+    orbits = {r.describe(): _sign_orbit(r)
+              for r in reduce_to_independent(canonicalize(poly))}
+    classes = {orbits[note[len("lift of "):]] for note in notes}
+    assert len(classes) == len(notes) == len(set(orbits.values())), notes
     box = 3 if len(poly.variables) == 4 else 4
     ver = verify_against_oracle(rep.solutions, poly,
                                 brute_force(poly, box).solutions, box)
@@ -484,10 +507,10 @@ def _has_one_lift_per_reduced_equation(poly):
     return True
 
 
-def test_one_lift_family_per_reduced_equation():
-    # each distinct reduced equation is solved once and lifted through all
-    # the branches that produce it, so its lift family lists every box point
-    # those branches reach
+def test_one_lift_family_per_sign_class():
+    # each sign class of reduced equations is solved once and lifted through
+    # one branch per back map, so its lift family lists every box point
+    # those branches and their sign images reach
     golden = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                           "golden")
     texts = []
@@ -498,11 +521,67 @@ def test_one_lift_family_per_reduced_equation():
     assert len(texts) == 10
     texts += ["3*y*t + 3*x*z + 3*t = 0", "2*y + 2*x*z + 3*y*t = 0"]
     for text in texts:
-        assert _has_one_lift_per_reduced_equation(parse_equation(text))
+        assert _has_one_lift_per_sign_class(parse_equation(text))
     rng = random.Random(11)
     seeded = 0
     while seeded < 60:
-        seeded += _has_one_lift_per_reduced_equation(_draw_trinomial(rng))
+        seeded += _has_one_lift_per_sign_class(_draw_trinomial(rng))
+
+
+def test_a_sign_class_lifts_like_all_its_branches(monkeypatch):
+    # the branches of a sign class reach the same box points, so the one
+    # branch lifted must reach exactly what solving and lifting every
+    # emitted branch of the class on its own reaches
+    rng = random.Random(12)
+    checked = 0
+    while checked < 60:
+        poly = _draw_trinomial(rng)
+        if _reduction_report(poly) is None:
+            continue
+        reduced = reduce_to_independent(canonicalize(poly))
+        kept, _ = multivar._lift_reduced(reduced, 1000)
+        with monkeypatch.context() as patch:
+            patch.setattr(multivar, "_sign_class_representative",
+                          lambda red: red)
+            every, _ = multivar._lift_reduced(reduced, 1000)
+        orbits = {r.describe(): _sign_orbit(r) for r in reduced}
+        box = 3 if len(poly.variables) == 4 else 4
+        images = {}
+        for fam in every:
+            images.setdefault(orbits[fam.note[len("lift of "):]],
+                              set()).update(fam.enumerate_box(box))
+        assert len(kept) == len(images)
+        for fam in kept:
+            assert (fam.enumerate_box(box)
+                    == images[orbits[fam.note[len("lift of "):]]])
+        checked += 1
+
+
+def test_sign_images_are_listed_once():
+    # each of these lift families lists a point no other one lists, where
+    # one family per sign image listed every point four times or more
+    for text, box, points in (("x*y - z*t - 1 = 0", 3, 64),
+                              ("2*x*y + 3*z*t = 5", 3, 24),
+                              ("-3*x^2 - 4*y*z - 3*x = 0", 5, 12)):
+        listed = [p for fam in _lifts(solve(text).solutions)
+                  for p in fam.enumerate_box(box)]
+        assert len(listed) == len(set(listed)) == points, text
+    # its twelve reduced equations fall into three sign classes; two of
+    # them, w2*w4+1+u1=0 and w2*w4+1+2*u1=0, still list the same points
+    assert len(_lifts(solve("-x*z*t - x*z - 4*y*t = 0").solutions)) == 3
+
+
+@pytest.mark.parametrize("box", [2, 4])
+@pytest.mark.parametrize("text", ["2 + 6*y*z - 2*x^2*y^2 = 0",
+                                  "3*z^2 - 8*x^2 - 2*x^3*y^2*z = 0"])
+def test_terms_of_even_exponents_keep_their_signs(text, box):
+    # negating a constant term or one whose exponents are all even changes
+    # the solutions, so branches differing there are lifted apart: merging
+    # them drops points such as y = z = -1, x = -2 of the first equation
+    poly = parse_equation(text)
+    ver = verify_against_oracle(solve(text).solutions, poly,
+                                brute_force(poly, box).solutions, box)
+    assert ver.sound and ver.complete_in_box, ver.missing[:4]
 
 
 def test_verify_sees_a_point_dropped_from_the_direct_formula(monkeypatch):
