@@ -357,14 +357,12 @@ def _primitive(v: tuple[int, int]) -> tuple[int, int]:
     return (v[0] // g, v[1] // g)
 
 
-def _lattice_contains_2d(gens: list[tuple[int, int]],
-                        target: tuple[int, int]) -> bool:
-    """Whether target is an integer (any sign) combination of gens.
-
-    Builds the Hermite basis {(a, b), (0, c)} of the lattice, one extended
-    gcd per generator, then tests a | target_x and c | the remainder.
-    """
-    a = b = c = 0  # lattice = Z(a, b) + Z(0, c); b = 0 while a = 0
+def _hermite_2d(gens: list[tuple[int, int]]) -> tuple[int, int, int]:
+    """(a, b, c) with Z(a, b) + Z(0, c) the lattice of integer (any sign)
+    combinations of gens, b = 0 while a = 0: the Hermite basis, one
+    extended gcd per generator.  Stops at (1, 0, 1) once the lattice is
+    Z^2."""
+    a = b = c = 0
     for x, y in gens:
         if a == 0 and x == 0:
             c = gcd(c, y)
@@ -377,9 +375,17 @@ def _lattice_contains_2d(gens: list[tuple[int, int]],
         c = gcd(c, (x * b - a * y) // g)
         a, b = g, s * b + t * y
         if c:
-            if a == c == 1:  # the lattice is Z^2
-                return True
+            if a == c == 1:
+                return 1, 0, 1
             b %= c
+    return a, b, c
+
+
+def _hermite_contains(basis: tuple[int, int, int],
+                      target: tuple[int, int]) -> bool:
+    """Whether target lies in the lattice of the Hermite basis (a, b, c):
+    a | target_x and c | the remainder."""
+    a, b, c = basis
     tx, ty = target
     if a == 0:
         if tx != 0:
@@ -390,6 +396,12 @@ def _lattice_contains_2d(gens: list[tuple[int, int]],
             return False
         rest = ty - (tx // a) * b
     return rest % c == 0 if c else rest == 0
+
+
+def _lattice_contains_2d(gens: list[tuple[int, int]],
+                        target: tuple[int, int]) -> bool:
+    """Whether target is an integer (any sign) combination of gens."""
+    return _hermite_contains(_hermite_2d(gens), target)
 
 
 def _solve_lattice_2d(gens: list[tuple[int, int]], target: tuple[int, int]):
@@ -613,30 +625,53 @@ def _line_case(active, target, w, budget):
 def _bounded_cone_case(active, target, cone, budget):
     """Line, pointed-cone and half-plane cases: exact searches that report
     'unknown' past the node budget.  Returns (status, coeffs aligned with
-    active or None)."""
+    active or None).  A target outside a pointed cone is infeasible
+    without a search."""
     kind, r1, r2 = cone
     if kind == "line":
         return _line_case(active, target, r1, budget)
     if kind == "pointed":
+        if _cross(r1, target) < 0 or _cross(target, r2) < 0:
+            return "infeasible", None
         return _pointed_case(active, target, r1, r2, budget)
     return _halfplane_case(active, target, r1, budget)
 
 
-def monoid_contains_2d(gens: list[tuple[int, int]], target: tuple[int, int],
-                       budget: int = 1_000_000) -> str:
-    """Status alone of solve_monoid_target_2d: 'feasible', 'infeasible' or
-    'unknown'.  When the generators positively span the plane the decision
-    is a lattice-membership test and no witness is built."""
-    if target == (0, 0):
-        return "feasible"
+def monoid_contains_2d(gens: list[tuple[int, int]],
+                       targets: tuple[tuple[int, int], ...],
+                       budget: int = 1_000_000):
+    """Yield, for each target in order, the status alone of
+    solve_monoid_target_2d(gens, target, budget): 'feasible', 'infeasible'
+    or 'unknown'.  The statuses come lazily, so a caller can stop at the
+    first 'feasible'.
+
+    The cone is classified once for all targets.  When the generators
+    positively span the plane the monoid is their lattice: it is Z^2 as
+    soon as the gcd of the 2x2 minors reaches 1, and otherwise one Hermite
+    basis decides every target.  A target outside a pointed cone is
+    infeasible without a search.  No witness is built."""
     active = [g for g in gens if g != (0, 0)]
     if not active:
-        return "infeasible"
+        for target in targets:
+            yield "feasible" if target == (0, 0) else "infeasible"
+        return
     cone = _cone_2d(active)
     if cone[0] == "plane":
-        return ("feasible" if _lattice_contains_2d(active, target)
-                else "infeasible")
-    return _bounded_cone_case(active, target, cone, budget)[0]
+        index = 0
+        for j, (xj, yj) in enumerate(active):
+            for xi, yi in active[:j]:
+                index = gcd(index, xi * yj - yi * xj)
+                if index == 1:  # the lattice is Z^2
+                    for _ in targets:
+                        yield "feasible"
+                    return
+        basis = _hermite_2d(active)
+        for target in targets:
+            yield ("feasible" if _hermite_contains(basis, target)
+                   else "infeasible")
+        return
+    for target in targets:
+        yield _bounded_cone_case(active, target, cone, budget)[0]
 
 
 def solve_monoid_target_2d(gens: list[tuple[int, int]], target: tuple[int, int],
@@ -672,8 +707,9 @@ def solve_monoid_target_2d(gens: list[tuple[int, int]], target: tuple[int, int],
 
 
 def _pointed_case(active, target, r1, r2, budget):
-    """Cone spanned ccw from r1 to r2 (angle < pi).  BFS over the lattice
-    points s with s and target - s both in the cone."""
+    """Cone spanned ccw from r1 to r2 (angle < pi), with target inside it.
+    BFS over the lattice points s with s and target - s both in the
+    cone."""
 
     def phi(v):  # >= 0 inside cone, 0 on ray r1
         return _cross(r1, v)
@@ -682,8 +718,6 @@ def _pointed_case(active, target, r1, r2, budget):
         return _cross(v, r2)
 
     P, Q = phi(target), psi(target)
-    if P < 0 or Q < 0:
-        return "infeasible", None
     start = (0, 0)
     parent = {start: None}
     queue = deque([start])

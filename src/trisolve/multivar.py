@@ -1206,13 +1206,23 @@ def _cyclic_equation(a: int, b: int) -> TrinomialEquation:
 # ---------------------------------------------------------------------------
 
 def _prop4_condition(alpha, beta, gamma, budget=500000) -> tuple[bool, bool]:
-    """(solvable in some orientation, hit unknown)."""
+    """(solvable in some orientation, hit unknown before the first feasible
+    orientation).
+
+    Orientation (ia, ib, ig) asks for z >= 0 with
+    sum((row_ia - row_ib) z) = 0 and sum((row_ig - row_ia) z) = 1.  Written
+    in P = sum((alpha_i - beta_i) z_i) and Q = sum((beta_i - gamma_i) z_i),
+    the orientations (0, 1, 2), (0, 2, 1) and (1, 2, 0), taken in that
+    order, ask for (P, Q) = (0, -1), (-1, 1) and (1, 0).  So one generator
+    list (alpha_i - beta_i, beta_i - gamma_i) serves all three, with one
+    cone and one lattice.  Each orientation's own generator list is the
+    image of this one under a unimodular map, which carries the cone kind,
+    the lattice and the search's node count along, so every status,
+    'unknown' included, is the one its own list would give."""
+    gens = [(a - b, b - g) for a, b, g in zip(alpha, beta, gamma)]
     unknown = False
-    rows = (alpha, beta, gamma)
-    for ia, ib, ig in reversed(_ORIENTATIONS):
-        gens = [(x - y, z - x)
-                for x, y, z in zip(rows[ia], rows[ib], rows[ig])]
-        status = monoid_contains_2d(gens, (0, 1), budget)
+    for status in monoid_contains_2d(gens, ((0, -1), (-1, 1), (1, 0)),
+                                     budget):
         if status == "feasible":
             return True, unknown
         if status == "unknown":

@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trisolve import lindioph
 from trisolve.lindioph import (
     _cone_2d,
     _lattice_contains_2d,
@@ -266,8 +267,9 @@ def test_monoid_2d_axes_configuration():
 
 def _random_cone_instance(rng, shape):
     """Generators whose cone is (mostly) of the given shape, n <= 10 and
-    entries up to 10^5, with one of the targets the sufficient condition
-    asks about or a random one."""
+    entries up to 10^5, one in five with a sublattice of index > 1, and a
+    tuple of targets: the four the sufficient condition asks about, zero, a
+    random one and a lattice member, in random order."""
     n = rng.randint(1, 10)
     e = rng.choice([4, 100, 10**5])
     gens = [(rng.randint(-e, e), rng.randint(-e, e)) for _ in range(n)]
@@ -280,29 +282,55 @@ def _random_cone_instance(rng, shape):
     elif shape == "halfplane":
         gens = [(abs(x), y) for x, y in gens]
         gens += [(0, rng.randint(1, e)), (0, -rng.randint(1, e))]
+    if rng.random() < 0.2:
+        k = rng.randint(2, 3)
+        gens = [(k * x, y) for x, y in gens]
     if rng.random() < 0.1:
         gens.append((0, 0))
-    target = rng.choice([(0, 1), (0, -1), (1, 0), (0, 0),
-                         (rng.randint(-e, e), rng.randint(-e, e))])
-    return gens, target
+    ks = [rng.randint(-3, 3) for _ in gens]
+    member = (sum(k * g[0] for k, g in zip(ks, gens)),
+              sum(k * g[1] for k, g in zip(ks, gens)))
+    targets = [(0, 1), (0, -1), (1, 0), (-1, 1), (0, 0),
+               (rng.randint(-e, e), rng.randint(-e, e)), member]
+    rng.shuffle(targets)
+    return gens, tuple(targets)
 
 
-def test_monoid_contains_2d_equals_solver_status():
+def _lattice_index(active):
+    d = 0
+    for a, b in itertools.combinations(active, 2):
+        d = gcd(d, a[0] * b[1] - a[1] * b[0])
+    return d
+
+
+def test_monoid_contains_2d_equals_solver_status(monkeypatch):
+    # every status of the multi-target decision is the solver's own; a
+    # pointed-cone search is entered only for targets inside the cone
+    pointed_case = lindioph._pointed_case
+
+    def inside_only(active, target, r1, r2, budget):
+        assert _cross(r1, target) >= 0 and _cross(target, r2) >= 0
+        return pointed_case(active, target, r1, r2, budget)
+
+    monkeypatch.setattr(lindioph, "_pointed_case", inside_only)
     rng = random.Random(7)
     seen = set()
-    for _ in range(2000):
+    for _ in range(800):
         shape = rng.choice(["line", "pointed", "halfplane", "plane"])
-        gens, target = _random_cone_instance(rng, shape)
-        status = monoid_contains_2d(gens, target, budget=10**4)
-        assert status == solve_monoid_target_2d(gens, target,
-                                                budget=10**4)[0], \
-            (gens, target)
+        gens, targets = _random_cone_instance(rng, shape)
+        statuses = list(monoid_contains_2d(gens, targets, budget=1000))
+        assert statuses == [solve_monoid_target_2d(gens, t, budget=1000)[0]
+                            for t in targets], (gens, targets)
         active = [g for g in gens if g != (0, 0)]
         if active:
-            seen.add((_cone_2d(active)[0], status))
-    assert {kind for kind, _ in seen} == {"line", "pointed", "halfplane",
-                                          "plane"}
-    assert ("plane", "infeasible") in seen and ("plane", "feasible") in seen
+            kind = _cone_2d(active)[0]
+            if kind == "plane" and _lattice_index(active) > 1:
+                kind = "plane, index > 1"
+            seen.update((kind, status) for status in statuses)
+    assert {kind for kind, _ in seen} == {
+        "line", "pointed", "halfplane", "plane", "plane, index > 1"}
+    for kind in ("pointed", "plane, index > 1"):
+        assert (kind, "infeasible") in seen and (kind, "feasible") in seen
 
 
 class _SlopeKey:

@@ -26,7 +26,12 @@ from trisolve.fixtures import (
     family_rows,
     family_rows_as_written,
 )
-from trisolve.lindioph import MinimalBasis
+from trisolve.lindioph import (
+    MinimalBasis,
+    _bounded_cone_case,
+    _cone_2d,
+    _lattice_contains_2d,
+)
 from trisolve.multivar import (
     ResidueLimit,
     check_prop4,
@@ -827,6 +832,77 @@ def test_uniform_draws_follow_randint(d):
             expected = [rng.randint(0, d) for _ in range(count)]
             assert multivar._uniform_draws(random.Random(seed), d,
                                            count) == expected, (seed, count)
+
+
+def _one_orientation_status(gens, target, budget):
+    """Status of one target, with its own cone and lattice."""
+    active = [g for g in gens if g != (0, 0)]
+    if not active:
+        return "infeasible"
+    cone = _cone_2d(active)
+    if cone[0] == "plane":
+        return ("feasible" if _lattice_contains_2d(active, target)
+                else "infeasible")
+    return _bounded_cone_case(active, target, cone, budget)[0]
+
+
+def _prop4_condition_by_orientation(alpha, beta, gamma, budget):
+    """The decision that _prop4_condition replaced, kept as its reference:
+    each orientation builds its own generators and tests (0, 1) alone."""
+    unknown = False
+    rows = (alpha, beta, gamma)
+    for ia, ib, ig in reversed(multivar._ORIENTATIONS):
+        gens = [(x - y, z - x)
+                for x, y, z in zip(rows[ia], rows[ib], rows[ig])]
+        status = _one_orientation_status(gens, (0, 1), budget)
+        if status == "feasible":
+            return True, unknown
+        if status == "unknown":
+            unknown = True
+    return False, unknown
+
+
+def test_prop4_condition_equals_the_decision_by_orientation():
+    # small budgets force 'unknown', so the order of the targets shows
+    rng = random.Random(15)
+    seen = set()
+    for _ in range(20000):
+        n = rng.randint(1, 7)
+        d = rng.choice([0, 1, 2, 3, 5, 10, 100, 10**5])
+        budget = rng.choice([1, 2, 3, 5, 10, 40, 500000])
+        rows = [[rng.randint(0, d) for _ in range(n)] for _ in range(3)]
+        got = multivar._prop4_condition(*rows, budget)
+        assert got == _prop4_condition_by_orientation(*rows, budget), \
+            (rows, budget)
+        seen.add(got)
+    assert seen == {(True, False), (True, True), (False, False),
+                    (False, True)}
+
+
+def test_prop4_condition_agrees_with_check_prop4():
+    # the Monte-Carlo decision and the certificate search of the solver
+    # decide the same sufficient condition
+    rng = random.Random(4)
+    feasible = 0
+    for _ in range(400):
+        n = rng.randint(2, 4)
+        while True:
+            raw = [[rng.randint(0, 4) for _ in range(n)] for _ in range(3)]
+            lows = [min(col) for col in zip(*raw)]
+            rows = {tuple(e - low for e, low in zip(row, lows))
+                    for row in raw}
+            if len(rows) == 3:
+                break
+        names = [f"x{i}" for i in range(n)]
+        eq = canonicalize(Polynomial(
+            [Monomial.make(1, dict(zip(names, row))) for row in rows],
+            names))
+        cert = check_prop4(eq)
+        assert cert is None or not cert.unknown
+        ok, unknown = multivar._prop4_condition(*eq.rows)
+        assert not unknown and ok == (cert is not None), eq.rows
+        feasible += ok
+    assert 0 < feasible < 400
 
 
 def test_monte_carlo_rejects_a_negative_degree():
