@@ -604,7 +604,7 @@ def _superelliptic_linear(a, b, c, n, poly, variables, record):
             params=[("w", AllIntegers())],
             exprs={vx: x_expr, vy: y_expr},
             witness=witness, exact_box=True,
-            param_bound=lambda b: b // aa + 1,
+            param_bound=lambda box: {"w": box[vx] // aa + 1},
             note=f"x = {aa}w + {r}"))
     record(f"{a}*y = {b}*x^{n} + {c}", [], "complete", count)
     return out

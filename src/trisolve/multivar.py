@@ -347,7 +347,8 @@ def _residue_family(variables, xvar, a, rest, rest_vars, residues):
     return SolutionFamily(
         variables=list(variables), params=params, exprs=exprs,
         witness=witness, exact_box=True,
-        param_bound=lambda b: b // aa + 1,
+        param_bound=lambda box: {f"w_{v}": box[v] // aa + 1
+                                 for v in rest_vars},
         note=f"residues {dict(zip(rest_vars, residues))} mod {aa}")
 
 
@@ -958,16 +959,17 @@ def _unsub_blocks(poly: Polynomial, inner: SolutionSet, blocks, names):
                 out.append(tuple(env[v] for v in variables))
         return out
 
-    max_deg = max(1, max(sum(e for _, e in parts) for _, _, parts in live))
+    degree = {wname: sum(e for _, e in parts) for wname, _, parts in live}
 
     def inner_bound(b):
-        # a block value of a box point is at most b^max_deg; listing the
-        # inner set at a smaller bound could lose points, so give up instead
-        inner = max(abs(b), 2) ** max_deg
-        if inner > _BLOCK_INNER_LIMIT:
+        # a block value of a box point is at most b^(its block's degree);
+        # listing the inner set at a smaller bound could lose points, so
+        # give up instead
+        bounds = tuple(abs(b) ** degree[v] for v in inner.variables)
+        if max(bounds, default=0) > _BLOCK_INNER_LIMIT:
             raise ResidueLimit(f"block grouping needs the inner set to bound "
-                               f"{inner}")
-        return inner
+                               f"{max(bounds)}")
+        return bounds
 
     out = SolutionSet(variables, status=inner.status, equation=poly,
                       provenance=list(inner.provenance))
@@ -1037,11 +1039,16 @@ def _lift_reduced(reduced: list[ReducedEquation], bound, backend=None):
         branches = list(group.values())
         inner = solve_reduced(branches[0], bound=bound, backend=backend)
         status = status.combine(inner.status)
-        # a case2 variable is vdiv/qstar * prod U_k^(e_k/d), and every block
-        # value U_k of a box point is at most the box bound
-        case2 = [(t.vdiv, sum(e for e in t.orig_exps if e > 0) // t.d,
-                  t.qstar)
-                 for red in branches for t in red.terms if t.kind == "case2"]
+        # every block value U_k of a box point is at most the box bound b, so
+        # a reduced variable is at most ceil(vdiv * b^p / qstar): a case2
+        # variable is vdiv/qstar * prod U_k^(e_k/d) with p the sum of the
+        # positive e_k/d, and any other is a block value divided by its
+        # scale (vdiv = p = qstar = 1)
+        caps = {(t.varnames[0], t.vdiv,
+                 sum(e for e in t.orig_exps if e > 0) // t.d, t.qstar)
+                if t.kind == "case2" else (name, 1, 1, 1)
+                for red in branches for t in red.terms
+                for name in t.varnames}
 
         def lift(point, box, branches=branches, names=inner.variables):
             if any(x == 0 for x in point):
@@ -1050,12 +1057,15 @@ def _lift_reduced(reduced: list[ReducedEquation], bound, backend=None):
             return [p for red in branches
                     for p in lift_reduced_solution(red, values, box)]
 
-        def inner_bound(b, case2=case2):
-            need = max([b] + [-(-v * b**p // q) for v, p, q in case2])
-            if need > _BLOCK_INNER_LIMIT:
+        def inner_bound(b, caps=caps, names=inner.variables):
+            need = {}
+            for name, v, p, q in caps:
+                need[name] = max(need.get(name, 0), -(-v * b**p // q))
+            bounds = tuple(need.get(name, b) for name in names)
+            if max(bounds, default=0) > _BLOCK_INNER_LIMIT:
                 raise ResidueLimit(f"a reduced lift needs the inner set to "
-                                   f"bound {need}")
-            return need
+                                   f"bound {max(bounds)}")
+            return bounds
 
         families.append(MappedFamily(
             variables=list(branches[0].source.variables), inner=inner,

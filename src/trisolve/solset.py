@@ -5,12 +5,31 @@ where a witness construction justifies it.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from operator import le
+from typing import Callable, Iterable, Optional, Union
 
 from .eqparse import Polynomial
 from .expr import ExactDivisionError, Expr, const, param
 from .intcore import divisors_k, in_divisor_set
+
+# A box is one bound per variable, |x_v| <= bound_v: an int stands for the
+# cube of that bound, a tuple gives the bounds in the order of `variables`.
+Box = Union[int, tuple[int, ...]]
+
+
+def box_bounds(box: Box, variables: list[str]) -> tuple[int, ...]:
+    """The bound of each variable in order."""
+    if isinstance(box, int):
+        return (box,) * len(variables)
+    if len(box) != len(variables):
+        raise ValueError(f"box {box} does not fit the variables {variables}")
+    return tuple(box)
+
+
+def in_box(point: tuple[int, ...], bounds: tuple[int, ...]) -> bool:
+    return all(map(le, map(abs, point), bounds))
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +86,11 @@ class ParamDomain:
     def describe(self) -> str:
         raise NotImplementedError
 
+    def compile(self) -> "ParamDomain":
+        """The domain to sweep in one box listing: its expressions compiled
+        (see `Expr.compile`).  A domain without expressions is its own."""
+        return self
+
 
 class AllIntegers(ParamDomain):
     def contains(self, value, env):
@@ -105,11 +129,20 @@ class DivisorSet(ParamDomain):
         self.k = k
         self.of = of
 
+    def value_of(self, env) -> int:
+        return self.of.eval(env)
+
+    def compile(self):
+        # the copy's value_of is the compiled `of`, which shadows the method
+        compiled = copy.copy(self)
+        compiled.value_of = self.of.compile()
+        return compiled
+
     def contains(self, value, env):
-        return in_divisor_set(value, self.of.eval(env), self.k)
+        return in_divisor_set(value, self.value_of(env), self.k)
 
     def enumerate(self, env, sweep):
-        m = self.of.eval(env)
+        m = self.value_of(env)
         if m == 0:
             for v in range(1, sweep + 1):
                 yield v
@@ -132,7 +165,9 @@ class Family:
     exact_box: bool
     note: str
 
-    def enumerate_box(self, bound: int) -> set[tuple[int, ...]]:
+    def enumerate_box(self, box: Box) -> set[tuple[int, ...]]:
+        """The family's points in the box, listed from its own
+        parametrization."""
         raise NotImplementedError
 
     def describe(self) -> dict:
@@ -146,20 +181,22 @@ class SolutionFamily(Family):
 
     `witness` maps a concrete solution tuple to a parameter assignment
     regenerating it; its presence justifies exact box enumeration
-    (`exact_box`), because free parameters of box solutions are bounded by
-    `param_bound(B)` while divisor parameters enumerate exactly.  The
-    divisor families, whose parameters need not be small at a box solution,
-    list their box through `box_enumerator(B)` instead: it evaluates the
-    expressions at the witnesses of candidate points (see
+    (`exact_box`), because free parameters of box solutions are bounded
+    while divisor parameters enumerate exactly.  `param_bound` maps the
+    box, as {variable: bound}, to a sweep bound per parameter; without it
+    every parameter sweeps to the largest bound of the box.  The divisor
+    families, whose parameters need not be small at a box solution, list
+    their box through `box_enumerator(B)` instead, B the largest bound: it
+    evaluates the expressions at the witnesses of candidate points (see
     `twomon.divisor_family`).  Either way every listed point is a value of
-    the expressions.
+    the expressions, compiled once per listing.
     """
 
     variables: list[str]
     params: list[tuple[str, ParamDomain]]
     exprs: dict[str, Expr]
     witness: Optional[Callable[[tuple[int, ...]], Optional[dict[str, int]]]] = None
-    param_bound: Optional[Callable[[int], int]] = None
+    param_bound: Optional[Callable[[dict[str, int]], dict[str, int]]] = None
     exact_box: bool = False
     note: str = ""
     box_enumerator: Optional[Callable[[int], set]] = None
@@ -176,24 +213,33 @@ class SolutionFamily(Family):
             env[name] = value
         return tuple(self.exprs[v].eval(env) for v in self.variables)
 
-    def enumerate_box(self, bound):
+    def enumerate_box(self, box):
+        bounds = box_bounds(box, self.variables)
+        top = max(bounds, default=0)
         if self.box_enumerator is not None:
-            return {t for t in self.box_enumerator(bound)
-                    if all(abs(x) <= bound for x in t)}
-        limit = self.param_bound(bound) if self.param_bound else bound
+            return {t for t in self.box_enumerator(top) if in_box(t, bounds)}
+        names = [name for name, _ in self.params]
+        limits = (self.param_bound(dict(zip(self.variables, bounds)))
+                  if self.param_bound else dict.fromkeys(names, top))
+        sweeps = [(name, domain.compile().enumerate, limits[name])
+                  for name, domain in self.params]
+        fns = [self.exprs[v].compile() for v in self.variables]
         out: set[tuple[int, ...]] = set()
 
-        def rec(idx: int, env: dict[str, int]):
-            if idx == len(self.params):
-                try:
-                    tup = tuple(self.exprs[v].eval(env) for v in self.variables)
-                except ExactDivisionError:
-                    return
-                if all(abs(x) <= bound for x in tup):
-                    out.add(tup)
+        def emit(env):
+            try:
+                tup = tuple([f(env) for f in fns])
+            except ExactDivisionError:
                 return
-            name, domain = self.params[idx]
-            for value in domain.enumerate(env, limit):
+            if in_box(tup, bounds):
+                out.add(tup)
+
+        def rec(idx: int, env: dict[str, int]):
+            if idx == len(sweeps):
+                emit(env)
+                return
+            name, values, limit = sweeps[idx]
+            for value in values(env, limit):
                 env[name] = value
                 rec(idx + 1, env)
             env.pop(name, None)
@@ -263,30 +309,32 @@ class RecurrenceFamily(Family):
             vec = self._apply(mat, vec)
         return vec
 
-    def enumerate_box(self, bound):
+    def enumerate_box(self, box):
         """Walk each orbit both ways from its seed until some coordinate
-        has |x_k| > bound and |x_k| >= |x_{k-1}|.
+        has |x_k| > its bound and |x_k| >= |x_{k-1}|.
 
         Why that stop is exact: for the matrix M, Cayley-Hamilton gives
         M^2 = tr*M - det*I, so every coordinate of the orbit M^k * seed
         obeys x_{k+1} = tr*x_k - det*x_{k-1}.  With |tr| >= 2 and
         det = +-1, |x_k| >= |x_{k-1}| gives
         |x_{k+1}| >= 2|x_k| - |x_{k-1}| >= |x_k|, and by induction the
-        coordinate never shrinks again: the orbit never comes back into the
-        box.  The inverse matrix has trace tr/det and determinant 1/det, so
-        the backward walk obeys the same rule.  A walk that returns to its
+        coordinate never shrinks again: it never comes back within its bound,
+        so the orbit never comes back into the box.  The inverse matrix has
+        trace tr/det and determinant 1/det, so the backward walk obeys the
+        same rule.  A walk that returns to its
         seed has listed a periodic orbit: the zero seed, or |tr| = 2 with M
         fixing the seed up to sign."""
+        bounds = box_bounds(box, self.variables)
         out: set[tuple[int, ...]] = set()
         for seed in self.seeds:
             for direction in (1, -1):
                 prev, vec = None, seed
                 while True:
-                    if all(abs(x) <= bound for x in vec):
+                    if in_box(vec, bounds):
                         out.add(vec)
                     elif prev is not None and any(
-                            abs(x) > bound and abs(x) >= abs(p)
-                            for x, p in zip(vec, prev)):
+                            abs(x) > b and abs(x) >= abs(p)
+                            for x, p, b in zip(vec, prev, bounds)):
                         break
                     prev, vec = vec, self.step(vec, direction)
                     if vec == seed:
@@ -314,26 +362,29 @@ class RecurrenceFamily(Family):
 class MappedFamily(Family):
     """Solutions of an inner set pushed through a lift map (back-substitution
     of reduced, grouped or embedded equations).  `lift(point, B)` lists the
-    images of one inner point that may lie in the box of bound B.  Box
-    enumeration lists the inner set at `inner_bound(B)` from its own families
-    and lifts, which is complete whenever the lift cannot shrink coordinates
-    below the box.  Like every family, it lists its box points from its own
-    parametrization and never from the oracle, so that `verify` stays an
-    independent check."""
+    images of one inner point that may lie in the cube of bound B.  Box
+    enumeration lists the inner set at the box `inner_bound(B)`, B the
+    largest bound of the box, from its own families and lifts, which is
+    complete whenever the lift cannot shrink coordinates below the box.
+    Like every family, it lists its box points from its own parametrization
+    and never from the oracle, so that `verify` stays an independent
+    check."""
 
     variables: list[str]
     inner: "SolutionSet"
     lift: Callable[[tuple[int, ...], int], list[tuple[int, ...]]]
-    inner_bound: Callable[[int], int] = staticmethod(lambda b: b)
+    inner_bound: Callable[[int], Box] = staticmethod(lambda b: b)
     exact_box: bool = True
     note: str = ""
 
-    def enumerate_box(self, bound):
-        inner_pts, _ = self.inner.enumerate_box(self.inner_bound(bound))
+    def enumerate_box(self, box):
+        bounds = box_bounds(box, self.variables)
+        top = max(bounds, default=0)
+        inner_pts, _ = self.inner.enumerate_box(self.inner_bound(top))
         out: set[tuple[int, ...]] = set()
         for pt in inner_pts:
-            for lifted in self.lift(pt, bound):
-                if all(abs(x) <= bound for x in lifted):
+            for lifted in self.lift(pt, top):
+                if in_box(lifted, bounds):
                     out.add(lifted)
         return out
 
@@ -389,16 +440,17 @@ class SolutionSet:
             self.equation or other.equation,
         )
 
-    def enumerate_box(self, bound: int) -> tuple[list[tuple[int, ...]], bool]:
-        """All produced tuples with every |coordinate| <= bound, sorted, plus
-        a flag: True when the listing is certified complete for the box,
-        False when any family does not claim an exact box listing."""
-        pts = {t for t in self.finite if all(abs(x) <= bound for x in t)}
+    def enumerate_box(self, box: Box) -> tuple[list[tuple[int, ...]], bool]:
+        """All produced tuples in the box, sorted, plus a flag: True when
+        the listing is certified complete for the box, False when any family
+        does not claim an exact box listing."""
+        bounds = box_bounds(box, self.variables)
+        pts = {t for t in self.finite if in_box(t, bounds)}
         exact = True
         for fam in self.families:
             if not fam.exact_box:
                 exact = False
-            pts |= fam.enumerate_box(bound)
+            pts |= fam.enumerate_box(bounds)
         return sorted(pts), exact
 
     def is_empty_claim(self) -> bool:

@@ -186,7 +186,9 @@ def divisor_family(variables: list[str], u_params, lhs: ex.Expr,
     give back x.  The box listing evaluates the expressions at the witness
     of every point of `candidates(bound)` and keeps the integral values.
     The candidates must include every box solution the family stands for;
-    a wrong expression then moves listed points off the solutions."""
+    a wrong expression then moves listed points off the solutions.  The
+    listing compiles the expressions and rhs once per call, from `exprs` as
+    it stands then."""
     unames = [name for name, _ in u_params]
     params = list(u_params) + [("w", DivisorSet(1, ex.Gcd(lhs, rhs)))]
     exprs = {}
@@ -198,21 +200,25 @@ def divisor_family(variables: list[str], u_params, lhs: ex.Expr,
         exprs[v] = (ex.ExactDiv(num, ex.Pow(ex.param("w"), z[v] + t[v]))
                     if z[v] + t[v] else num)
 
-    def witness(solution):
-        if any(x == 0 for v, x in zip(variables, solution) if v in z):
+    zpos = [i for i, v in enumerate(variables) if v in z]
+
+    def witness(solution, rhs_value=rhs.eval):
+        if not all(map(solution.__getitem__, zpos)):
             return None
         env = dict(zip(unames, solution))
-        env["w"] = rhs.eval(env)
+        env["w"] = rhs_value(env)
         return env
 
     def box_enumerator(bound):
+        fns = [exprs[v].compile() for v in variables]
+        rhs_value = rhs.compile()
         out = set()
         for point in candidates(bound):
-            env = witness(point)
+            env = witness(point, rhs_value)
             if env is None:
                 continue
             try:
-                out.add(tuple(exprs[v].eval(env) for v in variables))
+                out.add(tuple([f(env) for f in fns]))
             except ex.ExactDivisionError:
                 continue
         return out

@@ -423,14 +423,16 @@ def test_verify_sees_an_emptied_block_grouping():
 
 
 def test_block_grouping_refuses_a_capped_inner_listing(capsys):
-    # a box point's block values reach box^max_deg; past the inner limit
-    # the listing would be cut, so `verify` must stop with exit code 3
-    # instead of answering from a truncated listing
+    # a box point's block value reaches box^(its block's degree): blk0
+    # stands for w1^2*w2^3 and blk2 for u1; past the inner limit the
+    # listing would be cut, so `verify` must stop with exit code 3 instead
+    # of answering from a truncated listing
     text = "-2*y - 3*x^2*z^2 - 2*x*y^2 = 0"
     groupings = list(_block_groupings(solve(text).solutions))
     assert groupings
-    assert {fam.inner_bound(5) for fam in groupings} == {3125}
     for fam in groupings:
+        assert fam.inner.variables == ["blk0", "blk2"]
+        assert fam.inner_bound(5) == (3125, 5)
         with pytest.raises(ResidueLimit):
             fam.inner_bound(16)
     assert main(["verify", text, "--box", "16"]) == 3
@@ -443,13 +445,14 @@ def _lifts(solset):
 
 def test_lift_family_refuses_a_capped_inner_listing():
     # the case-2 variable u1 stands for x*z/t, so a box point reaches
-    # u1 = box^2; past the inner limit the listing would be cut, so it must
-    # raise instead
+    # u1 = box^2, while the block variable w3 stays within the box; past the
+    # inner limit the listing would be cut, so it must raise instead
     lifts = _lifts(solve("3*y*t + 3*x*z + 3*t = 0").solutions)
     assert lifts
     for fam in lifts:
-        assert fam.inner_bound(3) == 9
-        assert fam.inner_bound(1000) == 10**6
+        assert fam.inner.variables == ["w3", "u1"]
+        assert fam.inner_bound(3) == (3, 9)
+        assert fam.inner_bound(1000) == (1000, 10**6)
         with pytest.raises(ResidueLimit):
             fam.enumerate_box(1001)
 

@@ -1,6 +1,9 @@
-import pytest
+import random
 
-from trisolve import expr as ex
+import pytest
+from test_golden import CASES
+
+from trisolve import expr as ex, multivar
 from trisolve.eqparse import parse_equation
 from trisolve.solset import (
     COMPLETE,
@@ -180,3 +183,48 @@ def test_nonzero_domain():
     dom = NonzeroIntegers()
     assert dom.contains(3, {}) and not dom.contains(0, {})
     assert 0 not in list(dom.enumerate({}, 4))
+
+
+def _within(point, box):
+    return all(abs(x) <= b for x, b in zip(point, box))
+
+
+# equations whose lift or block-grouping families list their inner sets at
+# unequal per-variable bounds
+UNEQUAL_INNER = [("lift", ["3*y*t + 3*x*z + 3*t = 0"]),
+                 ("lift-case2", ["-x^2*z - 3*x*z - 4*y^2 = 0"]),
+                 ("block-grouping", ["-2*y - 3*x^2*z^2 - 2*x*y^2 = 0"])]
+
+
+def test_rectangular_box_is_the_cube_filtered():
+    # one bound per variable lists exactly the points of the cube at the
+    # largest bound that fit the box, with the same exactness flag
+    rng = random.Random(31)
+    for name, argv in CASES + UNEQUAL_INNER:
+        opts = dict(zip(argv[1::2], argv[2::2]))
+        sols = multivar.solve(argv[0], bound=int(opts.get("-B", 1000)),
+                              budget=int(opts.get("--budget", 10**6))
+                              ).solutions
+        for _ in range(3):
+            box = tuple(rng.randint(0, 5) for _ in sols.variables)
+            pts, exact = sols.enumerate_box(box)
+            cube, cube_exact = sols.enumerate_box(max(box, default=0))
+            assert pts == [p for p in cube if _within(p, box)], (name, box)
+            assert exact == cube_exact, (name, box)
+
+
+def test_recurrence_family_stops_per_coordinate():
+    # u^2 - 2 v^2 = 1: u grows faster than v, so in a box with a large v
+    # bound the orbit leaves on u first, and with a small one on v first;
+    # the walk from a seed far outside the box shrinks back into it
+    matrix = ((3, 4), (2, 3))
+    start = RecurrenceFamily(variables=["u", "v"], seeds=[(1, 0)],
+                             matrix=matrix)
+    orbit = {start.step((1, 0), k) for k in range(-12, 13)}
+    far = start.step((1, 0), 9)
+    for seeds in ([(1, 0)], [far]):
+        fam = RecurrenceFamily(variables=["u", "v"], seeds=seeds,
+                               matrix=matrix)
+        for box in ((100, 1000), (1000, 10), (577, 408), (0, 0), (1, 5000)):
+            expected = {p for p in orbit if _within(p, box)}
+            assert fam.enumerate_box(box) == expected, (seeds, box)
