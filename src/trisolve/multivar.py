@@ -12,7 +12,7 @@ import struct
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from . import expr as ex
 from .basesolve import BaseSolveRecord
@@ -247,7 +247,7 @@ class ResidueLimit(RuntimeError):
 
 #: Most residue classes modulo |a| that solve_separated_linear lists.
 _RESIDUE_CLASS_LIMIT = 1_000_000
-#: Most reduced equations reduce_to_independent builds before giving up.
+#: Most branches (one per sign class) reduce_to_independent emits.
 _MAX_BRANCHES = 4096
 #: Largest inner bound a block-grouping family lists its inner set at.
 _BLOCK_INNER_LIMIT = 10**6
@@ -406,12 +406,8 @@ def _unsub_block_family(fam: SolutionFamily, variables, yname, other_vars,
         params.append((pname, DivisorSet(e, remaining)))
         exprs[v] = ex.param(pname)
         denom_terms.append(ex.Pow(ex.param(pname), e))
-    if denom_terms:
-        exprs[lin] = ex.ExactDiv(y_expr, ex.Mul(*denom_terms))
-    else:
-        exprs[lin] = y_expr
-
-    block_exp = dict(exps)
+    exprs[lin] = (ex.ExactDiv(y_expr, ex.Mul(*denom_terms)) if denom_terms
+                  else y_expr)
 
     def witness(sol):
         env_sol = dict(zip(variables, sol))
@@ -430,17 +426,25 @@ def _unsub_block_family(fam: SolutionFamily, variables, yname, other_vars,
                 env[f"d_{v}"] = env_sol[v]
         return env
 
+    def param_bound(box):
+        # y_block of a box point is at most the product of box[v]^e over the
+        # block; each d_v is a block variable itself
+        inner = fam.param_bound({yname: prod(box[v] ** e for v, e in exps),
+                                 **{v: box[v] for v in other_vars}})
+        return {**inner, **{f"d_{v}": box[v] for v, _ in exps if v != lin}}
+
     note = f"block {'*'.join(f'{v}^{e}' for v, e in exps)} via divisors"
     return SolutionFamily(
         variables=list(variables), params=params, exprs=exprs,
-        witness=witness, exact_box=fam.exact_box, note=note)
+        witness=witness, param_bound=param_bound, exact_box=fam.exact_box,
+        note=note)
 
 
 # ---------------------------------------------------------------------------
 # reduction to independent monomials
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class ReducedTerm:
     """One transformed term coeff * prod(var^exp) of a reduced equation,
     together with the recipe for recovering the original block variables."""
@@ -488,7 +492,9 @@ class ReducedEquation:
     every term value, and the lift reads only the term values up to a
     global sign and the magnitudes of the reduced variables.  So branches
     equal up to negating sign-free coefficients and all three coefficients
-    at once lift to the same points, and only one of them is lifted.
+    at once lift to the same points: a sign class, which
+    reduce_to_independent emits once, with its sign-free coefficients and
+    its first other coefficient positive.
     Only primitive solutions (block variables pairwise coprime across
     blocks) are needed; the solvers here do not exploit that, which is
     sound."""
@@ -632,20 +638,18 @@ def reduce_to_independent(eq: TrinomialEquation) -> list[ReducedEquation]:
     """Theorem-3 style reduction: enumerate prime splits and particular
     minimal solutions, form the rational coefficients, and apply the
     per-term representability substitutions, yielding integral independent
-    -monomial equations with back maps."""
-    variables = list(eq.variables)
-    nv = len(variables)
+    -monomial equations with back maps, one branch per sign class (see
+    ReducedEquation) in the order the four sign patterns first reach it."""
+    nv = len(eq.variables)
     r1, r2, r3 = eq.rows
     a, b, c = eq.coeffs
-    diff_ab = [r1[i] - r2[i] for i in range(nv)]
-    diff_ag = [r1[i] - r3[i] for i in range(nv)]
-    diff_bg = [r2[i] - r3[i] for i in range(nv)]
+    diff_ab, diff_ag, diff_bg = ([x - y for x, y in zip(p, q)]
+                                 for p, q in ((r1, r2), (r1, r3), (r2, r3)))
     (e_basis, e_exp), (f_basis, f_exp), (g_basis, g_exp) = _block_systems(
         eq.rows)
-
-    primes = factorize(a * b * c).primes()
-    out: list[ReducedEquation] = []
+    bases = (tuple(g_basis), tuple(f_basis), tuple(e_basis))
     sign_table = _sign_table(eq.coeffs, eq.rows)
+    primes = factorize(a * b * c).primes()
 
     # particular minimal solutions per prime and class
     per_prime: dict[tuple[int, int], list[tuple[int, ...]]] = {}
@@ -662,52 +666,66 @@ def reduce_to_independent(eq: TrinomialEquation) -> list[ReducedEquation]:
                                    f"cut at the node budget")
             per_prime[(p, cls)] = list(mb.particular)
 
-    splits = itertools.product(range(3), repeat=len(primes))
-    for split in splits:
-        choice_lists = []
-        dead = False
-        for p, cls in zip(primes, split):
-            opts = per_prime[(p, cls)]
-            if not opts:
-                dead = True
-                break
-            choice_lists.append([(p, cls, z0) for z0 in opts])
-        if dead:
-            continue
-        for combo in itertools.product(*choice_lists):
-            A = Fraction(1)
-            B = Fraction(1)
-            C = Fraction(1)
+    term_options: dict[tuple[int, Fraction], list] = {}  # by |value|
+
+    def options(pos, value):
+        """Each option of block pos's term value * prod U^exps as its class
+        form and that form negated, the same term when it is sign-free."""
+        # the options of -X are those of X with every coefficient negated;
+        # _block_term_options lists a constant term's options positive
+        # first, but when they take both signs X and -X have the same
+        # options, so the negated order meets no class form earlier
+        key = (pos, abs(value))
+        if key not in term_options:
+            term_options[key] = [
+                (replace(t, coeff=abs(t.coeff)),) * 2
+                if any(e % 2 for e in t.exps) else
+                (t, replace(t, coeff=-t.coeff))
+                for t in _block_term_options(
+                    abs(value), (g_exp, f_exp, e_exp)[pos], "wvu"[pos])]
+        return ([(n, t) for t, n in term_options[key]] if value < 0
+                else term_options[key])
+
+    out: list[ReducedEquation] = []
+    seen_coeffs, seen_branches = set(), set()
+    for split in itertools.product(range(3), repeat=len(primes)):
+        for combo in itertools.product(*[
+                [(p, cls, z0) for z0 in per_prime[(p, cls)]]
+                for p, cls in zip(primes, split)]):
+            A = B = C = Fraction(1)
             particular = [1] * nv
             for p, cls, z0 in combo:
                 ap, bp, cp = valuation(a, p), valuation(b, p), valuation(c, p)
-                for i in range(nv):
-                    particular[i] *= p ** z0[i]
+                particular = [x * p ** z for x, z in zip(particular, z0)]
+                ab, ag, bg = (sum(d * z for d, z in zip(row, z0))
+                              for row in (diff_ab, diff_ag, diff_bg))
                 if cls == 2:  # P3: b-term = c-term < a-term
-                    expo = (ap - bp
-                            + sum(d * z for d, z in zip(diff_ab, z0)))
-                    A *= Fraction(p) ** expo
+                    A *= Fraction(p) ** (ap - bp + ab)
                 elif cls == 1:  # P2: a-term = c-term < b-term
-                    expo = (bp - cp
-                            + sum(d * z for d, z in zip(diff_bg, z0)))
-                    B *= Fraction(p) ** expo
+                    B *= Fraction(p) ** (bp - cp + bg)
                 else:  # P1: a-term = b-term <= c-term
-                    expo = (cp - ap
-                            - sum(d * z for d, z in zip(diff_ag, z0)))
-                    C *= Fraction(p) ** expo
-            # four sign patterns cover all eight up to a global flip; the
-            # lift tries both flip interpretations of each branch
-            for s1, s2, s3 in ((1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1)):
-                a_opts = _block_term_options(s1 * A, g_exp, "w")
-                b_opts = _block_term_options(s2 * B, f_exp, "v")
-                c_opts = _block_term_options(s3 * C, e_exp, "u")
-                for ta, tb, tc in itertools.product(a_opts, b_opts, c_opts):
+                    C *= Fraction(p) ** (cp - ap - ag)
+            particular = tuple(particular)
+            if (A, B, C, particular) in seen_coeffs:
+                continue
+            seen_coeffs.add((A, B, C, particular))
+            # the four sign patterns (1, s2, s3) cover all eight up to a
+            # global flip; each branch is emitted in its class form, the
+            # first time it is met
+            a_opts = options(0, A)
+            for b_opts, c_opts in itertools.product(
+                    (options(1, B), options(1, -B)),
+                    (options(2, C), options(2, -C))):
+                for opts in itertools.product(a_opts, b_opts, c_opts):
+                    flip = next((t.coeff < 0 for t, neg in opts
+                                 if t is not neg), False)
+                    terms = tuple(opt[flip] for opt in opts)
+                    if (particular, terms) in seen_branches:
+                        continue
+                    seen_branches.add((particular, terms))
                     out.append(ReducedEquation(
-                        source=eq, terms=(ta, tb, tc),
-                        particular=tuple(particular),
-                        bases=(tuple(g_basis), tuple(f_basis),
-                               tuple(e_basis)),
-                        sign_table=sign_table))
+                        source=eq, terms=terms, particular=particular,
+                        bases=bases, sign_table=sign_table))
                     if len(out) > _MAX_BRANCHES:
                         raise ResidueLimit("reduction branch explosion")
     return out
@@ -1007,36 +1025,17 @@ def solve_prop4(eq: TrinomialEquation, bound: int = 10_000) -> SolutionSet:
     return out
 
 
-def _sign_class_representative(red: ReducedEquation) -> ReducedEquation:
-    """The branch of red's sign class (see ReducedEquation) whose sign-free
-    coefficients are positive, flipped globally so that its first other
-    coefficient is positive."""
-    free = [any(e % 2 for e in t.exps) for t in red.terms]
-    flip = next((t.coeff < 0 for t, f in zip(red.terms, free) if not f),
-                False)
-    coeffs = [abs(t.coeff) if f else -t.coeff if flip else t.coeff
-              for t, f in zip(red.terms, free)]
-    if all(c == t.coeff for c, t in zip(coeffs, red.terms)):
-        return red
-    return replace(red, terms=tuple(replace(t, coeff=c)
-                                    for t, c in zip(red.terms, coeffs)))
-
-
 def _lift_reduced(reduced: list[ReducedEquation], bound, backend=None):
     """Solve each distinct reduced equation once and map its solutions back
-    to the source variables through one branch per sign class that gives
-    it: one family per reduced equation, listed from the reduced solution
-    set, and the weakest status among them."""
-    groups: dict[str, dict[tuple, ReducedEquation]] = {}
-    for red in map(_sign_class_representative, reduced):
-        key = (tuple((t.coeff, t.exps, t.kind, t.side_exps, t.side_mags,
-                      t.orig_exps, t.d, t.qstar, t.vdiv, t.scales)
-                     for t in red.terms), red.particular)
-        groups.setdefault(red.describe(), {}).setdefault(key, red)
+    to the source variables through every branch (one per sign class) that
+    gives it: one family per reduced equation, listed from the reduced
+    solution set, and the weakest status among them."""
+    groups: dict[str, list[ReducedEquation]] = {}
+    for red in reduced:
+        groups.setdefault(red.describe(), []).append(red)
     families = []
     status = COMPLETE
-    for text, group in groups.items():
-        branches = list(group.values())
+    for text, branches in groups.items():
         inner = solve_reduced(branches[0], bound=bound, backend=backend)
         status = status.combine(inner.status)
         # every block value U_k of a box point is at most the box bound b, so

@@ -4,6 +4,7 @@ import itertools
 import json
 import os
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -26,11 +27,13 @@ from trisolve.fixtures import (
     family_rows,
     family_rows_as_written,
 )
+from trisolve.intcore import factorize, valuation
 from trisolve.lindioph import (
     MinimalBasis,
     _bounded_cone_case,
     _cone_2d,
     _lattice_contains_2d,
+    solve_system_nonneg,
 )
 from trisolve.multivar import (
     ResidueLimit,
@@ -204,6 +207,44 @@ def test_x1k_x2_block():
     for sol in pts[:20]:
         env = fam.witness(sol)
         assert env is not None and fam.evaluate(env) == sol
+
+
+def _draw_block_equation(rng):
+    """A seeded a*x^k*y*... + b*(other variables) + c = 0 in three or four
+    variables with |a| in 2..16: the block x^k*y*... holds a variable of
+    exponent 1, and in one draw in three c makes the other monomial vanish
+    somewhere, so that y_block = 0 occurs."""
+    names = "xyzt"[:rng.choice((3, 4))]
+    size = rng.randint(2, len(names) - 1)
+    block = {v: rng.randint(1, 3) for v in names[:size]}
+    block[rng.choice(names[:size])] = 1
+    rest = {v: rng.randint(1, 3) for v in names[size:]}
+    b = rng.choice((-3, -2, -1, 1, 2, 3))
+    c = (-b * rng.randint(1, 3) ** sum(rest.values()) if rng.random() < 1 / 3
+         else rng.choice((-5, -3, -2, -1, 1, 2, 4, 6)))
+    a = rng.choice((-1, 1)) * rng.randint(2, 16)
+    return Polynomial([Monomial.make(a, block), Monomial.make(b, rest),
+                       Monomial.make(c, {})], list(names))
+
+
+def test_block_families_sweep_only_the_box():
+    # a block-via-divisors family bounds its residue parameters by the box
+    # and each d_v by its own variable's bound; its listing must equal a
+    # sweep of every parameter to the largest bound of the box
+    rng = random.Random(18)
+    listed = 0
+    for _ in range(40):
+        poly = _draw_block_equation(rng)
+        boxes = [rng.randint(2, 5),
+                 tuple(rng.randint(1, 6) for _ in poly.variables)]
+        for fam in solve_x1k_x2(poly, 0).families:
+            assert fam.note.endswith("via divisors") and fam.param_bound
+            unbounded = dataclasses.replace(fam, param_bound=None)
+            for box in boxes:
+                points = fam.enumerate_box(box)
+                assert points == unbounded.enumerate_box(box), (poly, box)
+                listed += len(points)
+    assert listed > 500
 
 
 # ---------------------------------------------------------------------------
@@ -473,16 +514,127 @@ def _draw_trinomial(rng):
                                for row in rows], list(names))
 
 
-def _sign_orbit(red):
-    """The texts red takes when the coefficient of any term with a variable
-    of odd exponent is negated, and when all three coefficients are."""
+def _sign_orbit(red, key=multivar.ReducedEquation.describe):
+    """The keys (by default the texts) of the branches red becomes when the
+    coefficient of any term with a variable of odd exponent is negated, and
+    when all three coefficients are."""
     options = [(1, -1) if any(e % 2 for e in t.exps) else (1,)
                for t in red.terms]
     return frozenset(
-        dataclasses.replace(red, terms=tuple(
+        key(dataclasses.replace(red, terms=tuple(
             dataclasses.replace(t, coeff=g * s * t.coeff)
-            for t, s in zip(red.terms, signs))).describe()
+            for t, s in zip(red.terms, signs))))
         for signs in itertools.product(*options) for g in (1, -1))
+
+
+def _branch(red):
+    """What tells two branches apart: their terms and particular solution
+    (the source, bases and sign table are those of the source equation)."""
+    return red.terms, red.particular
+
+
+def _class_representative(red):
+    """Reference: the branch of red's sign class whose sign-free
+    coefficients are positive, flipped globally so that its first other
+    coefficient is positive."""
+    free = [any(e % 2 for e in t.exps) for t in red.terms]
+    flip = next((t.coeff < 0 for t, f in zip(red.terms, free) if not f),
+                False)
+    coeffs = [abs(t.coeff) if f else -t.coeff if flip else t.coeff
+              for t, f in zip(red.terms, free)]
+    return dataclasses.replace(red, terms=tuple(
+        dataclasses.replace(t, coeff=c) for t, c in zip(red.terms, coeffs)))
+
+
+def _four_pattern_reduction(eq):
+    """Reference: the reduction that builds every branch under the four sign
+    patterns (1, s2, s3) of the coefficients A, B, C, calling the term
+    options anew for each pattern and keeping repeats."""
+    nv = len(eq.variables)
+    r1, r2, r3 = eq.rows
+    a, b, c = eq.coeffs
+    diff_ab = [x - y for x, y in zip(r1, r2)]
+    diff_ag = [x - y for x, y in zip(r1, r3)]
+    diff_bg = [x - y for x, y in zip(r2, r3)]
+    (e_basis, e_exp), (f_basis, f_exp), (g_basis, g_exp) = (
+        multivar._block_systems(eq.rows))
+    primes = factorize(a * b * c).primes()
+    sign_table = multivar._sign_table(eq.coeffs, eq.rows)
+    per_prime = {}
+    for p in primes:
+        ap, bp, cp = valuation(a, p), valuation(b, p), valuation(c, p)
+        for cls, (row, rhs) in enumerate(((diff_ab, bp - ap),
+                                          (diff_ag, cp - ap),
+                                          (diff_bg, cp - bp))):
+            per_prime[(p, cls)] = (
+                [(0,) * nv] if rhs == 0 else
+                list(solve_system_nonneg([row], [rhs],
+                                         budget=200000).particular))
+    out = []
+    for split in itertools.product(range(3), repeat=len(primes)):
+        choices = [[(p, cls, z0) for z0 in per_prime[(p, cls)]]
+                   for p, cls in zip(primes, split)]
+        for combo in itertools.product(*choices):
+            A = B = C = Fraction(1)
+            particular = [1] * nv
+            for p, cls, z0 in combo:
+                ap, bp, cp = valuation(a, p), valuation(b, p), valuation(c, p)
+                particular = [x * p ** z for x, z in zip(particular, z0)]
+                if cls == 2:
+                    A *= Fraction(p) ** (
+                        ap - bp + sum(d * z for d, z in zip(diff_ab, z0)))
+                elif cls == 1:
+                    B *= Fraction(p) ** (
+                        bp - cp + sum(d * z for d, z in zip(diff_bg, z0)))
+                else:
+                    C *= Fraction(p) ** (
+                        cp - ap - sum(d * z for d, z in zip(diff_ag, z0)))
+            for s1, s2, s3 in ((1, 1, 1), (1, 1, -1), (1, -1, 1),
+                               (1, -1, -1)):
+                for terms in itertools.product(
+                        multivar._block_term_options(s1 * A, g_exp, "w"),
+                        multivar._block_term_options(s2 * B, f_exp, "v"),
+                        multivar._block_term_options(s3 * C, e_exp, "u")):
+                    out.append(multivar.ReducedEquation(
+                        source=eq, terms=terms, particular=tuple(particular),
+                        bases=(tuple(g_basis), tuple(f_basis),
+                               tuple(e_basis)),
+                        sign_table=sign_table))
+    return out
+
+
+def _golden_reduction_inputs():
+    """The inputs of the golden `sufficient-*` and `reduction-*` entries."""
+    golden = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          "golden")
+    texts = []
+    for name in sorted(glob.glob(os.path.join(golden, "*.json"))):
+        if os.path.basename(name).startswith(("sufficient-", "reduction-")):
+            with open(name, encoding="utf-8") as fh:
+                texts.append(json.load(fh)["input"])
+    assert len(texts) == 10
+    return texts
+
+
+def test_reduction_emits_one_branch_per_sign_class():
+    # reduce_to_independent emits each sign class of the four-pattern
+    # reduction once, as its representative, in the order the four-pattern
+    # reduction first reaches the class
+    eqs = [parse_trinomial(text) for text in _golden_reduction_inputs()]
+    rng = random.Random(31)
+    eqs += [canonicalize(_draw_trinomial(rng)) for _ in range(60)]
+    for eq in eqs:
+        reference = _four_pattern_reduction(eq)
+        emitted = reduce_to_independent(eq)
+        orbits = [_sign_orbit(red, _branch) for red in emitted]
+        assert len(set(orbits)) == len(orbits)
+        assert all(_class_representative(red) == red for red in emitted)
+        covered = set().union(*orbits)
+        assert {_branch(red) for red in reference} <= covered
+        assert covered == set().union(*(_sign_orbit(red, _branch)
+                                        for red in reference))
+        assert [_branch(red) for red in emitted] == list(dict.fromkeys(
+            _branch(_class_representative(red)) for red in reference))
 
 
 def _reduction_report(poly):
@@ -519,15 +671,8 @@ def test_one_lift_family_per_sign_class():
     # each sign class of reduced equations is solved once and lifted through
     # one branch per back map, so its lift family lists every box point
     # those branches and their sign images reach
-    golden = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                          "golden")
-    texts = []
-    for name in sorted(glob.glob(os.path.join(golden, "*.json"))):
-        if os.path.basename(name).startswith(("sufficient-", "reduction-")):
-            with open(name, encoding="utf-8") as fh:
-                texts.append(json.load(fh)["input"])
-    assert len(texts) == 10
-    texts += ["3*y*t + 3*x*z + 3*t = 0", "2*y + 2*x*z + 3*y*t = 0"]
+    texts = _golden_reduction_inputs() + ["3*y*t + 3*x*z + 3*t = 0",
+                                          "2*y + 2*x*z + 3*y*t = 0"]
     for text in texts:
         assert _has_one_lift_per_sign_class(parse_equation(text))
     rng = random.Random(11)
@@ -536,28 +681,26 @@ def test_one_lift_family_per_sign_class():
         seeded += _has_one_lift_per_sign_class(_draw_trinomial(rng))
 
 
-def test_a_sign_class_lifts_like_all_its_branches(monkeypatch):
+def test_a_sign_class_lifts_like_all_its_branches():
     # the branches of a sign class reach the same box points, so the one
-    # branch lifted must reach exactly what solving and lifting every
-    # emitted branch of the class on its own reaches
+    # branch emitted must reach exactly what solving and lifting every
+    # branch of the class in the four-pattern reduction on its own reaches
     rng = random.Random(12)
     checked = 0
     while checked < 60:
         poly = _draw_trinomial(rng)
         if _reduction_report(poly) is None:
             continue
-        reduced = reduce_to_independent(canonicalize(poly))
-        kept, _ = multivar._lift_reduced(reduced, 1000)
-        with monkeypatch.context() as patch:
-            patch.setattr(multivar, "_sign_class_representative",
-                          lambda red: red)
-            every, _ = multivar._lift_reduced(reduced, 1000)
-        orbits = {r.describe(): _sign_orbit(r) for r in reduced}
+        eq = canonicalize(poly)
+        emitted = reduce_to_independent(eq)
+        kept, _ = multivar._lift_reduced(emitted, 1000)
+        orbits = {r.describe(): _sign_orbit(r) for r in emitted}
         box = 3 if len(poly.variables) == 4 else 4
         images = {}
-        for fam in every:
-            images.setdefault(orbits[fam.note[len("lift of "):]],
-                              set()).update(fam.enumerate_box(box))
+        for red in _four_pattern_reduction(eq):
+            (fam,), _ = multivar._lift_reduced([red], 1000)
+            images.setdefault(_sign_orbit(red), set()).update(
+                fam.enumerate_box(box))
         assert len(kept) == len(images)
         for fam in kept:
             assert (fam.enumerate_box(box)
@@ -574,8 +717,12 @@ def test_sign_images_are_listed_once():
         listed = [p for fam in _lifts(solve(text).solutions)
                   for p in fam.enumerate_box(box)]
         assert len(listed) == len(set(listed)) == points, text
-    # its twelve reduced equations fall into three sign classes; two of
-    # them, w2*w4+1+u1=0 and w2*w4+1+2*u1=0, still list the same points
+    # its reduction emits six branches, one per sign class, over three
+    # reduced equations (the four-pattern reduction built 72 branches over
+    # twelve); two of them, w2*w4+1+u1=0 and w2*w4+1+2*u1=0, still list the
+    # same points
+    assert len(reduce_to_independent(parse_trinomial(
+        "-x*z*t - x*z - 4*y*t = 0"))) == 6
     assert len(_lifts(solve("-x*z*t - x*z - 4*y*t = 0").solutions)) == 3
 
 
