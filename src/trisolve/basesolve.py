@@ -448,6 +448,36 @@ def _twopower_bennett(tp: _TwoPower, found: list[tuple[int, int]]) -> bool:
     return any(x != 0 and y != 0 for x, y in found)
 
 
+def _twopower_terminal(tp: _TwoPower, bound: int):
+    """The certificates and the bounded search, in that order, for a
+    descended A x^N + B y^M = C with C != 0.  Returns (solutions, status
+    string, provenance)."""
+    sols = _twopower_definite(tp)
+    if sols is not None:
+        return sols, "complete-definite", []
+    sols = _twopower_factorable(tp)
+    if sols is not None:
+        return sols, "complete-factored", []
+    sols = _twopower_search(tp, bound)
+    if _twopower_bennett(tp, sols):
+        return sols, "complete-bennett", [BENNETT_CITATION]
+    return sols, f"searched({bound})", []
+
+
+def _twopower_sign_class(tp: _TwoPower):
+    """The representative (A', B', C, N, M) of tp's sign class under
+    x -> -x (odd N), y -> -y (odd M) and a global sign flip, with the signs
+    (ex, ey) that carry each solution (x, y) of the representative to the
+    solution (ex*x, ey*y) of tp."""
+    forms = []
+    for ex in ((1, -1) if tp.N % 2 else (1,)):
+        for ey in ((1, -1) if tp.M % 2 else (1,)):
+            for g in (1, -1):
+                forms.append(((g * ex * tp.A, g * ey * tp.B, g * tp.C,
+                               tp.N, tp.M), ex, ey))
+    return min(forms)
+
+
 # ---------------------------------------------------------------------------
 # Backend hook
 # ---------------------------------------------------------------------------
@@ -480,10 +510,20 @@ def solve_superelliptic(a: int, b: int, c: int, n: int, m: int,
                         bound: int = 10_000,
                         variables: list[str] | None = None,
                         backend: str | None = None,
-                        trace: list | None = None) -> SolutionSet:
+                        trace: list | None = None,
+                        memo: dict | None = None) -> SolutionSet:
     """Complete-where-elementary solver for a*y^m = b*x^n + c, n, m >= 1;
     the terminal Thue/superelliptic cases run a bounded search with explicit
-    status."""
+    status.
+
+    ``memo``, when given, holds the terminal results of earlier calls, keyed
+    by the sign class of the descended equation A x^N + B y^M = C (under
+    x -> -x for odd N, y -> -y for odd M and a global sign flip) and the
+    bound.  A member of a class that is already in the memo is not solved
+    again: the representative's points are mapped by the signs that carry
+    it to this member, and the status and provenance are the class's, which
+    every member shares.  The trace record is this call's own either way.
+    Backend calls and p-adically empty equations are never memoized."""
     variables = variables or ["x", "y"]
     if a == 0 or b == 0:
         raise ValueError("need a, b nonzero")
@@ -506,7 +546,7 @@ def solve_superelliptic(a: int, b: int, c: int, n: int, m: int,
 
     if m > n:
         inner = solve_superelliptic(-b, -a, c, m, n, bound,
-                                    [vy, vx], backend, trace)
+                                    [vy, vx], backend, trace, memo)
         flipped = SolutionSet(variables, status=inner.status,
                               provenance=inner.provenance, equation=poly)
         for (y, x) in inner.finite:
@@ -543,20 +583,16 @@ def solve_superelliptic(a: int, b: int, c: int, n: int, m: int,
                str(out.status))
         return out
 
-    provenance = []
-    sols = _twopower_definite(tp)
-    status = "complete-definite"
-    if sols is None:
-        sols = _twopower_factorable(tp)
-        status = "complete-factored"
-    if sols is None:
-        sols = _twopower_search(tp, bound)
-        if _twopower_bennett(tp, sols):
-            status = "complete-bennett"
-            provenance.append(BENNETT_CITATION)
-        else:
-            status = f"searched({bound})"
-            out.status = searched(bound)
+    if memo is None:
+        sols, status, provenance = _twopower_terminal(tp, bound)
+    else:
+        rep, ex, ey = _twopower_sign_class(tp)
+        if (rep, bound) not in memo:
+            memo[rep, bound] = _twopower_terminal(_TwoPower(*rep), bound)
+        rep_sols, status, provenance = memo[rep, bound]
+        sols = sorted((ex * x, ey * y) for x, y in rep_sols)
+    if status.startswith("searched"):
+        out.status = searched(bound)
     for x, y in sols:
         out.add_finite((tp.mul_x * x, tp.mul_y * y))
     out.provenance.extend(provenance)

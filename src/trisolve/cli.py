@@ -269,6 +269,24 @@ def _repro_table6(args) -> int:
     return 0 if bad == 0 else 4
 
 
+def _int_at_least(least: int):
+    """An argparse type: an integer >= least, else a usage error."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < least:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {least}, got {value}")
+        return value
+    return parse
+
+
+_nonneg = _int_at_least(0)
+_positive = _int_at_least(1)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trisolve",
@@ -276,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, box=False):
-        p.add_argument("-B", "--bound", type=int, default=10_000,
+        p.add_argument("-B", "--bound", type=_nonneg, default=10_000,
                        help="base-equation search bound (default 10000)")
         p.add_argument("--json", action="store_true")
         p.add_argument("--backend", default=None,
@@ -284,7 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--budget", type=int, default=1_000_000,
                        help="completion search node budget")
         if box:
-            p.add_argument("--box", dest="bound_box", type=int, default=20,
+            p.add_argument("--box", dest="bound_box", type=_nonneg,
+                           default=20,
                            help="verification box bound")
 
     p = sub.add_parser("solve", help="solve an equation")
@@ -294,7 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="brute-force box enumeration")
     p.add_argument("equation")
-    p.add_argument("-B", "--bound", dest="bound_box", type=int, default=20)
+    p.add_argument("-B", "--bound", dest="bound_box", type=_nonneg,
+                   default=20)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_oracle)
 
@@ -309,13 +329,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("classify", help="classify coefficient families")
-    p.add_argument("--degree", type=int, default=3)
+    p.add_argument("--degree", type=_nonneg, default=3)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("experiment", help="random-equation proportion")
-    p.add_argument("--nvars", type=int, required=True)
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--nvars", type=_positive, required=True)
+    p.add_argument("--degree", type=_nonneg, required=True)
+    p.add_argument("--samples", type=_positive, default=1000)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--budget", type=int, default=500_000)
@@ -323,9 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("repro", help="reproduce a published table")
     p.add_argument("table", type=int, choices=(1, 2, 3, 4, 5, 6))
-    p.add_argument("-B", "--bound", type=int, default=10_000)
+    p.add_argument("-B", "--bound", type=_nonneg, default=10_000)
     p.add_argument("--backend", default=None)
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=_positive, default=1000)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--tolerance", type=float, default=0.03)

@@ -175,10 +175,21 @@ def solve_equality_case(form: TwoVarForm, trace=None) -> SolutionSet:
 def solve_strict_case(form: TwoVarForm, bound: int = 10_000,
                       backend: str | None = None,
                       trace: list | None = None) -> SolutionSet:
+    """Nonzero solutions under n*l + m*k < m*n: each valuation candidate
+    (X, Y), in each of its four sign variants (sx*X, sy*Y), leads to one
+    base equation in (v, u), whose points lift to x = sx*X*u^l'*v^m',
+    y = sy*Y*u^n'*v^k'.
+
+    Exact repeats of a base equation are solved once per call (``cache``),
+    and so is each sign class of the terminal two-power equations they
+    descend to (``memo``, see solve_superelliptic): the variants of one
+    candidate mostly differ by such signs.  Every base equation still gets
+    its own trace record.  Both live only for this call."""
     lp, np_, mp, kp, ev, eu = form.strict_data()
     variables = form.variables
     out = SolutionSet(variables, status=COMPLETE)
     cache: dict[tuple, SolutionSet] = {}
+    memo: dict = {}
     for xa, ya in valuation_candidates(form.a, form.b, form.c, form.n,
                                        form.k, form.l, form.m):
         for sx in (1, -1):
@@ -191,7 +202,8 @@ def solve_strict_case(form: TwoVarForm, bound: int = 10_000,
                 if key not in cache:
                     cache[key] = solve_superelliptic(
                         A, B, C, ev, eu, bound=bound,
-                        variables=["v", "u"], backend=backend, trace=trace)
+                        variables=["v", "u"], backend=backend, trace=trace,
+                        memo=memo)
                 base = cache[key]
                 out.status = out.status.combine(base.status)
                 out.provenance = sorted(set(out.provenance)
