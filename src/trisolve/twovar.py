@@ -183,8 +183,8 @@ def solve_strict_case(form: TwoVarForm, bound: int = 10_000,
     Exact repeats of a base equation are solved once per call (``cache``),
     and so is each sign class of the terminal two-power equations they
     descend to (``memo``, see solve_superelliptic): the variants of one
-    candidate mostly differ by such signs.  Every base equation still gets
-    its own trace record.  Both live only for this call."""
+    candidate mostly differ by such signs.  Each distinct base equation
+    gets one trace record either way.  Both live only for this call."""
     lp, np_, mp, kp, ev, eu = form.strict_data()
     variables = form.variables
     out = SolutionSet(variables, status=COMPLETE)

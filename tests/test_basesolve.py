@@ -10,7 +10,10 @@ from trisolve.basesolve import (
     _SIEVE_PRIMES,
     _TwoPower,
     _twopower_axis_solutions,
+    _twopower_descend,
     _twopower_search,
+    _twopower_sign_class,
+    _twopower_terminal,
     pell_fundamental,
     RungeConditionError,
     solve_quadratic,
@@ -170,6 +173,17 @@ def test_superelliptic_monotone_in_bound():
     small = solve_superelliptic(1, 1, -7, 3, 3, bound=20).finite
     large = solve_superelliptic(1, 1, -7, 3, 3, bound=200).finite
     assert small <= large
+
+
+def test_a_shared_memo_keeps_each_bound_apart():
+    # y^2 = x^3 + 35000 has the point (50, 400), beyond a search to 20
+    memo = {}
+    for bound in (200, 20, 200):
+        got = solve_superelliptic(1, 1, 35000, 3, 2, bound=bound, memo=memo)
+        ref = solve_superelliptic(1, 1, 35000, 3, 2, bound=bound)
+        assert got.finite == ref.finite
+        assert str(got.status) == str(ref.status) == f"SearchedToBound({bound})"
+        assert ((50, 400) in got.finite) == (bound == 200)
 
 
 def test_runge_condition_checks():
@@ -356,3 +370,55 @@ def test_factorable_planted_points(D):
                 s = solve_superelliptic(-B, A, -C, D, D, bound=50)
                 assert str(s.status) == "Complete", (A, B, C, D)
                 assert (x0, y0) in s.finite
+
+
+def test_terminal_solve_is_sign_covariant():
+    # The sign-class memo of solve_superelliptic solves one member of each
+    # class and maps its points to the others.  That is sound only if each
+    # member, solved on its own, gives the mapped points with the same
+    # status string and provenance.
+    rng = random.Random(19)
+    statuses = set()
+    draws = comparisons = 0
+    while draws < 500:
+        N = rng.randint(3, 7)
+        M = rng.randint(2, N)
+        A, B = (rng.choice((1, -1)) * rng.randint(1, 60) for _ in range(2))
+        shape = rng.randrange(4)
+        if shape == 0:  # arbitrary right-hand side
+            C = rng.choice((1, -1)) * rng.randint(1, 300)
+        elif shape == 1:  # a planted point
+            x0, y0 = rng.randint(-3, 3), rng.randint(-3, 3)
+            C = A * x0**N + B * y0**M
+        elif shape == 2:  # |A| = |B|, N = M: definite or factorable
+            M, B = N, rng.choice((1, -1)) * abs(A)
+            C = rng.choice((1, -1)) * rng.randint(1, 300)
+        else:  # |C| = 1 with the point (1, 1): Bennett's theorem
+            M, C = N, rng.choice((1, -1))
+            A = C - B
+        if C == 0 or abs(C) > 300 or A == 0 or abs(A) > 60:
+            continue
+        tp, empty = _twopower_descend(_TwoPower(A, B, C, N, M))
+        if empty:
+            continue
+        draws += 1
+        bound = rng.choice((1, 10, 100, 300))
+        rep, _, _ = _twopower_sign_class(tp)
+        rep_sols, rep_status, rep_prov = _twopower_terminal(
+            _TwoPower(*rep), bound)
+        statuses.add(rep_status.split("(")[0])
+        for ex in ((1, -1) if N % 2 else (1,)):
+            for ey in ((1, -1) if M % 2 else (1,)):
+                for g in (1, -1):
+                    member = _TwoPower(g * ex * tp.A, g * ey * tp.B,
+                                       g * tp.C, N, M)
+                    key, sx, sy = _twopower_sign_class(member)
+                    assert key == rep, member
+                    sols, status, prov = _twopower_terminal(member, bound)
+                    assert sols == sorted((sx * x, sy * y)
+                                          for x, y in rep_sols), member
+                    assert (status, prov) == (rep_status, rep_prov), member
+                    comparisons += 1
+    assert statuses == {"complete-definite", "complete-factored",
+                        "complete-bennett", "searched"}
+    assert comparisons > 2000

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from trisolve import cli
 from trisolve.cli import main
 
@@ -34,6 +36,34 @@ def test_solve_json_roundtrip(capsys):
 def test_parse_error_exit_code(capsys):
     code = main(["solve", "x + ?"])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "-B", "-5", "--", "x^4+2*x*y+y^3=0"],
+    ["solve", "-B", "ten", "x^4+2*x*y+y^3=0"],
+    ["verify", "--box", "-3", "x^2-y=0"],
+    ["oracle", "-B", "-2", "x^2-y=0"],
+    ["classify", "--degree", "-1"],
+    ["experiment", "--nvars", "3", "--degree", "2", "--samples", "0"],
+    ["experiment", "--nvars", "3", "--degree", "-1"],
+    ["experiment", "--nvars", "0", "--degree", "2"],
+    ["repro", "6", "--samples", "0"],
+    ["repro", "1", "-B", "-1"],
+])
+def test_bad_numeric_arguments_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_zero_bounds_are_accepted(capsys):
+    code, out = run(capsys, "oracle", "x^2-y=0", "-B", "0")
+    assert code == 0
+    assert out.startswith("1 solutions in the box [-0, 0]^2")
+    code, out = run(capsys, "solve", "-B", "0", "x^4+2*x*y+y^3=0")
+    assert code == 0
+    assert "SearchedToBound(0)" in out
 
 
 def test_oracle_command(capsys):

@@ -1,6 +1,7 @@
 import random
 from math import gcd
 
+from trisolve import basesolve, twovar
 from trisolve.eqparse import (
     Monomial,
     NotATrinomial,
@@ -277,3 +278,63 @@ def test_random_small_trinomials_vs_oracle():
             continue
         checked += 1
         box_match(text, B=12, bound=400)
+
+
+def _strict_report(text, bound):
+    """Everything a strict-case solve reports."""
+    rep = solve_two_var(parse_trinomial(text), bound=bound)
+    sols = rep.solutions
+    pts, exact = sols.enumerate_box(20)
+    return (rep.path, str(sols.status), sorted(sols.finite), sols.provenance,
+            [fam.describe() for fam in sols.families], sorted(pts), exact,
+            [(r.description, r.solutions, r.status, r.families)
+             for r in rep.base_records])
+
+
+def _strict_inputs():
+    """The 100 rows of x^4 + a*x*y + y^3 = 0 and 40 seeded strict-case
+    trinomials a*x^n + b*x^k*y^l + c*y^m = 0."""
+    texts = [f"x^4+{a}*x*y+y^3=0" for a in range(1, 101)]
+    rng = random.Random(19)
+    while len(texts) < 140:
+        n, m = rng.randint(2, 6), rng.randint(2, 6)
+        k, l = rng.randint(1, n - 1), rng.randint(1, m - 1)
+        if n * l + m * k >= m * n:
+            continue
+        a, b, c = (rng.choice((1, -1)) * rng.randint(1, 12) for _ in range(3))
+        texts.append(f"{a}*x^{n}+{b}*x^{k}*y^{l}+{c}*y^{m}=0".replace("+-", "-"))
+    return texts
+
+
+def test_sign_class_memo_changes_no_output(monkeypatch):
+    texts = _strict_inputs()
+    with_memo = [_strict_report(t, 300) for t in texts]
+    assert all(r[0] == ["strict"] for r in with_memo)
+    real = basesolve.solve_superelliptic
+
+    def without_memo(*args, memo=None, **kwargs):
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(twovar, "solve_superelliptic", without_memo)
+    for text, got in zip(texts, with_memo):
+        assert got == _strict_report(text, 300), text
+
+
+def test_strict_case_solves_each_sign_class_once(monkeypatch):
+    # the 36 base equations of x^4 + 88*x*y + y^3 = 0 (9 candidates, four
+    # sign variants each) fall into 9 sign classes
+    calls = []
+    real = basesolve._twopower_terminal
+
+    def counted(tp, bound):
+        calls.append(tp)
+        return real(tp, bound)
+
+    monkeypatch.setattr(basesolve, "_twopower_terminal", counted)
+    eq = parse_trinomial("x^4+88*x*y+y^3=0")
+    for _ in range(2):  # nothing is remembered from one call to the next
+        calls.clear()
+        rep = solve_two_var(eq)
+        assert len(calls) == 9
+        assert len(rep.base_records) == 36
+    assert rep.solutions.finite == {(0, 0), (396, -2904)}
