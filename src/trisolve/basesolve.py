@@ -168,7 +168,8 @@ def solve_quadratic(A: int, B: int, C: int,
         vmin = isqrt((-N) // D)
         vmax = isqrt(((-N) * (t + 1)) // (2 * D)) + 1
     if vmax - vmin > _PELL_SEED_LIMIT:
-        raise ResourceLimit(f"Pell seed scan of {vmax - vmin} values")
+        raise ResourceLimit("Pell seed scan of about "
+                            f"2^{(vmax - vmin).bit_length()} values")
     for v in range(vmin, vmax + 1):
         xx = N + D * v * v
         if xx < 0:
@@ -610,14 +611,16 @@ def _superelliptic_poly(a, b, c, n, m, variables):
 
 def _superelliptic_linear(a, b, c, n, poly, variables, record):
     """a y = b x^n + c: no solutions unless g = gcd(a, b) divides c, else one
-    family per residue class r modulo |a/g| with a/g | (b/g) r^n + c/g."""
+    family per residue class r modulo |a/g| with a/g | (b/g) r^n + c/g.
+    For n = 1 that class is the single r = -(c/g) (b/g)^-1 mod |a/g|."""
     out = SolutionSet(variables, status=COMPLETE, equation=poly)
     g = gcd(a, b)
     ra, rb, rc = a // g, b // g, c // g
     aa = abs(ra)
     vx, vy = variables
     count = 0
-    for r in (range(aa) if c % g == 0 else ()):
+    residues = range(aa) if n > 1 else [-rc * pow(rb, -1, aa) % aa]
+    for r in (residues if c % g == 0 else ()):
         if (rb * pow(r, n, aa) + rc) % aa:
             continue
         count += 1

@@ -2,6 +2,7 @@ import random
 import stat
 import textwrap
 import time
+from math import gcd
 
 import pytest
 
@@ -127,6 +128,41 @@ def test_superelliptic_linear_divides_out_the_gcd():
     pts, exact = s.enumerate_box(200)
     assert exact and set(pts) == set(brute_force(s.equation, 200).solutions)
     assert (79, 1) in pts
+
+
+def test_superelliptic_linear_solves_n1_by_one_inverse():
+    # for n = 1 the one residue class comes from a modular inverse; the
+    # families are those of a scan over every residue
+    rng = random.Random(1)
+    for _ in range(200):
+        a = rng.choice([-1, 1]) * rng.randint(1, 90)
+        b = rng.choice([-1, 1]) * rng.randint(1, 90)
+        c = rng.randint(-200, 200)
+        g = abs(gcd(a, b))
+        aa = abs(a) // g
+        scan = [f"x = {aa}w + {r}" for r in range(aa)
+                if c % g == 0 and (b // g * r + c // g) % aa == 0]
+        s = solve_superelliptic(a, b, c, 1, 1, bound=100)
+        assert [f.note for f in s.families] == scan, (a, b, c)
+
+
+def test_superelliptic_linear_with_a_huge_modulus_returns():
+    # the strict case reaches 152587890625 y = -25 x - 175, whose residue
+    # scan would take 6103515625 steps
+    report = solve("25*x^6+7*x^5*y+25*y^7=0", bound=10)
+    assert str(report.solutions.status) == "Complete"
+    poly = parse_equation("25*x^6+7*x^5*y+25*y^7=0")
+    ver = verify_against_oracle(report.solutions, poly,
+                                brute_force(poly, 30).solutions, 30)
+    assert ver.sound and ver.complete_in_box
+
+
+def test_pell_limit_with_a_huge_unit_is_a_resource_limit(monkeypatch):
+    # a scan length past the int-to-str digit limit still gives a message
+    monkeypatch.setattr(basesolve, "pell_fundamental",
+                        lambda d: (10**10000, 10**9999))
+    with pytest.raises(basesolve.ResourceLimit, match="2\\^"):
+        solve_quadratic(1, -2, -1)
 
 
 def test_superelliptic_residue_empty():

@@ -3,13 +3,15 @@
 Every import sits at module level, so the module graph is visible at a
 glance.  The one exception is the process pool of the Monte-Carlo
 experiment, imported lazily because importing it costs about 10 ms at
-start-up.  No box listing calls the oracle, and only `cli` and `multivar`
-import it, so `verify` stays an independent check; every box listing reads
-the expressions of its family, so a wrong expression shows up in `verify`.  Every private top-level function or
-class is used somewhere in the package, so no helper outlives its callers,
-and no module imports another module's private name, so what one module
-uses of another is its public surface.  The benchmark's tracer wraps package
-functions by name, so every name it lists exists."""
+start-up.  No box listing calls the oracle, only `cli` and `multivar`
+import it, and it imports nothing of the package but `eqparse` and
+`intcore`, so `verify` stays an independent check; every box listing reads
+the expressions of its family, so a wrong expression shows up in `verify`.
+Every private top-level function or class is used somewhere in the package,
+so no helper outlives its callers, and no module imports another module's
+private name, so what one module uses of another is its public surface.
+The benchmark's tracer wraps package functions by name, so every name it
+lists exists."""
 
 import ast
 import importlib
@@ -92,6 +94,23 @@ def test_only_cli_and_multivar_import_the_oracle():
             if any(part == "oracle" for n in names for part in n.split(".")):
                 found.append(f"{name}:{node.lineno}")
     assert not found, found
+
+
+def test_oracle_imports_only_eqparse_and_intcore():
+    # the oracle parses and does integer arithmetic; importing a solver
+    # module would let a solver's defect reach both sides of `verify`
+    imported = []
+    for node in ast.walk(_trees()["oracle.py"]):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "trisolve"):
+            module = (node.module or "").removeprefix("trisolve").lstrip(".")
+            imported.extend([module] if module else
+                            [a.name for a in node.names])
+        elif isinstance(node, ast.Import):
+            imported.extend(a.name.removeprefix("trisolve.")
+                            for a in node.names
+                            if a.name.split(".")[0] == "trisolve")
+    assert imported and set(imported) <= {"eqparse", "intcore"}, imported
 
 
 def test_every_box_listing_evaluates_its_expressions():

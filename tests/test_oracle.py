@@ -1,8 +1,9 @@
+import itertools
 import random
 
 import pytest
 
-from trisolve.eqparse import parse_equation
+from trisolve.eqparse import Monomial, Polynomial, parse_equation
 from trisolve.oracle import BoxTooLarge, brute_force, brute_force_naive
 
 
@@ -54,6 +55,66 @@ def test_residual_pruning_vs_naive():
         fast = brute_force(poly, 8).solutions
         slow = brute_force_naive(poly, 8)
         assert fast == sorted(slow), text
+
+
+def _draw(rng, names):
+    """A polynomial over names: a shared-variable trinomial, the zero
+    polynomial, a constant, or up to five monomials with exponents <= 4."""
+    kind = rng.choice(["shared", "zero", "constant", "mixed", "mixed"])
+    if kind == "zero":
+        return Polynomial([], names)
+    if kind == "constant":
+        return Polynomial([Monomial.make(rng.choice([-3, 2, 5]), {})], names)
+    count = 3 if kind == "shared" else rng.randint(1, 5)
+    shared = rng.choice(names)
+    monos = {}
+    for _ in range(count):
+        exps = {v: rng.choice([0, 0, 1, 2, 3, 4]) for v in names}
+        if kind == "shared":
+            exps[shared] = rng.randint(1, 4)
+        mono = Monomial.make(rng.choice([-6, -3, -2, -1, 1, 1, 2, 4, 5]), exps)
+        monos[mono.exps] = monos.get(mono.exps, 0) + mono.coeff
+    return Polynomial([Monomial(c, e) for e, c in monos.items() if c], names)
+
+
+def _residual_sizes(poly, bound):
+    """Per point of the swept box, the number of nonzero coefficients of the
+    residual in the variable with the fewest distinct exponents (the later
+    one on a tie), and that variable's index."""
+    names = poly.variables
+    solved = min(reversed(range(len(names))), key=lambda i: len(
+        {m.exp_of(names[i]) for m in poly.monomials}))
+    swept = names[:solved] + names[solved + 1:]
+    sizes = set()
+    for point in itertools.product(range(-bound, bound + 1),
+                                   repeat=len(swept)):
+        env = dict(zip(swept, point), **{names[solved]: 1})
+        coeffs = {}
+        for m in poly.monomials:
+            k = m.exp_of(names[solved])
+            coeffs[k] = coeffs.get(k, 0) + m.evaluate(env)
+        sizes.add(min(3, sum(1 for c in coeffs.values() if c)))
+    return solved, sizes
+
+
+def test_sweep_equals_the_full_sweep_on_seeded_polynomials():
+    rng = random.Random(2210)
+    sizes, solved_early, shared = set(), 0, 0
+    for _ in range(400):
+        names = ["x", "y", "z", "t"][:rng.randint(1, 4)]
+        poly = _draw(rng, names)
+        bound = rng.randint(1, 4)
+        assert brute_force(poly, bound).solutions == sorted(
+            brute_force_naive(poly, bound)), poly
+        solved, seen = _residual_sizes(poly, bound)
+        sizes |= seen
+        solved_early += solved < len(names) - 1
+        shared += len(poly.monomials) == 3 and any(
+            all(m.exp_of(v) for m in poly.monomials) for v in names)
+    # the draws reach every way of solving a residual, and solve for a
+    # variable other than the last
+    assert sizes == {0, 1, 2, 3}
+    assert solved_early >= 20 and shared >= 20
 
 
 def test_determinism():
