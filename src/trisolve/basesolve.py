@@ -24,6 +24,7 @@ import shlex
 import subprocess
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt
 
 from . import expr as ex
@@ -33,9 +34,10 @@ from .intcore import (
     exact_iroot,
     exact_roots,
     factorize,
-    integer_roots,
     iroot,
     rational_root_d,
+    ResourceLimit,
+    roots_mod,
     shifted_power,
     valuation,
 )
@@ -55,12 +57,10 @@ BENNETT_CITATION = ("uniqueness of the positive solution of |a*x^n - b*y^n| = 1 
                     "(Bennett, J. reine angew. Math. 535, 2001)")
 
 
-class ResourceLimit(RuntimeError):
-    pass
-
-
 #: Most seeds v the indefinite case of solve_quadratic scans.
 _PELL_SEED_LIMIT = 2_000_000
+#: Most residue classes (one family each) of a linear base equation.
+_LINEAR_CLASS_LIMIT = 1_000_000
 #: Most prime-stripping rounds of _twopower_descend.
 _DESCENT_ROUNDS = 64
 #: Seconds an external backend may take for one base equation.
@@ -85,8 +85,12 @@ class BaseSolveRecord:
 # Quadratic forms A u^2 + B v^2 + C = 0
 # ---------------------------------------------------------------------------
 
-def pell_fundamental(d: int) -> tuple[int, int]:
-    """Least (t, s) with t^2 - d*s^2 = 1, t,s > 0; d a positive non-square."""
+def pell_fundamental(d: int, limit: int | None = None) -> tuple[int, int]:
+    """Least (t, s) with t^2 - d*s^2 = 1, t,s > 0; d a positive non-square.
+
+    The convergent numerators only grow and t is the last of them, so the
+    expansion raises ResourceLimit as soon as one reaches `limit`:
+    solve_quadratic passes the least t whose seed scan would be too long."""
     a0 = isqrt(d)
     if a0 * a0 == d:
         raise ValueError("d must not be a square")
@@ -94,6 +98,10 @@ def pell_fundamental(d: int) -> tuple[int, int]:
     num1, num = 1, a0
     den1, den_c = 0, 1
     while num * num - d * den_c * den_c != 1:
+        if limit is not None and num >= limit:
+            raise ResourceLimit(
+                "Pell seed scan of at least "
+                f"2^{_PELL_SEED_LIMIT.bit_length() - 1} values")
         m = den * a - m
         den = (d - m * m) // den
         a = (a0 + m) // den
@@ -158,14 +166,20 @@ def solve_quadratic(A: int, B: int, C: int,
             out.add_finite((x // A, y2 // s0))
         return out
 
-    t, s = pell_fundamental(D)
+    # the scan below runs over vmin <= v <= vmax; t_limit is the least t
+    # that makes it longer than _PELL_SEED_LIMIT
+    if N > 0:
+        vmin = 0
+        t_limit = 1 - (-2 * D * _PELL_SEED_LIMIT**2 // N)
+    else:
+        vmin = isqrt((-N) // D)
+        t_limit = -(2 * D * (_PELL_SEED_LIMIT + vmin) ** 2 // N) - 1
+    t, s = pell_fundamental(D, t_limit)
     matrix = ((t, B * s), (-A * s, t))
     seeds = set()
     if N > 0:
         vmax = isqrt((N * (t - 1)) // (2 * D)) + 1
-        vmin = 0
     else:
-        vmin = isqrt((-N) // D)
         vmax = isqrt(((-N) * (t + 1)) // (2 * D)) + 1
     if vmax - vmin > _PELL_SEED_LIMIT:
         raise ResourceLimit("Pell seed scan of about "
@@ -333,7 +347,10 @@ def _twopower_search(tp: _TwoPower, bound: int) -> list[tuple[int, int]]:
     every solution, and each survivor is checked exactly as a full scan
     would check it: the result equals a scan of every x.  A modulus q is
     sieved only while at least q survivors remain, since listing its
-    residues costs about as much as testing that many survivors.
+    residues costs about as much as testing that many survivors.  The
+    residues of y^M and x^N modulo each prime come from `_sieve_table`,
+    shared across calls; with c = C/B and a = A/B modulo q, x = r passes
+    when c - a*r^N is among the M-th powers.
     """
     out = set(_twopower_axis_solutions(tp))
     A, B, C, N, M = tp.A, tp.B, tp.C, tp.N, tp.M
@@ -345,11 +362,10 @@ def _twopower_search(tp: _TwoPower, bound: int) -> list[tuple[int, int]]:
             continue
         if mask.bit_count() < q:
             break
-        powers = {pow(y, M, q) for y in range(q)}
+        powers, nth = _sieve_table(N, M, q)
         b_inv = pow(B, -1, q)
-        mask &= _residue_mask(
-            [(C - A * pow(r, N, q)) * b_inv % q in powers for r in range(q)],
-            bound)
+        c, a = C * b_inv % q, A * b_inv % q
+        mask &= _residue_mask([(c - a * t) % q in powers for t in nth], bound)
     if 1 < absB <= mask.bit_count():
         mask &= _residue_mask(
             [(C - A * pow(r, N, absB)) % absB == 0 for r in range(absB)],
@@ -370,6 +386,14 @@ def _twopower_search(tp: _TwoPower, bound: int) -> list[tuple[int, int]]:
     return sorted(out)
 
 
+@lru_cache(maxsize=1024)
+def _sieve_table(N: int, M: int, q: int):
+    """The M-th power residues modulo q (0 included) as a frozenset, and
+    r^N modulo q for r = 0, ..., q - 1: constants of (N, M, q) alone."""
+    return (frozenset(pow(y, M, q) for y in range(q)),
+            tuple(pow(r, N, q) for r in range(q)))
+
+
 def _residue_mask(admissible: list[bool], bound: int) -> int:
     """Bits i in [0, 2*bound] set exactly when admissible[(i - bound) % q],
     q = len(admissible): one period of the pattern, tiled by doubling
@@ -387,8 +411,10 @@ def _residue_mask(admissible: list[bool], bound: int) -> int:
 
 
 def _twopower_factorable(tp: _TwoPower) -> list[tuple[int, int]] | None:
-    """Complete solving when N == M and -B/A is a d-th power of a rational:
-    substitute U = q x, V = p y and enumerate divisors of the difference."""
+    """Complete solving when N == M and -B/A is a D-th power of a rational
+    p/q: with U = q x and V = p y the equation reads U^D - V^D = T for
+    T = C q^D / A, so U - V = d divides T, and V solves
+    (V + d)^D - V^D = T (see _power_difference_roots)."""
     if tp.N != tp.M:
         return None
     D = tp.N
@@ -404,13 +430,7 @@ def _twopower_factorable(tp: _TwoPower) -> list[tuple[int, int]] | None:
     if T == 0:
         return None  # C == 0 is not this shape's business
     for d in divisors_k(T, 1):
-        # U = V + d; (V + d)^D - V^D = T: polynomial in V
-        coeffs = shifted_power(1, d, D)
-        coeffs[D] -= 1
-        coeffs[0] -= T
-        if all(c == 0 for c in coeffs):
-            continue
-        for v in integer_roots(coeffs):
+        for v in _power_difference_roots(d, D, T):
             u = v + d
             if u % q or v % p:
                 continue
@@ -418,6 +438,36 @@ def _twopower_factorable(tp: _TwoPower) -> list[tuple[int, int]] | None:
             if tp.A * x**D + tp.B * y**D == tp.C:
                 out.add((x, y))
     return sorted(out)
+
+
+def _power_difference_roots(d: int, D: int, T: int) -> list[int]:
+    """Every integer v with f(v) = (v + d)^D - v^D = T, sorted; d != 0 and
+    D >= 2.
+
+    With s the sign of d, s*f is strictly increasing for v >= -d/2, and
+    for even D on all of Z; for odd D, f(-d - v) = f(v) mirrors the other
+    half.  So one root at most lies at v >= -d/2 (or anywhere, for even
+    D), found by doubling steps and bisection."""
+    s = 1 if d > 0 else -1
+
+    def g(v):
+        return s * ((v + d) ** D - v**D - T)
+
+    lo, step = -(d // 2), 1  # the least integer >= -d/2
+    while D % 2 == 0 and g(lo) > 0:
+        lo, step = lo - step, 2 * step
+    if g(lo) > 0:
+        return []
+    hi, step = lo, 1
+    while g(hi) < 0:
+        lo, hi, step = hi, hi + step, 2 * step
+    while hi - lo > 1:  # g(lo) <= 0 <= g(hi)
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if g(mid) < 0 else (lo, mid)
+    roots = {v for v in (lo, hi) if g(v) == 0}
+    if D % 2:
+        roots |= {-d - v for v in roots}
+    return sorted(roots)
 
 
 def _twopower_definite(tp: _TwoPower) -> list[tuple[int, int]] | None:
@@ -612,18 +662,22 @@ def _superelliptic_poly(a, b, c, n, m, variables):
 def _superelliptic_linear(a, b, c, n, poly, variables, record):
     """a y = b x^n + c: no solutions unless g = gcd(a, b) divides c, else one
     family per residue class r modulo |a/g| with a/g | (b/g) r^n + c/g.
-    For n = 1 that class is the single r = -(c/g) (b/g)^-1 mod |a/g|."""
+    For n = 1 that class is the single r = -(c/g) (b/g)^-1 mod |a/g|; for
+    n >= 2 the classes come from intcore.roots_mod, which raises
+    ResourceLimit past _LINEAR_CLASS_LIMIT of them."""
     out = SolutionSet(variables, status=COMPLETE, equation=poly)
     g = gcd(a, b)
     ra, rb, rc = a // g, b // g, c // g
     aa = abs(ra)
     vx, vy = variables
-    count = 0
-    residues = range(aa) if n > 1 else [-rc * pow(rb, -1, aa) % aa]
-    for r in (residues if c % g == 0 else ()):
-        if (rb * pow(r, n, aa) + rc) % aa:
-            continue
-        count += 1
+    if c % g:
+        residues = []
+    elif n == 1:
+        residues = [-rc * pow(rb, -1, aa) % aa]
+    else:
+        residues = roots_mod([rc] + [0] * (n - 1) + [rb], aa,
+                             _LINEAR_CLASS_LIMIT)
+    for r in residues:
         coefs = [rb * co for co in shifted_power(aa, r, n)]
         coefs[0] += rc
         terms = [ex.monomial_expr(co, [("w", k)] if k else [])
@@ -645,7 +699,7 @@ def _superelliptic_linear(a, b, c, n, poly, variables, record):
             witness=witness, exact_box=True,
             param_bound=lambda box: {"w": box[vx] // aa + 1},
             note=f"x = {aa}w + {r}"))
-    record(f"{a}*y = {b}*x^{n} + {c}", [], "complete", count)
+    record(f"{a}*y = {b}*x^{n} + {c}", [], "complete", len(residues))
     return out
 
 

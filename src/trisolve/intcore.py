@@ -1,6 +1,7 @@
 """Exact integer and rational primitives: factorization, p-adic valuations,
 divisor sets D_k, signed and rational d-th roots, shifted powers, the
-three-way valuation split, and univariate solving over Z and Q.
+three-way valuation split, univariate solving over Z and Q, and roots
+modulo m.
 
 Everything here is pure and exact (arbitrary precision); no floats are used
 for anything that affects a result, except OO = math.inf, the valuation of
@@ -14,6 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, inf, isqrt
+
+
+class ResourceLimit(RuntimeError):
+    """A computation would pass one of the program's size limits."""
 
 
 #: Valuation of zero.  Float infinity compares exactly with every int and is
@@ -393,3 +398,63 @@ def integer_roots_bounded(coeffs: list[int], bound: int) -> list[int]:
     return sorted(roots + _roots_among(body, (
         x for d in range(1, min(bound, isqrt(low)) + 1) if low % d == 0
         for e in {d, low // d} if e <= bound for x in (e, -e))))
+
+
+# ---------------------------------------------------------------------------
+# Roots modulo m
+# ---------------------------------------------------------------------------
+
+#: Prime powers up to this size are scanned whole by roots_mod.
+_ROOT_SCAN_MODULUS = 1024
+
+
+def roots_mod(coeffs: list[int], m: int, limit: int) -> list[int]:
+    """Every r in [0, m) with sum(coeffs[i] * r**i) = 0 (mod m), sorted;
+    m >= 1.
+
+    A small prime power p^e of m is scanned whole.  Otherwise the roots
+    modulo p, found by a scan, are lifted one power of p at a time by
+    Hensel's lemma: a simple root r modulo p^k has one lift, a Newton
+    step; a singular one lifts to every r + t*p^k when it is a root modulo
+    p^(k+1), else to none.  The prime powers are combined by the Chinese
+    remainder theorem.  Raises ResourceLimit past `limit` classes, or when
+    a scan would pass `limit` residues."""
+    def check(count):
+        if count > limit:
+            raise ResourceLimit(f"more than {limit} residues modulo a "
+                                f"{m.bit_length()}-bit modulus")
+
+    slope = [i * c for i, c in enumerate(coeffs)][1:]
+    roots, modulus = [0], 1
+    for p, e in factorize(m).factors:
+        start = e if p**e <= _ROOT_SCAN_MODULUS else 1
+        check(p**start)
+        local = [r for r in range(p**start)
+                 if _value_mod(coeffs, r, p**start) == 0]
+        for k in range(start, e):
+            pk, nxt = p**k, p ** (k + 1)
+            lifted = []
+            for r in local:
+                ds = _value_mod(slope, r, p)
+                if ds:
+                    lifted.append((r - _value_mod(coeffs, r, nxt)
+                                   * pow(ds, -1, p)) % nxt)
+                elif _value_mod(coeffs, r, nxt) == 0:
+                    check(len(lifted) + p)
+                    lifted.extend(range(r, nxt, pk))
+            local = lifted
+        check(len(roots) * len(local))
+        q = p**e
+        inv = pow(modulus, -1, q)
+        roots = [r + modulus * ((s - r) * inv % q)
+                 for r in roots for s in local]
+        modulus *= q
+    return sorted(roots)
+
+
+def _value_mod(coeffs: list[int], r: int, q: int) -> int:
+    """sum(coeffs[i] * r**i) modulo q, by Horner's rule."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * r + c) % q
+    return acc

@@ -298,7 +298,12 @@ def solve_masser(a: int, bound: int = 10_000,
                  backend: str | None = None,
                  trace: list | None = None) -> SolutionSet:
     """Dedicated solver for x^4 + a*x*y + y^3 = 0 via the gcd substitution:
-    candidates (u, w) with u*w | a, then one quintic base equation each."""
+    candidates (u, w) with u*w | a, then one quintic base equation each.
+
+    As in solve_strict_case, each sign class of the terminal two-power
+    equations is solved once per call (``memo``, see solve_superelliptic);
+    every base equation keeps its own trace record, and nothing is kept
+    from one call to the next."""
     variables = ["x", "y"]
     if a == 0:
         out = SolutionSet(variables, status=COMPLETE)
@@ -308,12 +313,14 @@ def solve_masser(a: int, bound: int = 10_000,
                          else f"x^4 - {-a}*x*y + y^3")
     out = SolutionSet(variables, status=COMPLETE, equation=eq.polynomial())
     out.add_finite((0, 0))
+    memo: dict = {}
     for u in divisors(a):
         for w in divisors(abs(a) // u):
             # u w^2 x1^5 + w u^3 v^5 = -a, variables (x1, v)
             base = solve_superelliptic(
                 w * u**3, -u * w**2, -a, 5, 5, bound=bound,
-                variables=["x1", "v"], backend=backend, trace=trace)
+                variables=["x1", "v"], backend=backend, trace=trace,
+                memo=memo)
             out.status = out.status.combine(base.status)
             out.provenance = sorted(set(out.provenance) | set(base.provenance))
             for (x1, v) in base.finite:

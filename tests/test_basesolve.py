@@ -2,16 +2,19 @@ import random
 import stat
 import textwrap
 import time
+from fractions import Fraction
 from math import gcd
 
 import pytest
 
 from trisolve import basesolve
 from trisolve.basesolve import (
+    _power_difference_roots,
     _SIEVE_PRIMES,
     _TwoPower,
     _twopower_axis_solutions,
     _twopower_descend,
+    _twopower_factorable,
     _twopower_search,
     _twopower_sign_class,
     _twopower_terminal,
@@ -22,7 +25,14 @@ from trisolve.basesolve import (
     solve_superelliptic,
 )
 from trisolve.eqparse import Monomial, Polynomial, parse_equation
-from trisolve.intcore import exact_iroot
+from trisolve.intcore import (
+    divisors_k,
+    exact_iroot,
+    integer_roots,
+    iroot,
+    rational_root_d,
+    shifted_power,
+)
 from trisolve.multivar import solve
 from trisolve.oracle import brute_force
 from trisolve.solset import verify_against_oracle
@@ -157,12 +167,65 @@ def test_superelliptic_linear_with_a_huge_modulus_returns():
     assert ver.sound and ver.complete_in_box
 
 
+@pytest.mark.parametrize("text", ["-40*x^5+39*x*y^4-23*x^6=0",
+                                  "32*x^5*y^3-39*x^2*y^6+29*x^2*y^7=0"])
+def test_linear_base_equation_with_a_huge_modulus_and_n_above_1(text):
+    # the strict cases reach a*y = b*x^n + c with n = 4 and |a| about
+    # 2.4e9, and n = 3 and |a| about 6.7e7: too many residues to scan
+    start = time.perf_counter()
+    report = solve(text, bound=10)
+    assert time.perf_counter() - start < 10
+    assert str(report.solutions.status) == "Complete"
+    poly = parse_equation(text)
+    ver = verify_against_oracle(report.solutions, poly,
+                                brute_force(poly, 20).solutions, 20)
+    assert ver.sound and ver.complete_in_box
+
+
 def test_pell_limit_with_a_huge_unit_is_a_resource_limit(monkeypatch):
     # a scan length past the int-to-str digit limit still gives a message
     monkeypatch.setattr(basesolve, "pell_fundamental",
-                        lambda d: (10**10000, 10**9999))
+                        lambda d, limit=None: (10**10000, 10**9999))
     with pytest.raises(basesolve.ResourceLimit, match="2\\^"):
         solve_quadratic(1, -2, -1)
+
+
+def test_pell_limit_stops_the_expansion_early():
+    # the strict case reaches a Pell equation whose fundamental unit has
+    # thousands of digits; the seed scan is known to be too long long before
+    start = time.perf_counter()
+    with pytest.raises(basesolve.ResourceLimit, match="at least 2\\^"):
+        solve("-34*x^6*y^2-7*x*y^5+17*y^6=0", bound=10)
+    assert time.perf_counter() - start < 10
+
+
+def test_pell_early_limit_changes_no_outcome(monkeypatch):
+    # with the seed limit lowered to 50, the same (A, B, C) answer or raise
+    # with and without the limit passed to pell_fundamental
+    monkeypatch.setattr(basesolve, "_PELL_SEED_LIMIT", 50)
+    rng = random.Random(24)
+    draws = []
+    while len(draws) < 300:
+        A, B = rng.randint(1, 30), -rng.randint(1, 30)
+        if exact_iroot(-A * B, 2) is None:
+            draws.append((A, B, rng.choice((1, -1)) * rng.randint(1, 500)))
+
+    def outcomes():
+        out = []
+        for A, B, C in draws:
+            try:
+                s = solve_quadratic(A, B, C)
+                out.append([f.describe() for f in s.families])
+            except basesolve.ResourceLimit:
+                out.append("limit")
+        return out
+
+    early = outcomes()
+    real = basesolve.pell_fundamental
+    monkeypatch.setattr(basesolve, "pell_fundamental",
+                        lambda d, limit=None: real(d))
+    assert outcomes() == early
+    assert 50 < early.count("limit") < 250
 
 
 def test_superelliptic_residue_empty():
@@ -406,6 +469,77 @@ def test_factorable_planted_points(D):
                 s = solve_superelliptic(-B, A, -C, D, D, bound=50)
                 assert str(s.status) == "Complete", (A, B, C, D)
                 assert (x0, y0) in s.finite
+
+
+def test_power_difference_roots_equal_a_window():
+    # every root v of (v + d)^D - v^D = T has |v + d/2| <= R with
+    # D*|d|*R^(D-1) <= |T|, so the window below holds them all
+    rng = random.Random(24)
+    planted = 0
+    for _ in range(2000):
+        D = rng.randint(2, 9)
+        d = rng.choice((1, -1)) * rng.randint(1, 50)
+        if rng.random() < 0.5:
+            v0 = rng.randint(-150, 150)
+            T = (v0 + d) ** D - v0**D
+            planted += T != 0
+        else:
+            T = rng.choice((1, -1)) * rng.randint(
+                0, D * abs(d) * rng.randint(1, 150) ** (D - 1))
+        reach = iroot(abs(T) // (D * abs(d)), D - 1) + 2
+        window = range(-d // 2 - reach, -d // 2 + reach + 1)
+        want = [v for v in window if (v + d) ** D - v**D == T]
+        assert _power_difference_roots(d, D, T) == want, (d, D, T)
+    assert planted > 900
+
+
+def _factorable_reference(tp):
+    """_twopower_factorable with each (V + d)^D - V^D - T expanded and its
+    integer roots found from the divisors of its constant term."""
+    D = tp.N
+    root = rational_root_d(Fraction(-tp.B, tp.A), D)
+    p, q = root.numerator, root.denominator
+    if (tp.C * q**D) % tp.A:
+        return []
+    T = tp.C * q**D // tp.A
+    out = set()
+    for d in divisors_k(T, 1):
+        coeffs = shifted_power(1, d, D)
+        coeffs[D] -= 1
+        coeffs[0] -= T
+        for v in integer_roots(coeffs):
+            u = v + d
+            if u % q or v % p:
+                continue
+            x, y = u // q, v // p
+            if tp.A * x**D + tp.B * y**D == tp.C:
+                out.add((x, y))
+    return sorted(out)
+
+
+def test_factorable_equals_the_divisor_root_reference():
+    rng = random.Random(24)
+    cases = found = 0
+    while cases < 200:
+        D = rng.randint(2, 5)
+        p, q = rng.randint(1, 3), rng.randint(1, 3)
+        if gcd(p, q) > 1:
+            continue
+        k = rng.choice((1, -1)) * rng.randint(1, 3)
+        A, B = k * q**D, -k * p**D * (rng.choice((1, -1)) if D % 2 else 1)
+        if rng.random() < 0.5:
+            x0, y0 = rng.randint(-5, 5), rng.randint(-5, 5)
+            C = A * x0**D + B * y0**D
+        else:
+            C = rng.choice((1, -1)) * rng.randint(1, 1000)
+        if C == 0:
+            continue
+        tp = _TwoPower(A, B, C, D, D)
+        got = _twopower_factorable(tp)
+        assert got == _factorable_reference(tp), (A, B, C, D)
+        cases += 1
+        found += bool(got)
+    assert found > 50
 
 
 def test_terminal_solve_is_sign_covariant():

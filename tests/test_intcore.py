@@ -15,6 +15,8 @@ from trisolve.intcore import (
     integer_roots_bounded,
     is_probable_prime,
     rational_root_d,
+    ResourceLimit,
+    roots_mod,
     shifted_power,
     solve_univariate,
     valuation,
@@ -257,3 +259,42 @@ def test_shifted_power_vs_direct_evaluation():
         coeffs = shifted_power(s, r, e)
         assert len(coeffs) == e + 1
         assert sum(c * w**k for k, c in enumerate(coeffs)) == (s * w + r)**e
+
+
+def test_roots_mod_equal_a_scan():
+    # moduli with a prime power above 1024 reach the Hensel lift, and the
+    # planted p^n * (x^n - r0^n) has singular roots modulo powers of p
+    rng = random.Random(24)
+    lifted = 0
+    for _ in range(600):
+        m = rng.choice((1, 2, 3)) ** rng.randint(0, 13) * rng.choice(
+            (1, 1, 2, 3, 4, 5, 7, 9, 11, 25, 27, 49, 1031, 2053))
+        if m > 20_000:
+            continue
+        n = rng.randint(1, 7)
+        coeffs = [rng.randint(-40, 40) for _ in range(n + 1)]
+        if rng.random() < 0.4:  # a planted root with a repeated factor
+            p = rng.choice((2, 3))
+            r0 = rng.randrange(m)
+            coeffs = [0] * (n + 1)
+            coeffs[0], coeffs[n] = -(p**n) * r0**n, p**n
+        scan = [r for r in range(m) if not sum(
+            c * pow(r, i, m) for i, c in enumerate(coeffs)) % m]
+        assert roots_mod(coeffs, m, 10**6) == scan, (coeffs, m)
+        lifted += any(p**e > 1024 for p, e in factorize(m).factors)
+    assert lifted > 50
+
+
+def test_roots_mod_lifts_every_class_of_a_singular_root():
+    # x^2 = 0 mod 2^12 has the 64 roots 64*t; x^2 - 1 has 4 roots mod 2^12
+    assert roots_mod([0, 0, 1], 2**12, 1000) == list(range(0, 2**12, 64))
+    assert roots_mod([-1, 0, 1], 2**12, 1000) == [1, 2047, 2049, 4095]
+
+
+def test_roots_mod_raises_past_its_limit():
+    with pytest.raises(ResourceLimit):
+        roots_mod([0, 0, 1], 2**20, 1000)  # 1024 classes
+    with pytest.raises(ResourceLimit):
+        roots_mod([0, 0, 0, 3], 3**30, 1000)  # 3^20 classes
+    with pytest.raises(ResourceLimit):
+        roots_mod([-2, 0, 1], 1_000_003, 1000)  # a scan of a large prime

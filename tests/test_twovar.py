@@ -338,3 +338,45 @@ def test_strict_case_solves_each_sign_class_once(monkeypatch):
         assert len(calls) == 9
         assert len(rep.base_records) == 36
     assert rep.solutions.finite == {(0, 0), (396, -2904)}
+
+
+def _masser_report(a):
+    """Everything solve_masser reports for row a."""
+    trace = []
+    sols = solve_masser(a, trace=trace)
+    return (sorted(sols.finite), str(sols.status), sols.provenance,
+            [(r.description, r.solutions, r.status, r.families)
+             for r in trace])
+
+
+def test_masser_sign_class_memo_changes_no_output(monkeypatch):
+    rows = range(1, 101)
+    with_memo = [_masser_report(a) for a in rows]
+    real = basesolve.solve_superelliptic
+
+    def without_memo(*args, memo=None, **kwargs):
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(twovar, "solve_superelliptic", without_memo)
+    for a, got in zip(rows, with_memo):
+        assert got == _masser_report(a), a
+
+
+def test_masser_solves_each_sign_class_once(monkeypatch):
+    # the 36 base equations of row 36 reach 16 terminal solves, which fall
+    # into 9 sign classes
+    calls = []
+    real = basesolve._twopower_terminal
+
+    def counted(tp, bound):
+        calls.append(tp)
+        return real(tp, bound)
+
+    monkeypatch.setattr(basesolve, "_twopower_terminal", counted)
+    for _ in range(2):  # nothing is remembered from one call to the next
+        calls.clear()
+        trace = []
+        sols = solve_masser(36, trace=trace)
+        assert len(calls) == 9
+        assert len(trace) == 36
+    assert sols.finite == {(0, 0)}
