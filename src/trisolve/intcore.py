@@ -404,21 +404,22 @@ def integer_roots_bounded(coeffs: list[int], bound: int) -> list[int]:
 # Roots modulo m
 # ---------------------------------------------------------------------------
 
-#: Prime powers up to this size are scanned whole by roots_mod.
-_ROOT_SCAN_MODULUS = 1024
+#: Largest prime roots_mod scans residue by residue (about 1 s per 1e6
+#: residues at degree 8, in CPython 3.11 on a 2-core x86 VM).
+_PRIME_SCAN_LIMIT = 10_000_000
 
 
 def roots_mod(coeffs: list[int], m: int, limit: int) -> list[int]:
     """Every r in [0, m) with sum(coeffs[i] * r**i) = 0 (mod m), sorted;
     m >= 1.
 
-    A small prime power p^e of m is scanned whole.  Otherwise the roots
-    modulo p, found by a scan, are lifted one power of p at a time by
-    Hensel's lemma: a simple root r modulo p^k has one lift, a Newton
-    step; a singular one lifts to every r + t*p^k when it is a root modulo
-    p^(k+1), else to none.  The prime powers are combined by the Chinese
-    remainder theorem.  Raises ResourceLimit past `limit` classes, or when
-    a scan would pass `limit` residues."""
+    For each prime power p^e of m, the roots modulo p, found by a scan, are
+    lifted one power of p at a time by Hensel's lemma: a simple root r
+    modulo p^k has one lift, a Newton step; a singular one lifts to every
+    r + t*p^k when it is a root modulo p^(k+1), else to none.  The prime
+    powers are combined by the Chinese remainder theorem.  Raises
+    ResourceLimit past `limit` classes, or when a prime of m is above
+    _PRIME_SCAN_LIMIT."""
     def check(count):
         if count > limit:
             raise ResourceLimit(f"more than {limit} residues modulo a "
@@ -427,11 +428,13 @@ def roots_mod(coeffs: list[int], m: int, limit: int) -> list[int]:
     slope = [i * c for i, c in enumerate(coeffs)][1:]
     roots, modulus = [0], 1
     for p, e in factorize(m).factors:
-        start = e if p**e <= _ROOT_SCAN_MODULUS else 1
-        check(p**start)
-        local = [r for r in range(p**start)
-                 if _value_mod(coeffs, r, p**start) == 0]
-        for k in range(start, e):
+        if p > _PRIME_SCAN_LIMIT:
+            raise ResourceLimit(f"a scan of the residues of a "
+                                f"{p.bit_length()}-bit prime")
+        if not any(c % p for c in coeffs):
+            check(p)  # every residue is a root
+        local = [r for r in range(p) if _value_mod(coeffs, r, p) == 0]
+        for k in range(1, e):
             pk, nxt = p**k, p ** (k + 1)
             lifted = []
             for r in local:

@@ -167,6 +167,15 @@ def test_superelliptic_linear_with_a_huge_modulus_returns():
     assert ver.sound and ver.complete_in_box
 
 
+def test_superelliptic_linear_scans_a_prime_above_the_class_limit():
+    # 1000003 y = x^2 - 4: a prime modulus past _LINEAR_CLASS_LIMIT is
+    # still scanned, and only its two roots +-2 become families
+    s = solve_superelliptic(1_000_003, 1, -4, 2, 1, bound=100)
+    assert str(s.status) == "Complete"
+    assert [f.note for f in s.families] == ["x = 1000003w + 2",
+                                            "x = 1000003w + 1000001"]
+
+
 @pytest.mark.parametrize("text", ["-40*x^5+39*x*y^4-23*x^6=0",
                                   "32*x^5*y^3-39*x^2*y^6+29*x^2*y^7=0"])
 def test_linear_base_equation_with_a_huge_modulus_and_n_above_1(text):
