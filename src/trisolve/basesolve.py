@@ -529,6 +529,22 @@ def _twopower_sign_class(tp: _TwoPower):
     return min(forms)
 
 
+# One entry serves a whole sign class: gcds, valuations and certificates
+# ignore the signs the class changes (both covariances are tested).
+@lru_cache(maxsize=4096)
+def _descended_class(rep: tuple) -> tuple:
+    """((A', B', C', mul_x, mul_y), empty): _twopower_descend of rep."""
+    tp, empty = _twopower_descend(_TwoPower(*rep))
+    return (tp.A, tp.B, tp.C, tp.mul_x, tp.mul_y), empty
+
+
+@lru_cache(maxsize=4096)
+def _terminal_class(rep: tuple, bound: int) -> tuple:
+    """_twopower_terminal of rep, with its lists made tuples."""
+    sols, status, provenance = _twopower_terminal(_TwoPower(*rep), bound)
+    return tuple(sols), status, tuple(provenance)
+
+
 # ---------------------------------------------------------------------------
 # Backend hook
 # ---------------------------------------------------------------------------
@@ -561,20 +577,18 @@ def solve_superelliptic(a: int, b: int, c: int, n: int, m: int,
                         bound: int = 10_000,
                         variables: list[str] | None = None,
                         backend: str | None = None,
-                        trace: list | None = None,
-                        memo: dict | None = None) -> SolutionSet:
+                        trace: list | None = None) -> SolutionSet:
     """Complete-where-elementary solver for a*y^m = b*x^n + c, n, m >= 1;
     the terminal Thue/superelliptic cases run a bounded search with explicit
     status.
 
-    ``memo``, when given, holds the terminal results of earlier calls, keyed
-    by the sign class of the descended equation A x^N + B y^M = C (under
-    x -> -x for odd N, y -> -y for odd M and a global sign flip) and the
-    bound.  A member of a class that is already in the memo is not solved
-    again: the representative's points are mapped by the signs that carry
-    it to this member, and the status and provenance are the class's, which
-    every member shares.  The trace record is this call's own either way.
-    Backend calls and p-adically empty equations are never memoized."""
+    The terminal case works on sign classes of A x^N + B y^M = C (under
+    x -> -x for odd N, y -> -y for odd M and a global sign flip) through
+    two process-wide caches of 4096 entries: the descent per class before
+    descent, the certificates and search per (class after descent, bound).
+    Each member maps the class's points by its own signs, shares its status
+    and provenance, and keeps its own trace record.  Backend calls bypass
+    the terminal cache."""
     variables = variables or ["x", "y"]
     if a == 0 or b == 0:
         raise ValueError("need a, b nonzero")
@@ -597,7 +611,7 @@ def solve_superelliptic(a: int, b: int, c: int, n: int, m: int,
 
     if m > n:
         inner = solve_superelliptic(-b, -a, c, m, n, bound,
-                                    [vy, vx], backend, trace, memo)
+                                    [vy, vx], backend, trace)
         flipped = SolutionSet(variables, status=inner.status,
                               provenance=inner.provenance, equation=poly)
         for (y, x) in inner.finite:
@@ -617,9 +631,12 @@ def solve_superelliptic(a: int, b: int, c: int, n: int, m: int,
                "complete", len(out.families))
         return out
 
-    # terminal: 2 <= m <= n, n >= 3, c != 0
-    tp = _TwoPower(b, -a, -c, n, m)
-    tp, empty = _twopower_descend(tp)
+    # terminal: 2 <= m <= n, n >= 3, c != 0; this equation is (s*ex*A,
+    # s*ey*B, s*C) for its class's (A, B, C), and so is its descent
+    rep, ex, ey = _twopower_sign_class(_TwoPower(b, -a, -c, n, m))
+    s = 1 if rep[2] == -c else -1
+    (A, B, C, mul_x, mul_y), empty = _descended_class(rep)
+    tp = _TwoPower(s * ex * A, s * ey * B, s * C, n, m, mul_x, mul_y)
     out = SolutionSet(variables, status=COMPLETE, equation=poly)
     if empty:
         record(tp.describe(), [], "complete-empty (p-adic obstruction)")
@@ -634,14 +651,9 @@ def solve_superelliptic(a: int, b: int, c: int, n: int, m: int,
                str(out.status))
         return out
 
-    if memo is None:
-        sols, status, provenance = _twopower_terminal(tp, bound)
-    else:
-        rep, ex, ey = _twopower_sign_class(tp)
-        if (rep, bound) not in memo:
-            memo[rep, bound] = _twopower_terminal(_TwoPower(*rep), bound)
-        rep_sols, status, provenance = memo[rep, bound]
-        sols = sorted((ex * x, ey * y) for x, y in rep_sols)
+    rep, ex, ey = _twopower_sign_class(tp)
+    rep_sols, status, provenance = _terminal_class(rep, bound)
+    sols = sorted((ex * x, ey * y) for x, y in rep_sols)
     if status.startswith("searched"):
         out.status = searched(bound)
     for x, y in sols:

@@ -181,15 +181,14 @@ def solve_strict_case(form: TwoVarForm, bound: int = 10_000,
     y = sy*Y*u^n'*v^k'.
 
     Exact repeats of a base equation are solved once per call (``cache``),
-    and so is each sign class of the terminal two-power equations they
-    descend to (``memo``, see solve_superelliptic): the variants of one
-    candidate mostly differ by such signs.  Each distinct base equation
-    gets one trace record either way.  Both live only for this call."""
+    each with one trace record.  The variants of a candidate mostly share
+    a sign class, which solve_superelliptic descends and solves once per
+    process (caches of 4096 entries keyed on the class before descent, and
+    after descent with the bound; backend calls bypass the latter)."""
     lp, np_, mp, kp, ev, eu = form.strict_data()
     variables = form.variables
     out = SolutionSet(variables, status=COMPLETE)
     cache: dict[tuple, SolutionSet] = {}
-    memo: dict = {}
     for xa, ya in valuation_candidates(form.a, form.b, form.c, form.n,
                                        form.k, form.l, form.m):
         for sx in (1, -1):
@@ -202,8 +201,7 @@ def solve_strict_case(form: TwoVarForm, bound: int = 10_000,
                 if key not in cache:
                     cache[key] = solve_superelliptic(
                         A, B, C, ev, eu, bound=bound,
-                        variables=["v", "u"], backend=backend, trace=trace,
-                        memo=memo)
+                        variables=["v", "u"], backend=backend, trace=trace)
                 base = cache[key]
                 out.status = out.status.combine(base.status)
                 out.provenance = sorted(set(out.provenance)
@@ -300,10 +298,10 @@ def solve_masser(a: int, bound: int = 10_000,
     """Dedicated solver for x^4 + a*x*y + y^3 = 0 via the gcd substitution:
     candidates (u, w) with u*w | a, then one quintic base equation each.
 
-    As in solve_strict_case, each sign class of the terminal two-power
-    equations is solved once per call (``memo``, see solve_superelliptic);
-    every base equation keeps its own trace record, and nothing is kept
-    from one call to the next."""
+    Each sign class of the base equations is descended and solved once per
+    process (caches of 4096 entries keyed on the class before descent, and
+    after descent with the bound; backend calls bypass the latter), and
+    every base equation keeps its own trace record."""
     variables = ["x", "y"]
     if a == 0:
         out = SolutionSet(variables, status=COMPLETE)
@@ -313,14 +311,12 @@ def solve_masser(a: int, bound: int = 10_000,
                          else f"x^4 - {-a}*x*y + y^3")
     out = SolutionSet(variables, status=COMPLETE, equation=eq.polynomial())
     out.add_finite((0, 0))
-    memo: dict = {}
     for u in divisors(a):
         for w in divisors(abs(a) // u):
             # u w^2 x1^5 + w u^3 v^5 = -a, variables (x1, v)
             base = solve_superelliptic(
                 w * u**3, -u * w**2, -a, 5, 5, bound=bound,
-                variables=["x1", "v"], backend=backend, trace=trace,
-                memo=memo)
+                variables=["x1", "v"], backend=backend, trace=trace)
             out.status = out.status.combine(base.status)
             out.provenance = sorted(set(out.provenance) | set(base.provenance))
             for (x1, v) in base.finite:

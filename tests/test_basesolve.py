@@ -283,15 +283,47 @@ def test_superelliptic_monotone_in_bound():
     assert small <= large
 
 
-def test_a_shared_memo_keeps_each_bound_apart():
-    # y^2 = x^3 + 35000 has the point (50, 400), beyond a search to 20
-    memo = {}
+def test_a_shared_memo_keeps_each_bound_apart(monkeypatch):
+    # y^2 = x^3 + 35000 has the point (50, 400), beyond a search to 20; the
+    # process cache holds one entry per bound, and the reference solves
+    # without it
     for bound in (200, 20, 200):
-        got = solve_superelliptic(1, 1, 35000, 3, 2, bound=bound, memo=memo)
-        ref = solve_superelliptic(1, 1, 35000, 3, 2, bound=bound)
+        got = solve_superelliptic(1, 1, 35000, 3, 2, bound=bound)
+        with monkeypatch.context() as m:
+            m.setattr(basesolve, "_terminal_class",
+                      basesolve._terminal_class.__wrapped__)
+            ref = solve_superelliptic(1, 1, 35000, 3, 2, bound=bound)
         assert got.finite == ref.finite
         assert str(got.status) == str(ref.status) == f"SearchedToBound({bound})"
         assert ((50, 400) in got.finite) == (bound == 200)
+    info = basesolve._terminal_class.cache_info()
+    assert (info.currsize, info.hits) == (2, 1)
+
+
+def test_edited_answers_and_backend_calls_leave_the_caches_alone(tmp_path):
+    # a caller that edits its answer changes no later answer
+    for _ in range(2):
+        got = solve_superelliptic(1, 1, 35000, 3, 2, bound=20)
+        assert (50, 400) not in got.finite and got.provenance == []
+        got.add_finite((50, 400))
+        got.provenance.append("edited")
+    for _ in range(2):
+        got = solve_superelliptic(1, 2, -1, 3, 3, bound=20)  # 2x^3 - y^3 = 1
+        assert got.provenance == [basesolve.BENNETT_CITATION]
+        got.provenance.append("edited")
+    # a backend answer neither reads nor fills the terminal cache, even for
+    # an equation the cache holds
+    script = tmp_path / "fake_backend.py"
+    script.write_text("print('END COMPLETE')\n")  # no point at all
+    plain = solve_superelliptic(1, 8, -1, 5, 5, bound=50)  # y^5 = 8x^5 - 1
+    assert plain.finite == {(0, -1)}
+    assert str(plain.status) == "SearchedToBound(50)"
+    for c in (-1, -3):  # the cache holds the first of these only
+        info = basesolve._terminal_class.cache_info()
+        s = solve_superelliptic(1, 8, c, 5, 5, bound=50,
+                                backend=f"python3 {script}")
+        assert basesolve._terminal_class.cache_info() == info
+        assert str(s.status) == "Complete" and s.finite == set()
 
 
 def test_runge_condition_checks():
@@ -438,6 +470,8 @@ def test_verify_sees_a_point_dropped_from_the_base_search(monkeypatch):
     real = basesolve._twopower_search
     monkeypatch.setattr(basesolve, "_twopower_search",
                         lambda tp, bound: sorted(real(tp, bound))[1:])
+    basesolve._terminal_class.cache_clear()  # it holds the unpatched search
+    basesolve._descended_class.cache_clear()
     rep = solve(text)
     dropped = full.finite - rep.solutions.finite
     assert len(dropped) == 1 and rep.solutions.finite < full.finite
@@ -601,3 +635,44 @@ def test_terminal_solve_is_sign_covariant():
     assert statuses == {"complete-definite", "complete-factored",
                         "complete-bennett", "searched"}
     assert comparisons > 2000
+
+
+def test_descent_is_sign_covariant():
+    # The descent cache of solve_superelliptic descends one member of each
+    # sign class and maps the result to the others.  That is sound only if
+    # each member, descended on its own, gives the representative's descent
+    # under the same signs, with the same multipliers and empty flag.
+    rng = random.Random(26)
+    outcomes = set()
+    draws = comparisons = 0
+
+    def smooth():
+        # prime-rich coefficients, so that gcds, forced primes and p-adic
+        # obstructions all occur
+        return (rng.choice((1, -1)) * 2**rng.randint(0, 7)
+                * 3**rng.randint(0, 5) * rng.choice((1, 5, 7, 25, 35)))
+
+    while draws < 400:
+        N = rng.randint(3, 7)
+        M = rng.randint(2, N)
+        tp = _TwoPower(smooth(), smooth(), smooth(), N, M)
+        draws += 1
+        rep, _, _ = _twopower_sign_class(tp)
+        desc, empty = _twopower_descend(_TwoPower(*rep))
+        outcomes.add("empty" if empty else
+                     "moved" if desc.mul_x * desc.mul_y > 1 else
+                     "divided" if desc.C != rep[2] else "kept")
+        for ex in ((1, -1) if N % 2 else (1,)):
+            for ey in ((1, -1) if M % 2 else (1,)):
+                for g in (1, -1):
+                    member = _TwoPower(g * ex * rep[0], g * ey * rep[1],
+                                       g * rep[2], N, M)
+                    assert _twopower_sign_class(member)[0] == rep, member
+                    got, got_empty = _twopower_descend(member)
+                    assert got == _TwoPower(
+                        g * ex * desc.A, g * ey * desc.B, g * desc.C, N, M,
+                        desc.mul_x, desc.mul_y), member
+                    assert got_empty == empty, member
+                    comparisons += 1
+    assert outcomes == {"empty", "moved", "divided", "kept"}
+    assert comparisons > 1500

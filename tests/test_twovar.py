@@ -1,7 +1,7 @@
 import random
 from math import gcd
 
-from trisolve import basesolve, twovar
+from trisolve import basesolve
 from trisolve.eqparse import (
     Monomial,
     NotATrinomial,
@@ -306,16 +306,24 @@ def _strict_inputs():
     return texts
 
 
+def _solve_each_member_alone(monkeypatch):
+    """Make solve_superelliptic descend and solve every base equation on its
+    own: each equation is its own sign class, and nothing is cached."""
+    monkeypatch.setattr(basesolve, "_twopower_sign_class",
+                        lambda tp: ((tp.A, tp.B, tp.C, tp.N, tp.M), 1, 1))
+    monkeypatch.setattr(basesolve, "_descended_class",
+                        basesolve._descended_class.__wrapped__)
+    monkeypatch.setattr(basesolve, "_terminal_class",
+                        basesolve._terminal_class.__wrapped__)
+
+
 def test_sign_class_memo_changes_no_output(monkeypatch):
+    # the sign-class caches, filled across all 140 calls, against solving
+    # every base equation on its own
     texts = _strict_inputs()
     with_memo = [_strict_report(t, 300) for t in texts]
     assert all(r[0] == ["strict"] for r in with_memo)
-    real = basesolve.solve_superelliptic
-
-    def without_memo(*args, memo=None, **kwargs):
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(twovar, "solve_superelliptic", without_memo)
+    _solve_each_member_alone(monkeypatch)
     for text, got in zip(texts, with_memo):
         assert got == _strict_report(text, 300), text
 
@@ -331,13 +339,14 @@ def test_strict_case_solves_each_sign_class_once(monkeypatch):
         return real(tp, bound)
 
     monkeypatch.setattr(basesolve, "_twopower_terminal", counted)
-    eq = parse_trinomial("x^4+88*x*y+y^3=0")
-    for _ in range(2):  # nothing is remembered from one call to the next
+    reports = []
+    for solves in (9, 0):  # the second call answers from the process cache
         calls.clear()
-        rep = solve_two_var(eq)
-        assert len(calls) == 9
-        assert len(rep.base_records) == 36
-    assert rep.solutions.finite == {(0, 0), (396, -2904)}
+        reports.append(_strict_report("x^4+88*x*y+y^3=0", 10_000))
+        assert len(calls) == solves
+        assert len(reports[-1][-1]) == 36
+    assert reports[0] == reports[1]
+    assert set(reports[0][2]) == {(0, 0), (396, -2904)}
 
 
 def _masser_report(a):
@@ -350,14 +359,11 @@ def _masser_report(a):
 
 
 def test_masser_sign_class_memo_changes_no_output(monkeypatch):
+    # the sign-class caches, filled across all 100 rows, against solving
+    # every base equation on its own
     rows = range(1, 101)
     with_memo = [_masser_report(a) for a in rows]
-    real = basesolve.solve_superelliptic
-
-    def without_memo(*args, memo=None, **kwargs):
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(twovar, "solve_superelliptic", without_memo)
+    _solve_each_member_alone(monkeypatch)
     for a, got in zip(rows, with_memo):
         assert got == _masser_report(a), a
 
@@ -373,10 +379,40 @@ def test_masser_solves_each_sign_class_once(monkeypatch):
         return real(tp, bound)
 
     monkeypatch.setattr(basesolve, "_twopower_terminal", counted)
-    for _ in range(2):  # nothing is remembered from one call to the next
+    reports = []
+    for solves in (9, 0):  # the second call answers from the process cache
         calls.clear()
-        trace = []
-        sols = solve_masser(36, trace=trace)
-        assert len(calls) == 9
-        assert len(trace) == 36
-    assert sols.finite == {(0, 0)}
+        reports.append(_masser_report(36))
+        assert len(calls) == solves
+        assert len(reports[-1][-1]) == 36
+    assert reports[0] == reports[1]
+    assert reports[0][0] == [(0, 0)]
+
+
+def test_table1_answers_do_not_depend_on_what_the_caches_hold():
+    # each row through both pipelines, first on cleared caches, then in one
+    # process with the caches filled by the rows before it, in ascending and
+    # then descending order
+    def report(a):
+        return _masser_report(a), _strict_report(f"x^4+{a}*x*y+y^3=0", 10_000)
+
+    def clear():
+        basesolve._descended_class.cache_clear()
+        basesolve._terminal_class.cache_clear()
+
+    rows = range(1, 101)
+    cold = {}
+    for a in rows:
+        clear()
+        cold[a] = report(a)
+    clear()
+    for a in [*rows, *reversed(rows)]:
+        assert report(a) == cold[a], a
+    # a caller that edits its answer changes no later answer
+    for _ in range(2):
+        sols = solve_masser(88)
+        strict = solve_two_var(parse_trinomial("x^4+88*x*y+y^3=0")).solutions
+        for got in (sols, strict):
+            got.finite.clear()
+            got.provenance.append("edited")
+    assert report(88) == cold[88]
