@@ -25,6 +25,7 @@ import subprocess
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import gcd, isqrt
 
 from . import expr as ex
@@ -59,7 +60,9 @@ BENNETT_CITATION = ("uniqueness of the positive solution of |a*x^n - b*y^n| = 1 
 
 #: Most seeds v the indefinite case of solve_quadratic scans.
 _PELL_SEED_LIMIT = 2_000_000
-#: Most residue classes (one family each) of a linear base equation.
+#: Most residue classes (one family each) of a separated-linear equation,
+#: and most residue tuples its scan visits when two or more variables
+#: stand beside the linear one.
 _LINEAR_CLASS_LIMIT = 1_000_000
 #: Most prime-stripping rounds of _twopower_descend.
 _DESCENT_ROUNDS = 64
@@ -78,7 +81,6 @@ class BaseSolveRecord:
     description: str
     solutions: list[tuple[int, int]]
     status: str
-    families: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -570,6 +572,130 @@ def run_backend(command: str, a: int, b: int, c: int, n: int, m: int):
 
 
 # ---------------------------------------------------------------------------
+# Separated-linear equations a*x + P(rest) = 0
+# ---------------------------------------------------------------------------
+
+def find_separated_linear(poly: Polynomial):
+    """Index of a monomial that is a single variable of degree 1 not
+    occurring in any other monomial, or None."""
+    for idx, mono in enumerate(poly.monomials):
+        if len(mono.exps) != 1:
+            continue
+        (v, e), = mono.exps
+        if e != 1:
+            continue
+        if any(other.exp_of(v) for j, other in enumerate(poly.monomials)
+               if j != idx):
+            continue
+        return idx
+    return None
+
+
+def solve_separated_linear(poly: Polynomial) -> SolutionSet:
+    """Complete solving of a*x + P(rest) = 0, where x occurs in no monomial
+    of P.
+
+    With g = gcd(a, the non-constant coefficients of P), there is no
+    solution unless g divides the constant of P.  Otherwise x is an integer
+    exactly when the other variables lie in a residue class modulo |a/g| on
+    which a/g divides P/g, and each such class is one family.  With one
+    other variable the classes are the roots of P/g from intcore.roots_mod;
+    with k >= 2 the |a/g|^k tuples of residues are scanned.  Past
+    _LINEAR_CLASS_LIMIT classes, or tuples to scan, ResourceLimit is
+    raised."""
+    idx = find_separated_linear(poly)
+    if idx is None:
+        raise ValueError("no separated linear monomial")
+    mono = poly.monomials[idx]
+    (xvar, _), = mono.exps
+    rest = [m for j, m in enumerate(poly.monomials) if j != idx]
+    rest_vars = [v for v in poly.variables if v != xvar]
+    out = SolutionSet(list(poly.variables), status=COMPLETE, equation=poly)
+    g = gcd(mono.coeff, *(m.coeff for m in rest if m.exps))
+    if sum(m.coeff for m in rest if not m.exps) % g:
+        return out
+    a = mono.coeff // g
+    rest = [Monomial(m.coeff // g, m.exps) for m in rest]
+    aa = abs(a)
+    if len(rest_vars) == 1:
+        coeffs = Polynomial(rest).coefficients(rest_vars[0])
+        classes = [(r,) for r in roots_mod(coeffs, aa, _LINEAR_CLASS_LIMIT)]
+    else:
+        if aa ** len(rest_vars) > _LINEAR_CLASS_LIMIT:
+            raise ResourceLimit(f"{aa}^{len(rest_vars)} residue classes")
+        classes = [res for res in product(range(aa), repeat=len(rest_vars))
+                   if sum(m.evaluate(dict(zip(rest_vars, res)))
+                          for m in rest) % aa == 0]
+    for res in classes:
+        out.families.append(_residue_family(out.variables, xvar, a, rest,
+                                            rest_vars, res))
+    return out
+
+
+def _residue_family(variables, xvar, a, rest, rest_vars, residues):
+    """x = -P / a over the class v = |a|*w_v + r_v of each other variable v,
+    divided exactly; the one parameter is w when there is one other
+    variable."""
+    aa = abs(a)
+    names = (["w"] if len(rest_vars) == 1
+             else [f"w_{v}" for v in rest_vars])
+    # substitute v = aa*w_v + r_v in -P
+    expanded: dict[tuple, int] = {}
+    for m in rest:
+        acc = {tuple([0] * len(rest_vars)): -m.coeff}
+        for pos, v in enumerate(rest_vars):
+            e = m.exp_of(v)
+            if not e:
+                continue
+            branch = {k: co for k, co in
+                      enumerate(shifted_power(aa, residues[pos], e)) if co}
+            acc2 = {}
+            for exps, co in acc.items():
+                for k, co2 in branch.items():
+                    key = list(exps)
+                    key[pos] += k
+                    key = tuple(key)
+                    acc2[key] = acc2.get(key, 0) + co * co2
+            acc = acc2
+        for key, co in acc.items():
+            expanded[key] = expanded.get(key, 0) + co
+    terms = []
+    for exps, co in sorted(expanded.items()):
+        if co == 0:
+            continue
+        assert co % a == 0 or any(exps), "residue class not divisible"
+        terms.append(ex.monomial_expr(
+            co, [(w, e) for w, e in zip(names, exps) if e]))
+    exprs = {xvar: ex.ExactDiv(ex.Add(*terms) if terms else ex.const(0),
+                               ex.const(a))}
+    for v, w, r in zip(rest_vars, names, residues):
+        exprs[v] = ex.Add(ex.monomial_expr(aa, [(w, 1)]), ex.const(r))
+
+    def witness(sol):
+        env = {}
+        for v, x in zip(variables, sol):
+            if v == xvar:
+                continue
+            pos = rest_vars.index(v)
+            if (x - residues[pos]) % aa:
+                return None
+            env[names[pos]] = (x - residues[pos]) // aa
+        return env
+
+    if len(rest_vars) == 1:
+        note = f"{rest_vars[0]} = {aa}w + {residues[0]}"
+    else:
+        note = f"residues {dict(zip(rest_vars, residues))} mod {aa}"
+    return SolutionFamily(
+        variables=list(variables),
+        params=[(w, AllIntegers()) for w in names], exprs=exprs,
+        witness=witness, exact_box=True,
+        param_bound=lambda box: {w: box[v] // aa + 1
+                                 for v, w in zip(rest_vars, names)},
+        note=note)
+
+
+# ---------------------------------------------------------------------------
 # The superelliptic base equation a y^m = b x^n + c
 # ---------------------------------------------------------------------------
 
@@ -597,16 +723,15 @@ def solve_superelliptic(a: int, b: int, c: int, n: int, m: int,
     poly = _superelliptic_poly(a, b, c, n, m, variables)
     vx, vy = variables
 
-    def record(desc, sols, status, families=0):
+    def record(desc, sols, status):
         if trace is not None:
-            trace.append(BaseSolveRecord(desc, sorted(sols), status, families))
+            trace.append(BaseSolveRecord(desc, sorted(sols), status))
 
     if c == 0:
         out = solve_two_monomial(poly)
         out.equation = poly
         out.add_finite((0, 0))
-        record(f"{a}*y^{m} = {b}*x^{n}", sorted(out.finite), "complete",
-               len(out.families))
+        record(f"{a}*y^{m} = {b}*x^{n}", sorted(out.finite), "complete")
         return out
 
     if m > n:
@@ -621,14 +746,15 @@ def solve_superelliptic(a: int, b: int, c: int, n: int, m: int,
         return flipped
 
     if m == 1:
-        return _superelliptic_linear(a, b, c, n, poly, variables, record)
+        out = solve_separated_linear(poly)
+        record(f"{a}*y = {b}*x^{n} + {c}", [], "complete")
+        return out
 
     if m == n == 2:
         # b x^2 - a y^2 + c = 0
         out = solve_quadratic(b, -a, c, variables)
         out.equation = poly
-        record(f"{a}*y^2 = {b}*x^2 + {c}", sorted(out.finite),
-               "complete", len(out.families))
+        record(f"{a}*y^2 = {b}*x^2 + {c}", sorted(out.finite), "complete")
         return out
 
     # terminal: 2 <= m <= n, n >= 3, c != 0; this equation is (s*ex*A,
@@ -669,50 +795,6 @@ def _superelliptic_poly(a, b, c, n, m, variables):
     if c:
         monos.append(Monomial.make(-c, {}))
     return Polynomial(monos, list(variables))
-
-
-def _superelliptic_linear(a, b, c, n, poly, variables, record):
-    """a y = b x^n + c: no solutions unless g = gcd(a, b) divides c, else one
-    family per residue class r modulo |a/g| with a/g | (b/g) r^n + c/g.
-    For n = 1 that class is the single r = -(c/g) (b/g)^-1 mod |a/g|; for
-    n >= 2 the classes come from intcore.roots_mod, which raises
-    ResourceLimit past _LINEAR_CLASS_LIMIT of them."""
-    out = SolutionSet(variables, status=COMPLETE, equation=poly)
-    g = gcd(a, b)
-    ra, rb, rc = a // g, b // g, c // g
-    aa = abs(ra)
-    vx, vy = variables
-    if c % g:
-        residues = []
-    elif n == 1:
-        residues = [-rc * pow(rb, -1, aa) % aa]
-    else:
-        residues = roots_mod([rc] + [0] * (n - 1) + [rb], aa,
-                             _LINEAR_CLASS_LIMIT)
-    for r in residues:
-        coefs = [rb * co for co in shifted_power(aa, r, n)]
-        coefs[0] += rc
-        terms = [ex.monomial_expr(co, [("w", k)] if k else [])
-                 for k, co in enumerate(coefs) if co]
-        y_expr = ex.ExactDiv(ex.Add(*terms) if terms else ex.const(0),
-                             ex.const(ra))
-        x_expr = ex.Add(ex.monomial_expr(aa, [("w", 1)]), ex.const(r))
-
-        def witness(sol, _r=r):
-            x, _ = sol
-            if (x - _r) % aa:
-                return None
-            return {"w": (x - _r) // aa}
-
-        out.families.append(SolutionFamily(
-            variables=list(variables),
-            params=[("w", AllIntegers())],
-            exprs={vx: x_expr, vy: y_expr},
-            witness=witness, exact_box=True,
-            param_bound=lambda box: {"w": box[vx] // aa + 1},
-            note=f"x = {aa}w + {r}"))
-    record(f"{a}*y = {b}*x^{n} + {c}", [], "complete", len(residues))
-    return out
 
 
 def _swap_family(fam, variables):

@@ -419,7 +419,11 @@ def roots_mod(coeffs: list[int], m: int, limit: int) -> list[int]:
     r + t*p^k when it is a root modulo p^(k+1), else to none.  The prime
     powers are combined by the Chinese remainder theorem.  Raises
     ResourceLimit past `limit` classes, or when a prime of m is above
-    _PRIME_SCAN_LIMIT."""
+    _PRIME_SCAN_LIMIT.  A linear c0 + c1*r with c1 prime to m has the one
+    root -c0/c1 modulo m, found without a scan."""
+    if len(coeffs) == 2 and gcd(coeffs[1], m) == 1:
+        return [-coeffs[0] * pow(coeffs[1], -1, m) % m]
+
     def check(count):
         if count > limit:
             raise ResourceLimit(f"more than {limit} residues modulo a "

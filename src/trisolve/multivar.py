@@ -15,7 +15,11 @@ from fractions import Fraction
 from math import gcd, prod
 
 from . import expr as ex
-from .basesolve import BaseSolveRecord
+from .basesolve import (
+    BaseSolveRecord,
+    find_separated_linear,
+    solve_separated_linear,
+)
 from .eqparse import (
     Monomial,
     Polynomial,
@@ -28,7 +32,6 @@ from .intcore import (
     divisors,
     factorize,
     integer_roots,
-    shifted_power,
     valuation,
 )
 from .lindioph import (
@@ -238,118 +241,17 @@ def direct_formula(eq: TrinomialEquation, cert: Prop4Certificate
 
 
 # ---------------------------------------------------------------------------
-# separated-linear equations: a*x_i + P(rest) = 0
+# limits of the reduction and of its block and lift families
 # ---------------------------------------------------------------------------
 
 class ResidueLimit(RuntimeError):
     pass
 
 
-#: Most residue classes modulo |a| that solve_separated_linear lists.
-_RESIDUE_CLASS_LIMIT = 1_000_000
 #: Most branches (one per sign class) reduce_to_independent emits.
 _MAX_BRANCHES = 4096
 #: Largest inner bound a block-grouping family lists its inner set at.
 _BLOCK_INNER_LIMIT = 10**6
-
-
-def find_separated_linear(poly: Polynomial):
-    """Index of a monomial that is a single variable of degree 1 not
-    occurring in any other monomial, or None."""
-    for idx, mono in enumerate(poly.monomials):
-        if len(mono.exps) != 1:
-            continue
-        (v, e), = mono.exps
-        if e != 1:
-            continue
-        if any(other.exp_of(v) for j, other in enumerate(poly.monomials)
-               if j != idx):
-            continue
-        return idx
-    return None
-
-
-def solve_separated_linear(poly: Polynomial) -> SolutionSet:
-    """Complete solving of a*x + P(rest) = 0: one family per admissible
-    residue class of the other variables modulo |a| (a single class for
-    |a| = 1)."""
-    idx = find_separated_linear(poly)
-    if idx is None:
-        raise ValueError("no separated linear monomial")
-    mono = poly.monomials[idx]
-    (xvar, _), = mono.exps
-    a = mono.coeff
-    rest = [m for j, m in enumerate(poly.monomials) if j != idx]
-    rest_vars = [v for v in poly.variables if v != xvar]
-    variables = list(poly.variables)
-    out = SolutionSet(variables, status=COMPLETE, equation=poly)
-    aa = abs(a)
-
-    if aa ** len(rest_vars) > _RESIDUE_CLASS_LIMIT:
-        raise ResidueLimit(f"{aa}^{len(rest_vars)} residue classes")
-    for res in itertools.product(range(aa), repeat=len(rest_vars)):
-        env = dict(zip(rest_vars, res))
-        total = sum(m.evaluate(env) for m in rest)
-        if total % aa:
-            continue
-        out.families.append(_residue_family(variables, xvar, a, rest,
-                                            rest_vars, res))
-    return out
-
-
-def _residue_family(variables, xvar, a, rest, rest_vars, residues):
-    aa = abs(a)
-    # substitute v = aa*w_v + r_v in P and divide by -a, exactly
-    expanded: dict[tuple, int] = {}
-    for m in rest:
-        acc = {tuple([0] * len(rest_vars)): m.coeff}
-        for pos, v in enumerate(rest_vars):
-            e = m.exp_of(v)
-            if not e:
-                continue
-            branch = {k: co for k, co in
-                      enumerate(shifted_power(aa, residues[pos], e)) if co}
-            acc2 = {}
-            for exps, co in acc.items():
-                for k, co2 in branch.items():
-                    key = list(exps)
-                    key[pos] += k
-                    key = tuple(key)
-                    acc2[key] = acc2.get(key, 0) + co * co2
-            acc = acc2
-        for key, co in acc.items():
-            expanded[key] = expanded.get(key, 0) + co
-    terms = []
-    for exps, co in sorted(expanded.items()):
-        if co == 0:
-            continue
-        assert co % a == 0 or any(exps), "residue class not divisible"
-        terms.append(ex.monomial_expr(
-            co, [(f"w_{v}", e) for v, e in zip(rest_vars, exps) if e]))
-    x_expr = ex.ExactDiv(ex.Neg(ex.Add(*terms)) if terms else ex.const(0),
-                         ex.const(a))
-    exprs = {xvar: x_expr}
-    params = [(f"w_{v}", AllIntegers()) for v in rest_vars]
-    for v, r in zip(rest_vars, residues):
-        exprs[v] = ex.Add(ex.monomial_expr(aa, [(f"w_{v}", 1)]), ex.const(r))
-
-    def witness(sol):
-        env = {}
-        for v, x in zip(variables, sol):
-            if v == xvar:
-                continue
-            r = residues[rest_vars.index(v)]
-            if (x - r) % aa:
-                return None
-            env[f"w_{v}"] = (x - r) // aa
-        return env
-
-    return SolutionFamily(
-        variables=list(variables), params=params, exprs=exprs,
-        witness=witness, exact_box=True,
-        param_bound=lambda box: {f"w_{v}": box[v] // aa + 1
-                                 for v in rest_vars},
-        note=f"residues {dict(zip(rest_vars, residues))} mod {aa}")
 
 
 # ---------------------------------------------------------------------------

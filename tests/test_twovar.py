@@ -287,7 +287,7 @@ def _strict_report(text, bound):
     pts, exact = sols.enumerate_box(20)
     return (rep.path, str(sols.status), sorted(sols.finite), sols.provenance,
             [fam.describe() for fam in sols.families], sorted(pts), exact,
-            [(r.description, r.solutions, r.status, r.families)
+            [(r.description, r.solutions, r.status)
              for r in rep.base_records])
 
 
@@ -354,7 +354,7 @@ def _masser_report(a):
     trace = []
     sols = solve_masser(a, trace=trace)
     return (sorted(sols.finite), str(sols.status), sols.provenance,
-            [(r.description, r.solutions, r.status, r.families)
+            [(r.description, r.solutions, r.status)
              for r in trace])
 
 
