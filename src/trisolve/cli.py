@@ -299,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true")
         p.add_argument("--backend", default=None,
                        help="external base-equation solver command")
-        p.add_argument("--budget", type=int, default=1_000_000,
+        p.add_argument("--budget", type=_positive, default=1_000_000,
                        help="completion search node budget")
         if box:
             p.add_argument("--box", dest="bound_box", type=_nonneg,
@@ -337,8 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=_nonneg, required=True)
     p.add_argument("--samples", type=_positive, default=1000)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--budget", type=int, default=500_000)
+    p.add_argument("--threads", type=_positive, default=1)
+    p.add_argument("--budget", type=_positive, default=500_000)
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("repro", help="reproduce a published table")
@@ -347,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backend", default=None)
     p.add_argument("--samples", type=_positive, default=1000)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_positive, default=1)
     p.add_argument("--tolerance", type=float, default=0.03)
     p.add_argument("-v", "--verbose", action="store_true")
     p.set_defaults(func=cmd_repro)

@@ -57,6 +57,22 @@ def test_bad_numeric_arguments_are_usage_errors(argv, capsys):
     assert "usage:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["0", "-5"])
+@pytest.mark.parametrize("argv", [
+    ["solve", "x*y*z - x - y = 0", "--budget"],
+    ["verify", "x^2-y=0", "--budget"],
+    ["experiment", "--nvars", "3", "--degree", "2", "--budget"],
+    ["experiment", "--nvars", "3", "--degree", "2", "--threads"],
+    ["repro", "6", "--threads"],
+])
+def test_budget_and_threads_must_be_positive(argv, value, capsys):
+    # parsed only, so that no value can start a solve or a worker pool
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv + [value])
+    assert exc.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err
+
+
 def test_zero_bounds_are_accepted(capsys):
     code, out = run(capsys, "oracle", "x^2-y=0", "-B", "0")
     assert code == 0
