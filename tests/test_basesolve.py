@@ -141,19 +141,26 @@ def test_superelliptic_linear_divides_out_the_gcd():
 
 
 def test_superelliptic_linear_solves_n1_by_one_inverse():
-    # for n = 1 the one residue class comes from a modular inverse; the
-    # families are those of a scan over every residue
+    # for n = 1 the one residue class comes from a modular inverse, even
+    # modulo a prime past the prime-scan limit; for every n the families
+    # are those of a scan over every residue
+    s = solve_superelliptic(1_000_000_007, 3, 1, 1, 1, bound=100)
+    assert str(s.status) == "Complete"
+    assert [f.note for f in s.families] == ["x = 1000000007w + 666666671"]
     rng = random.Random(1)
-    for _ in range(200):
-        a = rng.choice([-1, 1]) * rng.randint(1, 90)
-        b = rng.choice([-1, 1]) * rng.randint(1, 90)
-        c = rng.randint(-200, 200)
-        g = abs(gcd(a, b))
-        aa = abs(a) // g
-        scan = [f"x = {aa}w + {r}" for r in range(aa)
-                if c % g == 0 and (b // g * r + c // g) % aa == 0]
-        s = solve_superelliptic(a, b, c, 1, 1, bound=100)
-        assert [f.note for f in s.families] == scan, (a, b, c)
+    for n in range(1, 5):
+        for _ in range(200):
+            a = rng.choice([-1, 1]) * rng.randint(1, 90)
+            b = rng.choice([-1, 1]) * rng.randint(1, 90)
+            c = rng.randint(-200, 200)
+            if c == 0:
+                continue  # a two-monomial equation, solved elsewhere
+            g = abs(gcd(a, b))
+            aa = abs(a) // g
+            scan = [f"x = {aa}w + {r}" for r in range(aa)
+                    if c % g == 0 and (b // g * r**n + c // g) % aa == 0]
+            s = solve_superelliptic(a, b, c, n, 1, bound=100)
+            assert [f.note for f in s.families] == scan, (a, b, c, n)
 
 
 def test_superelliptic_linear_with_a_huge_modulus_returns():

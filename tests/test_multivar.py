@@ -27,7 +27,7 @@ from trisolve.fixtures import (
     family_rows,
     family_rows_as_written,
 )
-from trisolve.intcore import factorize, valuation
+from trisolve.intcore import ResourceLimit, factorize, valuation
 from trisolve.lindioph import (
     MinimalBasis,
     _bounded_cone_case,
@@ -188,6 +188,22 @@ def test_separated_linear_modulus():
     truth = brute_force(parse_equation("3*x - y^2 - 2"), 15).solutions
     assert set(pts) == set(truth)
     assert len(s.families) == 2  # residues 1 and 2 mod 3
+
+
+def test_separated_linear_takes_one_variable_classes_from_roots_mod():
+    # 1000003 x = y^2 - 4 modulo a prime past the class limit: the roots
+    # of y^2 - 4 give the two classes, where a scan of residues would not
+    # end; two other variables still scan |a|^2 tuples, so past the limit
+    # that is refused up front
+    poly = parse_equation("1000003*x - y^2 + 4")
+    s = solve_separated_linear(poly)
+    assert str(s.status) == "Complete"
+    assert [f.note for f in s.families] == ["y = 1000003w + 2",
+                                            "y = 1000003w + 1000001"]
+    pts, exact = s.enumerate_box(10)
+    assert exact and set(pts) == set(brute_force(poly, 10).solutions)
+    with pytest.raises(ResourceLimit, match="1001\\^2 residue classes"):
+        solve_separated_linear(parse_equation("1001*x - y*z - 1"))
 
 
 def test_separated_linear_empty_residues():
