@@ -1,9 +1,11 @@
 """Solvers for the base equation shapes a*y^m = b*x^n + c, quadratic forms
-A*u^2 + B*v^2 + C = 0, and trinomials a*x^n + b*x^k*y^l + c*y^m = 0 under
-Runge's condition n*l + m*k > m*n.
+A*u^2 + B*v^2 + C = 0, trinomials a*x^n + b*x^k*y^l + c*y^m = 0 under
+Runge's condition n*l + m*k > m*n, and separated-linear equations
+a*x + P(rest) = 0 in any number of variables, by residue classes.
 
-Everything elementary is solved completely (m = 1, quadratics, two-monomial,
-definite or factorable power forms, p-adically impossible equations).  The
+Everything elementary is solved completely (m = 1, which is separated
+linear, quadratics, two-monomial, definite or factorable power forms,
+p-adically impossible equations).  The
 remaining Thue / superelliptic cases run a bounded search whose status is
 SearchedToBound unless an external backend certifies completeness, or the
 equation has |C| = 1 in reduced two-power form and the search exhibits the
@@ -672,15 +674,11 @@ def _residue_family(variables, xvar, a, rest, rest_vars, residues):
         exprs[v] = ex.Add(ex.monomial_expr(aa, [(w, 1)]), ex.const(r))
 
     def witness(sol):
-        env = {}
-        for v, x in zip(variables, sol):
-            if v == xvar:
-                continue
-            pos = rest_vars.index(v)
-            if (x - residues[pos]) % aa:
-                return None
-            env[names[pos]] = (x - residues[pos]) // aa
-        return env
+        point = dict(zip(variables, sol))
+        if any((point[v] - r) % aa for v, r in zip(rest_vars, residues)):
+            return None
+        return {w: (point[v] - r) // aa
+                for v, w, r in zip(rest_vars, names, residues)}
 
     if len(rest_vars) == 1:
         note = f"{rest_vars[0]} = {aa}w + {residues[0]}"

@@ -1,7 +1,9 @@
 """n-variable machinery: the direct parametrization, the sufficient-condition
 solver, the reduction of an arbitrary three-monomial equation to equations
 with independent monomials, family classification, cyclic equations, the
-Monte-Carlo experiment, and the master dispatcher.
+Monte-Carlo experiment, and the master dispatcher.  Separated-linear
+equations a*x + P(rest) = 0 go to basesolve.solve_separated_linear, the
+routine of the linear base equation, which this module re-exports.
 """
 
 from __future__ import annotations
