@@ -14,7 +14,6 @@ from . import fixtures
 from .basesolve import ResourceLimit
 from .eqparse import ParseError, parse_equation, parse_trinomial
 from .multivar import (
-    ResidueLimit,
     check_sums,
     classify_family,
     enumerate_families,
@@ -300,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--backend", default=None,
                        help="external base-equation solver command")
         p.add_argument("--budget", type=_positive, default=1_000_000,
-                       help="completion search node budget")
+                       help="node budget of the 2-D monoid search")
         if box:
             p.add_argument("--box", dest="bound_box", type=_nonneg,
                            default=20,
@@ -362,7 +361,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (ResourceLimit, ResidueLimit, BoxTooLarge) as exc:
+    except (ResourceLimit, BoxTooLarge) as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
 

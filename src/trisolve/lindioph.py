@@ -6,13 +6,16 @@ of linear systems via a Contejean-Devie completion, the xy = zt
 parametrization, minimal divisibility sets, and an exact decision procedure
 for membership of a target vector in the monoid generated by a finite set of
 2-D integer vectors (the workhorse behind the sufficient-condition check,
-fast enough for exponent bounds around 1e5).
+fast enough for exponent bounds around 1e5).  Its witness, the only one the
+sufficient condition uses, is shrunk by the one-signed circuits of the
+generators (kernel vectors on three columns) and is not always the least.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import combinations
 from math import gcd
 
 from .intcore import factorize, valuation
@@ -682,7 +685,10 @@ def solve_monoid_target_2d(gens: list[tuple[int, int]], target: tuple[int, int],
     Returns (status, coeffs) with status in {'feasible','infeasible','unknown'}
     and coeffs aligned with gens.  The decision is exact except on instances
     exceeding the node budget (possible only in the pointed-cone and
-    half-plane search phases), which report 'unknown'.
+    half-plane search phases), which report 'unknown'.  Every witness is
+    shrunk by one pass over the one-signed circuits, so none of them can be
+    taken off it; it is not always the least witness.  All generators on
+    one line leave no circuit, and the witness as found.
     """
     n = len(gens)
     if target == (0, 0):
@@ -692,16 +698,19 @@ def solve_monoid_target_2d(gens: list[tuple[int, int]], target: tuple[int, int],
         return "infeasible", None
     active = [gens[i] for i in index]
     cone = _cone_2d(active)
-    if cone[0] != "plane":
-        status, coeffs = _bounded_cone_case(active, target, cone, budget)
-    elif _lattice_contains_2d(active, target):
-        status, coeffs = "feasible", _spanning_witness(active, target)
+    if cone[0] == "plane":
+        if not _lattice_contains_2d(active, target):
+            return "infeasible", None
+        circuits = _one_signed_circuits(active)
+        status = "feasible"
+        coeffs = _spanning_witness(active, target, circuits)
     else:
-        return "infeasible", None
-    if coeffs is None:
-        return status, None
+        status, coeffs = _bounded_cone_case(active, target, cone, budget)
+        if coeffs is None:
+            return status, None
+        circuits = _one_signed_circuits(active)
     out = [0] * n
-    for pos, c in zip(index, coeffs):
+    for pos, c in zip(index, _shrink(coeffs, circuits)):
         out[pos] = c
     return status, out
 
@@ -853,68 +862,38 @@ def _halfplane_case(active, target, w, budget):
     return "infeasible", None
 
 
-def _positive_kernel(active: list[tuple[int, int]]) -> list[int]:
-    """A strictly positive integer vector mu with sum(mu_i * g_i) = 0.
-
-    Exists exactly when the generators positively span the plane; built by
-    expressing each -g_m as a non-negative combination of at most two other
-    generators (2-D Caratheodory) and summing the relations.
-    """
-    k = len(active)
-    total = [0] * k
-    for m, gm in enumerate(active):
-        v = (-gm[0], -gm[1])
-        rel = None
-        for a in range(k):
-            if a == m:
-                continue
-            ga = active[a]
-            if _cross(ga, v) == 0 and _dot(ga, v) > 0:
-                # v is a positive rational multiple of ga
-                rel = [0] * k
-                rel[m] = abs(ga[0]) if ga[0] else abs(ga[1])
-                rel[a] = abs(gm[0]) if gm[0] else abs(gm[1])
-                g = gcd(rel[m], rel[a])
-                rel[m] //= g
-                rel[a] //= g
-                break
-        if rel is None:
-            for a in range(k):
-                if rel is not None:
-                    break
-                if a == m:
-                    continue
-                for b in range(a + 1, k):
-                    if b == m:
-                        continue
-                    ga, gb = active[a], active[b]
-                    det = _cross(ga, gb)
-                    if det == 0:
-                        continue
-                    sgn = 1 if det > 0 else -1
-                    ca = sgn * _cross(v, gb)
-                    cb = sgn * _cross(ga, v)
-                    if ca >= 0 and cb >= 0:
-                        rel = [0] * k
-                        rel[m] = abs(det)
-                        rel[a] = ca
-                        rel[b] = cb
-                        break
-        assert rel is not None, "not positively spanning"
-        for i in range(k):
-            total[i] += rel[i]
-    assert all(c > 0 for c in total)
-    assert sum(c * g[0] for c, g in zip(total, active)) == 0
-    assert sum(c * g[1] for c, g in zip(total, active)) == 0
-    return total
+def _one_signed_circuits(gens: list[tuple[int, int]]) -> list[list[int]]:
+    """The primitive non-negative kernel vectors of gens supported on at
+    most three columns: for each triple, the vector of its 2x2 minors
+    (a cross product), kept when its nonzero entries share a sign.  Empty
+    when all generators lie on one line."""
+    n = len(gens)
+    out = []
+    for triple in combinations(range(n), 3):
+        i, j, k = triple
+        minors = (_cross(gens[j], gens[k]), _cross(gens[k], gens[i]),
+                  _cross(gens[i], gens[j]))
+        if min(minors) < 0 < max(minors) or not any(minors):
+            continue
+        g = gcd(*minors)
+        circuit = [0] * n
+        for pos, m in zip(triple, minors):
+            circuit[pos] = abs(m) // g
+        out.append(circuit)
+    return out
 
 
-def _spanning_witness(active, target):
+def _spanning_witness(active, target, circuits):
     """Non-negative coefficients reaching a lattice target when the
-    generators positively span the plane: the monoid equals the lattice,
-    because every -g_i is itself a non-negative combination."""
+    generators positively span the plane: the monoid equals the lattice.
+    By Caratheodory every generator lies in a one-signed circuit, so their
+    sum mu is a strictly positive relation, and a lattice solution plus
+    enough copies of mu is non-negative."""
+    mu = [sum(col) for col in zip(*circuits)]
+    assert mu and all(m > 0 for m in mu)
+    assert sum(m * g[0] for m, g in zip(mu, active)) == 0
+    assert sum(m * g[1] for m, g in zip(mu, active)) == 0
     sol = _solve_lattice_2d(active, target)
-    mu = _positive_kernel(active)
     need = 0
     for c, m in zip(sol, mu):
         if c < 0:
@@ -922,3 +901,14 @@ def _spanning_witness(active, target):
     sol = [c + need * m for c, m in zip(sol, mu)]
     assert all(c >= 0 for c in sol)
     return sol
+
+
+def _shrink(coeffs, circuits):
+    """Take each circuit off coeffs as many times as every coefficient
+    stays non-negative.  Coefficients only go down, so a circuit that no
+    longer fits never fits again and one pass leaves none that fits."""
+    for circuit in circuits:
+        k = min(c // e for c, e in zip(coeffs, circuit) if e)
+        if k:
+            coeffs = [c - k * e for c, e in zip(coeffs, circuit)]
+    return coeffs

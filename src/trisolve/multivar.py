@@ -31,6 +31,7 @@ from .eqparse import (
     poly_to_string,
 )
 from .intcore import (
+    ResourceLimit,
     divisors,
     factorize,
     integer_roots,
@@ -155,18 +156,10 @@ _ORIENTATIONS = ((1, 2, 0), (0, 2, 1), (0, 1, 2))
 
 def _system_solve(alpha, beta, gamma, target_sign: int, budget: int):
     """Non-negative z with sum(alpha z) = sum(beta z) = sum(gamma z) - s for
-    s = target_sign (1 or -1).  Returns (status, vector)."""
-    nv = len(alpha)
-    coef = [[alpha[i] - beta[i] for i in range(nv)],
-            [beta[i] - gamma[i] for i in range(nv)]]
-    small = all(abs(c) <= 30 for row in coef for c in row) and nv <= 8
-    if small:
-        mb = solve_system_nonneg(coef, [0, -target_sign], budget=20000)
-        if mb.status == "complete":
-            if mb.particular:
-                return "feasible", min(mb.particular)
-            return "infeasible", None
-    gens = [(alpha[i] - beta[i], gamma[i] - alpha[i]) for i in range(nv)]
+    s = target_sign (1 or -1), from the 2-D monoid solver under `budget`.
+    The witness is shrunk by one-signed circuits, not always the least.
+    Returns (status, vector)."""
+    gens = [(a - b, g - a) for a, b, g in zip(alpha, beta, gamma)]
     status, vec = solve_monoid_target_2d(gens, (0, target_sign), budget)
     return status, tuple(vec) if vec is not None else None
 
@@ -175,9 +168,11 @@ def check_prop4(eq: TrinomialEquation, budget: int = 1_000_000
                 ) -> Prop4Certificate | None:
     """First orientation (in monomial order) whose z-system is solvable in
     non-negative integers; the t-system is attempted as well to decide
-    whether the direct formula applies.  Returns a certificate, None when
-    every orientation is infeasible, or a certificate flagged unknown when a
-    search exceeded its budget."""
+    whether the direct formula applies.  Both witnesses come from the 2-D
+    monoid solver, shrunk by one-signed circuits; they are not always the
+    least.  Returns a certificate, None when every orientation is
+    infeasible, or a certificate flagged unknown when a search exceeded its
+    budget."""
     saw_unknown = False
     for i, (ia, ib, ig) in enumerate(_ORIENTATIONS):
         alpha, beta, gamma = eq.rows[ia], eq.rows[ib], eq.rows[ig]
@@ -245,10 +240,6 @@ def direct_formula(eq: TrinomialEquation, cert: Prop4Certificate
 # ---------------------------------------------------------------------------
 # limits of the reduction and of its block and lift families
 # ---------------------------------------------------------------------------
-
-class ResidueLimit(RuntimeError):
-    pass
-
 
 #: Most branches (one per sign class) reduce_to_independent emits.
 _MAX_BRANCHES = 4096
@@ -501,12 +492,12 @@ def _block_term_options(coeff: Fraction, eks: list[int], prefix: str):
 
 def _hilbert_homogeneous(row: list[int]) -> list[tuple[int, ...]]:
     """Hilbert basis of row.z = 0 over the non-negative integers; a search
-    cut at its node budget raises ResidueLimit instead of returning part of
+    cut at its node budget raises ResourceLimit instead of returning part of
     the basis."""
     basis = hilbert_basis([row])
     if basis.status == "budget":
-        raise ResidueLimit(f"Hilbert basis of {row}.z = 0 cut at the node "
-                           f"budget")
+        raise ResourceLimit(f"Hilbert basis of {row}.z = 0 cut at the node "
+                            f"budget")
     return basis.homogeneous
 
 
@@ -566,8 +557,8 @@ def reduce_to_independent(eq: TrinomialEquation) -> list[ReducedEquation]:
                 continue
             mb = solve_system_nonneg([coefrow], [rhs], budget=200000)
             if mb.status == "budget":
-                raise ResidueLimit(f"minimal solutions of {coefrow}.z = {rhs} "
-                                   f"cut at the node budget")
+                raise ResourceLimit(f"minimal solutions of {coefrow}.z = "
+                                    f"{rhs} cut at the node budget")
             per_prime[(p, cls)] = list(mb.particular)
 
     term_options: dict[tuple[int, Fraction], list] = {}  # by |value|
@@ -631,7 +622,7 @@ def reduce_to_independent(eq: TrinomialEquation) -> list[ReducedEquation]:
                         source=eq, terms=terms, particular=particular,
                         bases=bases, sign_table=sign_table))
                     if len(out) > _MAX_BRANCHES:
-                        raise ResidueLimit("reduction branch explosion")
+                        raise ResourceLimit("reduction branch explosion")
     return out
 
 
@@ -889,8 +880,8 @@ def _unsub_blocks(poly: Polynomial, inner: SolutionSet, blocks, names):
         # give up instead
         bounds = tuple(abs(b) ** degree[v] for v in inner.variables)
         if max(bounds, default=0) > _BLOCK_INNER_LIMIT:
-            raise ResidueLimit(f"block grouping needs the inner set to bound "
-                               f"{max(bounds)}")
+            raise ResourceLimit(f"block grouping needs the inner set to bound "
+                                f"{max(bounds)}")
         return bounds
 
     out = SolutionSet(variables, status=inner.status, equation=poly,
@@ -966,8 +957,8 @@ def _lift_reduced(reduced: list[ReducedEquation], bound, backend=None):
                 need[name] = max(need.get(name, 0), -(-v * b**p // q))
             bounds = tuple(need.get(name, b) for name in names)
             if max(bounds, default=0) > _BLOCK_INNER_LIMIT:
-                raise ResidueLimit(f"a reduced lift needs the inner set to "
-                                   f"bound {max(bounds)}")
+                raise ResourceLimit(f"a reduced lift needs the inner set to "
+                                    f"bound {max(bounds)}")
             return bounds
 
         families.append(MappedFamily(

@@ -265,6 +265,77 @@ def test_monoid_2d_axes_configuration():
     assert solve_monoid_target_2d(gens, (4, -6))[0] == "feasible"
 
 
+def circuits_by_minors(gens):
+    """Reference one-signed circuits: for each triple of columns the vector
+    of its 2x2 minors, kept when no two entries have opposite signs, made
+    non-negative and primitive."""
+    out = []
+    for i, j, k in itertools.combinations(range(len(gens)), 3):
+        (x1, y1), (x2, y2), (x3, y3) = gens[i], gens[j], gens[k]
+        minors = (x2 * y3 - y2 * x3, x3 * y1 - y3 * x1, x1 * y2 - y1 * x2)
+        vec = [0] * len(gens)
+        for pos, m in zip((i, j, k), minors):
+            vec[pos] = m
+        if not any(vec) or (max(vec) > 0 and min(vec) < 0):
+            continue
+        g = gcd(*vec)
+        out.append([abs(v) // g for v in vec])
+    return out
+
+
+def fits_a_circuit(gens, coeffs):
+    """Whether some one-signed circuit of gens lies under coeffs."""
+    return any(all(c >= e for c, e in zip(coeffs, circuit))
+               for circuit in circuits_by_minors(gens))
+
+
+def test_plane_witness_reaches_the_target_with_no_circuit_under_it():
+    # generators that positively span the plane, with antiparallel pairs,
+    # repeated and zero generators mixed in: the witness comes from a
+    # lattice solution and the circuits alone, and no circuit is left
+    # under it
+    rng = random.Random(13)
+    planes = 0
+    seen = set()
+    for _ in range(600):
+        gens = [(rng.randint(-9, 9), rng.randint(-9, 9))
+                for _ in range(rng.randint(2, 5))]
+        extras = set()
+        if rng.random() < 0.4:
+            k = rng.randint(1, 3)
+            gens.append(tuple(-k * c for c in rng.choice(gens)))
+            extras.add("antiparallel")
+        if rng.random() < 0.4:
+            gens.append(rng.choice(gens))
+            extras.add("repeated")
+        if rng.random() < 0.3:
+            gens.append((0, 0))
+            extras.add("zero")
+        rng.shuffle(gens)
+        active = [g for g in gens if g != (0, 0)]
+        if not active or _cone_2d(active)[0] != "plane":
+            continue
+        planes += 1
+        seen |= extras
+        ks = [rng.randint(-3, 3) for _ in gens]
+        member = (sum(k * g[0] for k, g in zip(ks, gens)),
+                  sum(k * g[1] for k, g in zip(ks, gens)))
+        targets = [(0, 1), (0, -1), (1, 0), member,
+                   (rng.randint(-50, 50), rng.randint(-50, 50))]
+        decided = list(monoid_contains_2d(gens, tuple(targets)))
+        for target, expected in zip(targets, decided):
+            status, coeffs = solve_monoid_target_2d(gens, target)
+            assert status == expected, (gens, target)
+            if status != "feasible":
+                continue
+            assert all(c >= 0 for c in coeffs)
+            assert (sum(c * g[0] for c, g in zip(coeffs, gens)),
+                    sum(c * g[1] for c, g in zip(coeffs, gens))) == target
+            assert not fits_a_circuit(gens, coeffs), (gens, target, coeffs)
+    assert planes > 200
+    assert seen == {"antiparallel", "repeated", "zero"}
+
+
 def _random_cone_instance(rng, shape):
     """Generators whose cone is (mostly) of the given shape, n <= 10 and
     entries up to 10^5, one in five with a sublattice of index > 1, and a

@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from test_lindioph import fits_a_circuit
 
 from trisolve import multivar
 from trisolve.cli import main
@@ -36,8 +37,8 @@ from trisolve.lindioph import (
     solve_system_nonneg,
 )
 from trisolve.multivar import (
-    ResidueLimit,
     check_prop4,
+    check_sums,
     classify_cyclic,
     classify_family,
     direct_formula,
@@ -125,6 +126,76 @@ def test_certificate_identities():
         if cert is None or cert.unknown:
             continue
         hits += 1  # identity asserted inside check_prop4
+
+
+def _reference_system_solve(alpha, beta, gamma, s, budget):
+    """The witness search as it was before the 2-D solver took every
+    system: the lexicographically least minimal solution from a
+    Contejean-Devie completion, or None when the search is cut."""
+    coef = [[a - b for a, b in zip(alpha, beta)],
+            [b - g for b, g in zip(beta, gamma)]]
+    mb = solve_system_nonneg(coef, [0, -s], budget=budget)
+    if mb.status != "complete":
+        return None
+    if mb.particular:
+        return "feasible", min(mb.particular)
+    return "infeasible", None
+
+
+def test_witness_solves_its_system_and_no_circuit_fits_under_it():
+    # the witness need not be the least one, but it solves the system, no
+    # one-signed circuit of the system can be taken off it, and its status
+    # is the reference's whenever the reference search completes
+    rng = random.Random(31)
+    compared = feasible = 0
+    for _ in range(150):
+        n = rng.randint(3, 6)
+        alpha, beta, gamma = ([rng.randint(0, 9) for _ in range(n)]
+                              for _ in range(3))
+        s = rng.choice((1, -1))
+        status, z = multivar._system_solve(alpha, beta, gamma, s, 10**6)
+        reference = _reference_system_solve(alpha, beta, gamma, s, 1000)
+        if reference is not None:
+            compared += 1
+            assert status == reference[0], (alpha, beta, gamma, s)
+        if status != "feasible":
+            continue
+        feasible += 1
+        assert all(c >= 0 for c in z)
+        assert check_sums(alpha, beta, gamma, z, s)
+        gens = [(a - b, g - a) for a, b, g in zip(alpha, beta, gamma)]
+        assert not fits_a_circuit(gens, z), (alpha, beta, gamma, s, z)
+    assert compared > 60 and feasible > 50
+
+
+@pytest.mark.parametrize("text", [
+    "x*y + y*z + z*x = 0", "x^2 + y^3 = z^5", "x*y^2 = z^3 + z^2*x"])
+def test_witness_is_the_least_on_the_direct_golden_entries(text):
+    # the golden direct-formula families print these witnesses
+    rows = parse_trinomial(text).rows
+    feasible = 0
+    for ia, ib, ig in multivar._ORIENTATIONS:
+        for s in (1, -1):
+            got = multivar._system_solve(rows[ia], rows[ib], rows[ig], s,
+                                         10**6)
+            reference = _reference_system_solve(rows[ia], rows[ib],
+                                                rows[ig], s, 20000)
+            assert got == reference, (rows, ia, ib, ig, s)
+            feasible += got[0] == "feasible"
+    assert feasible >= 2
+
+
+def test_check_prop4_runs_no_contejean_devie_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a witness search ran a Contejean-Devie "
+                             "completion")
+
+    monkeypatch.setattr(multivar, "solve_system_nonneg", refuse)
+    for text in ["x^2+y^3-z^5", "x*y+y*z+z*x",
+                 "b^2*c^3*d*e^4*g^5*h^2+2*a^5*b*c*d^4*f^3*g^4"
+                 "-3*a^3*b^4*c^2*d*e*f^5*g^3*h=0"]:
+        cert = check_prop4(parse_trinomial(text))
+        assert cert is not None and cert.t is not None, text
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +561,7 @@ def test_block_grouping_refuses_a_capped_inner_listing(capsys):
     for fam in groupings:
         assert fam.inner.variables == ["blk0", "blk2"]
         assert fam.inner_bound(5) == (3125, 5)
-        with pytest.raises(ResidueLimit):
+        with pytest.raises(ResourceLimit, match="block grouping"):
             fam.inner_bound(16)
     assert main(["verify", text, "--box", "16"]) == 3
     assert "resource limit" in capsys.readouterr().err
@@ -510,7 +581,7 @@ def test_lift_family_refuses_a_capped_inner_listing():
         assert fam.inner.variables == ["w3", "u1"]
         assert fam.inner_bound(3) == (3, 9)
         assert fam.inner_bound(1000) == (1000, 10**6)
-        with pytest.raises(ResidueLimit):
+        with pytest.raises(ResourceLimit, match="reduced lift"):
             fam.enumerate_box(1001)
 
 
@@ -816,7 +887,7 @@ def test_truncated_basis_is_never_complete(monkeypatch, name, text):
     assert str(solve(text).status) == "Complete"
     monkeypatch.setattr(multivar, name, _cut_at_budget(getattr(multivar,
                                                                name)))
-    with pytest.raises(ResidueLimit, match="node budget"):
+    with pytest.raises(ResourceLimit, match="node budget"):
         solve(text)
 
 
@@ -825,7 +896,7 @@ def test_classify_family_rejects_a_truncated_basis(monkeypatch):
     assert classify_family(rows)[0] == "reduced"
     monkeypatch.setattr(multivar, "hilbert_basis",
                         _cut_at_budget(multivar.hilbert_basis))
-    with pytest.raises(ResidueLimit, match="node budget"):
+    with pytest.raises(ResourceLimit, match="node budget"):
         classify_family(rows)
 
 
