@@ -3,7 +3,8 @@ with `elapsed_ms` removed, compared byte for byte.  Together the entries
 reach every path string `solve` can put in its report.
 
 Regenerate the files after an intended change of output, and name every
-changed entry and its reason in CHANGES.md:
+changed entry and its reason in CHANGES.md; the command prints the name of
+each entry whose file it changed:
 
     PYTHONPATH=src python tests/test_golden.py --regenerate
 """
@@ -106,6 +107,21 @@ def test_golden(name, argv):
     assert render(argv) == expected
 
 
+# verify box by number of variables; the oracle scans (2*box + 1)^n points
+VERIFY_BOX = {0: 3, 1: 10, 2: 10, 3: 5, 4: 3}
+
+
+@pytest.mark.parametrize("name,argv", CASES, ids=[c[0] for c in CASES])
+def test_golden_answer_verifies(name, argv):
+    # a regenerated entry pins whatever the code gives, so every entry must
+    # also be sound and complete in a box, with its own -B and --budget
+    box = VERIFY_BOX[len(parse_equation(argv[0]).variables)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["verify", *argv, "--box", str(box), "--json"])
+    assert code == 0, out.getvalue()
+
+
 def test_golden_covers_every_reachable_path():
     paths = set()
     for name, _ in CASES:
@@ -192,5 +208,11 @@ if __name__ == "__main__":
                  "--regenerate")
     os.makedirs(GOLDEN, exist_ok=True)
     for name, argv in CASES:
+        text = render(argv)
+        if os.path.exists(path_of(name)):
+            with open(path_of(name), encoding="utf-8") as fh:
+                if fh.read() == text:
+                    continue
         with open(path_of(name), "w", encoding="utf-8") as fh:
-            fh.write(render(argv))
+            fh.write(text)
+        print(name)

@@ -416,3 +416,19 @@ def test_table1_answers_do_not_depend_on_what_the_caches_hold():
             got.finite.clear()
             got.provenance.append("edited")
     assert report(88) == cold[88]
+
+
+def test_table1_pipelines_agree_beyond_the_published_rows():
+    # both pipelines on rows the paper does not list, a in [-300, -1] and
+    # [101, 300]: the same finite sets and statuses, no family from the
+    # dedicated solver, and each box listing equal to the oracle's
+    for a in [*range(-300, 0), *range(101, 301)]:
+        masser = solve_masser(a)
+        eq = parse_trinomial(f"x^4 + {a}*x*y + y^3".replace("+ -", "- "))
+        general = solve_two_var(eq).solutions
+        assert masser.finite == general.finite, a
+        assert masser.status == general.status, a
+        assert not masser.families, a
+        truth = brute_force(eq.full_polynomial(), 60).solutions
+        for sols in (masser, general):
+            assert sols.enumerate_box(60)[0] == truth, a
