@@ -3,7 +3,10 @@ solver, the reduction of an arbitrary three-monomial equation to equations
 with independent monomials, family classification, cyclic equations, the
 Monte-Carlo experiment, and the master dispatcher.  Separated-linear
 equations a*x + P(rest) = 0 go to basesolve.solve_separated_linear, the
-routine of the linear base equation, which this module re-exports.
+routine of the linear base equation, which this module re-exports.  The
+solutions with a zero coordinate come from twomon.trivial_solutions, the one
+routine for them, with a zero family per minimal zero set only; this module
+re-exports it too.
 """
 
 from __future__ import annotations
@@ -54,7 +57,6 @@ from .solset import (
     SolutionFamily,
     SolutionSet,
     Status,
-    pinned_family,
     searched,
 )
 from .oracle import brute_force
@@ -63,6 +65,8 @@ from .twomon import (
     exact_products,
     power_fiber,
     solve_two_monomial,
+    trivial_solutions,
+    zero_family,
 )
 from .twovar import solve_two_var
 
@@ -74,63 +78,6 @@ __all__ = [
     "solve_two_monomial", "reduce_to_independent", "classify_family",
     "classify_cyclic", "monte_carlo_prop4", "solve",
 ]
-
-
-# ---------------------------------------------------------------------------
-# trivial solutions (some variable = 0)
-# ---------------------------------------------------------------------------
-
-def trivial_solutions(poly: Polynomial) -> SolutionSet:
-    """All solutions of the (uncancelled) equation with at least one zero
-    variable, organized by the set of zeroed variables."""
-    variables = list(poly.variables)
-    out = SolutionSet(variables, status=COMPLETE, equation=poly)
-    n = len(variables)
-    for mask in range(1, 1 << n):
-        zeros = {variables[i] for i in range(n) if mask >> i & 1}
-        rest = [v for v in variables if v not in zeros]
-        sub = poly.substitute_zero(zeros)
-        if not sub.monomials:
-            out.families.append(_zero_family(variables, zeros))
-            continue
-        if len(sub.monomials) == 1:
-            continue  # single monomial cannot vanish with the rest nonzero
-        if len(sub.monomials) == 2:
-            fam = _embed_family(variables, zeros, rest,
-                                solve_two_monomial(sub))
-            if fam is not None:
-                out.families.append(fam)
-        # all monomials surviving would mean zeros hit no monomial at all,
-        # impossible since every variable occurs somewhere
-    return out
-
-
-def _zero_family(variables, zeros):
-    return pinned_family(variables, dict.fromkeys(zeros, 0),
-                         f"{'='.join(sorted(zeros))}=0, rest free",
-                         lambda v: f"w_{v}")
-
-
-def _embed_family(variables, zeros, rest, inner: SolutionSet):
-    """Embed a solution set over `rest` into the full variable list with the
-    `zeros` pinned to 0; rest-coordinates must all be nonzero (other zero
-    patterns belong to other subsets)."""
-    if inner.is_empty_claim():
-        return None
-    rest_idx = [rest.index(v) if v in rest else None for v in variables]
-
-    def lift(point, bound):
-        if any(x == 0 for x in point):
-            return []
-        tup = []
-        for v, ri in zip(variables, rest_idx):
-            tup.append(0 if v in zeros else point[ri])
-        return [tuple(tup)]
-
-    return MappedFamily(
-        variables=list(variables), inner=inner, lift=lift,
-        exact_box=all(f.exact_box for f in inner.families),
-        note=f"{','.join(sorted(zeros))}=0")
 
 
 # ---------------------------------------------------------------------------
@@ -1070,26 +1017,21 @@ def classify_cyclic(a: int, b: int, bound: int = 10_000) -> CyclicReport:
     if (a, b) == (0, 0):
         raise ValueError("(a, b) must not be (0, 0)")
     eq = _cyclic_equation(a, b)
-    variables = ["x", "y", "z"]
     d = gcd(a, b)
     m = a * a - a * b + b * b
+    if d == 1 and m < 3:
+        report = solve(poly_to_string(eq.full_polynomial()) + "=0",
+                       bound=bound)
+        return CyclicReport(
+            a, b, f"m = {m} < 3: delegated to the general solver", m,
+            report.solutions)
+    triv = trivial_solutions(eq.full_polynomial())
     if d == 2:
-        out = SolutionSet(variables, status=COMPLETE)
-        out.add_finite((0, 0, 0))
-        return CyclicReport(a, b, "even-gcd: non-negative monomials", m, out)
-    if d >= 3:
-        triv = trivial_solutions(eq.full_polynomial())
-        return CyclicReport(
-            a, b, f"gcd {d} >= 3: no solutions with xyz != 0", m, triv,
-            ["Fermat's Last Theorem (Wiles 1995)"])
-    if m >= 3:
-        triv = trivial_solutions(eq.full_polynomial())
-        return CyclicReport(
-            a, b, f"coprime, m = {m} >= 3: xyz = 0 forced", m, triv,
-            ["Fermat's Last Theorem (Wiles 1995)"])
-    report = solve(poly_to_string(eq.full_polynomial()) + "=0", bound=bound)
-    return CyclicReport(a, b, f"m = {m} < 3: delegated to the general solver",
-                        m, report.solutions)
+        return CyclicReport(a, b, "even-gcd: non-negative monomials", m, triv)
+    case = (f"gcd {d} >= 3: no solutions with xyz != 0" if d >= 3 else
+            f"coprime, m = {m} >= 3: xyz = 0 forced")
+    return CyclicReport(a, b, case, m, triv,
+                        ["Fermat's Last Theorem (Wiles 1995)"])
 
 
 def _cyclic_equation(a: int, b: int) -> TrinomialEquation:
@@ -1260,9 +1202,8 @@ def solve(text_or_poly, bound: int = 10_000, backend: str | None = None,
     variables = list(poly.variables)
     if nmon == 0:
         path.append("identically-zero")
-        out = SolutionSet(variables, status=COMPLETE, equation=poly)
-        out.families.append(_zero_family(variables, set()))
-        sols = out
+        sols = SolutionSet(variables, families=[zero_family(variables, set())],
+                           equation=poly)
     elif not variables:
         path.append("constant")
         sols = SolutionSet([], status=COMPLETE)
@@ -1270,7 +1211,7 @@ def solve(text_or_poly, bound: int = 10_000, backend: str | None = None,
             sols.add_finite(())
     elif nmon == 1:
         path.append("one-monomial")
-        sols = _solve_one_monomial(poly)
+        sols = trivial_solutions(poly)
     elif len(variables) == 1:
         path.append("univariate")
         sols = _solve_univariate_poly(poly)
@@ -1319,16 +1260,6 @@ def _solve_multivar(eq: TrinomialEquation, bound, backend, budget):
     out.families.extend(families)
     out.status = out.status.combine(status)
     return out, path, sorted({red.describe() for red in reduced})
-
-
-def _solve_one_monomial(poly: Polynomial) -> SolutionSet:
-    mono = poly.monomials[0]
-    variables = list(poly.variables)
-    out = SolutionSet(variables, status=COMPLETE, equation=poly)
-    for v in variables:
-        if mono.exp_of(v):
-            out.families.append(_zero_family(variables, {v}))
-    return out
 
 
 def _solve_univariate_poly(poly: Polynomial) -> SolutionSet:

@@ -1,10 +1,16 @@
-"""Complete solver for two-monomial equations a*prod(x^alpha) = b*prod(x^gamma).
+"""Complete solver for two-monomial equations a*prod(x^alpha) = b*prod(x^gamma),
+and the one routine for solutions with a zero coordinate.
 
 Same-signed exponent differences give finite divisor enumerations; mixed
 signs give the d-th-root criterion and a parametric family built by
 `divisor_family`, which also builds the direct formula for three monomials.
 The family lists its box points as the values of its expressions at the
 witnesses of the box solutions of the power product.
+
+`trivial_solutions` lists every solution with a zero coordinate: one zero
+family per minimal set of variables whose vanishing kills every monomial,
+and the nonzero solutions of each two-monomial equation that setting some
+variables to zero leaves.  Every solver adds its nonzero solutions to it.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from .solset import (
     COMPLETE,
     AllIntegers,
     DivisorSet,
+    MappedFamily,
     NonzeroIntegers,
     SolutionFamily,
     SolutionSet,
@@ -42,6 +49,66 @@ def solve_two_monomial(poly: Polynomial) -> SolutionSet:
     e = [m1.exp_of(v) - m2.exp_of(v) for v in variables]
     r = Fraction(-m2.coeff, m1.coeff)
     return solve_power_product(e, r, variables, equation=poly)
+
+
+def trivial_solutions(poly: Polynomial) -> SolutionSet:
+    """All solutions of the uncancelled equation poly = 0 with a zero
+    coordinate, walked by the set Z of zero variables, smallest first.
+
+    A Z that kills every monomial gets a zero family, the variables outside
+    Z free, unless a smaller killing set lies inside it and already covers
+    its points; a minimal Z of every variable is the point (0, ..., 0).  A Z
+    that leaves two monomials adds their solutions with every variable
+    outside Z nonzero.  A Z that leaves one monomial adds none.  A Z that
+    leaves three names only variables no monomial contains; their solutions
+    need the full solver, and this routine does not list them."""
+    variables = list(poly.variables)
+    out = SolutionSet(variables, status=COMPLETE, equation=poly)
+    killing: list[set[str]] = []
+    for size in range(1, len(variables) + 1):
+        for zeros in map(set, itertools.combinations(variables, size)):
+            sub = poly.substitute_zero(zeros)
+            if not sub.monomials:
+                if any(k <= zeros for k in killing):
+                    continue
+                killing.append(zeros)
+                if size == len(variables):
+                    out.add_finite((0,) * size)
+                else:
+                    out.families.append(zero_family(variables, zeros))
+            elif len(sub.monomials) == 2:
+                _embed_nonzero(out, zeros, solve_two_monomial(sub))
+    return out
+
+
+def zero_family(variables: list[str], zeros: set[str]) -> SolutionFamily:
+    """The points with the `zeros` at 0 and every other variable v free as
+    the parameter w_v."""
+    return pinned_family(variables, dict.fromkeys(zeros, 0),
+                         f"{'='.join(sorted(zeros))}=0, rest free",
+                         lambda v: f"w_{v}")
+
+
+def _embed_nonzero(out: SolutionSet, zeros: set[str], inner: SolutionSet):
+    """Add to `out` the points of `inner`, a set over the variables outside
+    `zeros`, that have no zero coordinate, with the `zeros` put at 0: its
+    finite points as finite points, its families as one MappedFamily."""
+    where = [None if v in zeros else inner.variables.index(v)
+             for v in out.variables]
+
+    def lift(point, bound=None):
+        if 0 in point:
+            return []  # another zero set's solution
+        return [tuple(0 if i is None else point[i] for i in where)]
+
+    for point in inner.finite:
+        out.add_finite(lift(point)[0])
+    if inner.families:
+        out.families.append(MappedFamily(
+            variables=list(out.variables),
+            inner=SolutionSet(inner.variables, families=inner.families),
+            lift=lift, exact_box=all(f.exact_box for f in inner.families),
+            note=f"{','.join(sorted(zeros))}=0"))
 
 
 def solve_power_product(exponents: list[int], r: Fraction,

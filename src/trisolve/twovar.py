@@ -1,6 +1,7 @@
-"""The complete pipeline for two-variable three-monomial equations:
-trivial split, normalization to a*x^n + b*x^k*y^l + c*y^m = 0, the finite
-divisor branch, the equality case (rational roots of a one-variable
+"""The complete pipeline for two-variable three-monomial equations: the
+solutions with a zero coordinate from `twomon.trivial_solutions`, the one
+routine for them (minimal zero sets only), then normalization to
+a*x^n + b*x^k*y^l + c*y^m = 0, the finite divisor branch, the equality case (rational roots of a one-variable
 trinomial), the strict case (prime-split candidates and base equations), the
 Runge case, and the dedicated x^4 + a*x*y + y^3 solver.
 
@@ -31,8 +32,12 @@ from .eqparse import (
 )
 from .intcore import divisors, divisors_k, integer_roots, solve_univariate
 from .lindioph import solve_xy_eq_zt, valuation_candidates
-from .solset import COMPLETE, MappedFamily, SolutionSet, pinned_family
-from .twomon import solve_power_product, solve_two_monomial
+from .solset import COMPLETE, MappedFamily, SolutionSet
+from .twomon import (
+    solve_power_product,
+    solve_two_monomial,
+    trivial_solutions,
+)
 
 
 @dataclass
@@ -70,25 +75,6 @@ class TwoVarReport:
     path: list[str]
     solutions: SolutionSet
     base_records: list[BaseSolveRecord] = field(default_factory=list)
-
-
-# ---------------------------------------------------------------------------
-# trivial solutions (some variable zero) of the full, uncancelled equation
-# ---------------------------------------------------------------------------
-
-def trivial_two_var(full_poly: Polynomial, variables: list[str]) -> SolutionSet:
-    out = SolutionSet(variables, status=COMPLETE, equation=full_poly)
-    for idx, var in enumerate(variables):
-        sub = full_poly.substitute_zero({var})
-        if not sub.monomials:
-            out.families.append(pinned_family(
-                variables, {var: 0}, f"{var} = 0", lambda v: "w"))
-            continue
-        for root in integer_roots(sub.coefficients(variables[1 - idx])):
-            tup = [0, 0]
-            tup[1 - idx] = root
-            out.add_finite(tuple(tup))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +227,7 @@ def solve_two_var(eq: TrinomialEquation, bound: int = 10_000,
     variables = list(eq.variables)
     trace: list[BaseSolveRecord] = []
     path = []
-    trivial = trivial_two_var(eq.full_polynomial(), variables)
+    trivial = trivial_solutions(eq.full_polynomial())
     poly = eq.polynomial()
     norm = normalize_two_var(eq)
     if isinstance(norm, tuple):
@@ -249,9 +235,7 @@ def solve_two_var(eq: TrinomialEquation, bound: int = 10_000,
         nonzero = _divisor_branch(poly, variables[1])
     else:
         nonzero, path = _solve_form(norm, poly, bound, backend, trace)
-    merged = trivial.union(nonzero)
-    merged.equation = eq.full_polynomial()
-    return TwoVarReport(eq, path, merged, trace)
+    return TwoVarReport(eq, path, trivial.union(nonzero), trace)
 
 
 def _solve_form(form: TwoVarForm, poly: Polynomial, bound, backend, trace):

@@ -89,6 +89,40 @@ def test_trivials_of_uncancelled_equation():
     assert set(pts) == set(truth)
 
 
+def _zero_set(fam):
+    return {v for v in fam.variables if str(fam.exprs[v]) == "0"}
+
+
+def test_trivials_seeded_minimal_zero_sets():
+    # 1-3 distinct monomials in 2-4 variables, each variable in one of them:
+    # the box listing is the oracle's points with a zero coordinate, and a
+    # zero family belongs to a minimal zero set only and leaves some
+    # variable free
+    rng = random.Random(35)
+    draws = 0
+    while draws < 600:
+        n = rng.randint(2, 4)
+        variables = list("xyzt"[:n])
+        monos = [Monomial.make(
+            rng.choice([-1, 1]) * rng.randint(1, 4),
+            {v: rng.randint(0, 3) for v in variables})
+            for _ in range(rng.randint(1, 3))]
+        poly = Polynomial(monos, variables)
+        if (len({m.exps for m in monos}) < len(monos)
+                or any(not poly.degree_in(v) for v in variables)):
+            continue
+        draws += 1
+        sols = trivial_solutions(poly)
+        box = 3 if n == 4 else 4
+        truth = [t for t in brute_force(poly, box).solutions if 0 in t]
+        assert sols.enumerate_box(box)[0] == truth, poly
+        zero_sets = [_zero_set(f) for f in sols.families
+                     if not isinstance(f, MappedFamily)]
+        for z in zero_sets:
+            assert z != set(variables), poly
+            assert not any(w < z for w in zero_sets), poly
+
+
 # ---------------------------------------------------------------------------
 # the sufficient condition and its certificate
 # ---------------------------------------------------------------------------
@@ -998,7 +1032,8 @@ def test_enumerate_families_equals_partition_reference(degree, total):
 def test_cyclic_cases():
     r = classify_cyclic(2, 4)
     pts, _ = r.solutions.enumerate_box(5)
-    assert pts == [(0, 0, 0)]
+    assert pts == brute_force(parse_equation("x^2*y^4+y^2*z^4+z^2*x^4"),
+                              5).solutions
     r = classify_cyclic(2, 1)
     pts, _ = r.solutions.enumerate_box(6)
     truth = brute_force(parse_equation("x^2*y+y^2*z+z^2*x"), 6).solutions
