@@ -1,9 +1,10 @@
 """The complete pipeline for two-variable three-monomial equations: the
 solutions with a zero coordinate from `twomon.trivial_solutions`, the one
 routine for them (minimal zero sets only), then normalization to
-a*x^n + b*x^k*y^l + c*y^m = 0, the finite divisor branch, the equality case (rational roots of a one-variable
-trinomial), the strict case (prime-split candidates and base equations), the
-Runge case, and the dedicated x^4 + a*x*y + y^3 solver.
+a*x^n + b*x^k*y^l + c*y^m = 0, the finite divisor branch, the equality case
+(rational roots of a one-variable trinomial), the strict case (prime-split
+candidates and base equations), the Runge case, and the dedicated
+x^4 + a*x*y + y^3 solver.
 
 The strict and Runge cases share one valuation argument: at each prime of
 abc the least of the three term valuations is attained twice, which leaves
