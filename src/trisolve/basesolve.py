@@ -48,6 +48,7 @@ from .lindioph import valuation_candidates
 from .solset import (
     COMPLETE,
     AllIntegers,
+    ConstructionError,
     RecurrenceFamily,
     SolutionFamily,
     SolutionSet,
@@ -250,9 +251,6 @@ class _TwoPower:
     mul_x: int = 1
     mul_y: int = 1
 
-    def describe(self) -> str:
-        return f"{self.A}*x^{self.N} + {self.B}*y^{self.M} = {self.C}"
-
 
 def _twopower_descend(tp: _TwoPower):
     """Strip forced prime powers from the variables; detect p-adic
@@ -262,7 +260,6 @@ def _twopower_descend(tp: _TwoPower):
         if g > 1:
             tp = _TwoPower(tp.A // g, tp.B // g, tp.C // g, tp.N, tp.M,
                            tp.mul_x, tp.mul_y)
-        moved = False
         for p in factorize(abs(tp.A) * abs(tp.B) * abs(tp.C)).primes():
             ap, bp, cp = (valuation(tp.A, p), valuation(tp.B, p),
                           valuation(tp.C, p))
@@ -274,14 +271,12 @@ def _twopower_descend(tp: _TwoPower):
             if feas == "x":
                 tp = _TwoPower(tp.A * p**tp.N, tp.B, tp.C, tp.N, tp.M,
                                tp.mul_x * p, tp.mul_y)
-                moved = True
                 break
             if feas == "y":
                 tp = _TwoPower(tp.A, tp.B * p**tp.M, tp.C, tp.N, tp.M,
                                tp.mul_x, tp.mul_y * p)
-                moved = True
                 break
-        if not moved:
+        else:  # no prime forced a factor
             return tp, False
     return tp, False
 
@@ -351,10 +346,10 @@ def _twopower_search(tp: _TwoPower, bound: int) -> list[tuple[int, int]]:
     every solution, and each survivor is checked exactly as a full scan
     would check it: the result equals a scan of every x.  A modulus q is
     sieved only while at least q survivors remain, since listing its
-    residues costs about as much as testing that many survivors.  The
-    residues of y^M and x^N modulo each prime come from `_sieve_table`,
-    shared across calls; with c = C/B and a = A/B modulo q, x = r passes
-    when c - a*r^N is among the M-th powers.
+    residues costs about as much as testing that many survivors.  Each
+    prime's one-period pattern comes from `_sieve_period`, cached across
+    calls on (N, M, q) and C/B, A/B modulo q; only its tiling to the bound
+    is done per call.
     """
     out = set(_twopower_axis_solutions(tp))
     A, B, C, N, M = tp.A, tp.B, tp.C, tp.N, tp.M
@@ -366,14 +361,13 @@ def _twopower_search(tp: _TwoPower, bound: int) -> list[tuple[int, int]]:
             continue
         if mask.bit_count() < q:
             break
-        powers, nth = _sieve_table(N, M, q)
         b_inv = pow(B, -1, q)
-        c, a = C * b_inv % q, A * b_inv % q
-        mask &= _residue_mask([(c - a * t) % q in powers for t in nth], bound)
+        mask &= _tile(_sieve_period(N, M, q, C * b_inv % q, A * b_inv % q),
+                      q, bound)
     if 1 < absB <= mask.bit_count():
-        mask &= _residue_mask(
-            [(C - A * pow(r, N, absB)) % absB == 0 for r in range(absB)],
-            bound)
+        period = "".join("0" if (C - A * pow(r, N, absB)) % absB else "1"
+                         for r in reversed(range(absB)))
+        mask &= _tile(int(period, 2), absB, bound)
     bits = bin(mask)[:1:-1]
     i = bits.find("1")
     while i >= 0:
@@ -398,15 +392,22 @@ def _sieve_table(N: int, M: int, q: int):
             tuple(pow(r, N, q) for r in range(q)))
 
 
-def _residue_mask(admissible: list[bool], bound: int) -> int:
-    """Bits i in [0, 2*bound] set exactly when admissible[(i - bound) % q],
-    q = len(admissible): one period of the pattern, tiled by doubling
-    shifts."""
-    q = len(admissible)
+# Periods, not tiled masks: one holds at most 97 bits, a mask 2*bound + 1.
+@lru_cache(maxsize=4096)
+def _sieve_period(N: int, M: int, q: int, c: int, a: int) -> int:
+    """Bit r set exactly when c - a*r^N is an M-th power residue modulo q:
+    the x = r (mod q) that pass the sieve of c - a*x^N = y^M."""
+    powers, nth = _sieve_table(N, M, q)
+    return sum(1 << r for r, t in enumerate(nth) if (c - a * t) % q in powers)
+
+
+def _tile(period: int, q: int, bound: int) -> int:
+    """Bits i in [0, 2*bound] set exactly when bit (i - bound) % q of the
+    q-bit `period` is: the period rotated to start at x = -bound, then
+    tiled by doubling shifts."""
     length = 2 * bound + 1
     start = -bound % q
-    period = admissible[start:] + admissible[:start]
-    pattern = int("".join("1" if ok else "0" for ok in reversed(period)), 2)
+    pattern = (period >> start) | ((period << (q - start)) & ((1 << q) - 1))
     width = q
     while width < length:
         pattern |= pattern << width
@@ -523,23 +524,27 @@ def _twopower_sign_class(tp: _TwoPower):
     """The representative (A', B', C, N, M) of tp's sign class under
     x -> -x (odd N), y -> -y (odd M) and a global sign flip, with the signs
     (ex, ey) that carry each solution (x, y) of the representative to the
-    solution (ex*x, ey*y) of tp."""
-    forms = []
-    for ex in ((1, -1) if tp.N % 2 else (1,)):
-        for ey in ((1, -1) if tp.M % 2 else (1,)):
-            for g in (1, -1):
-                forms.append(((g * ex * tp.A, g * ey * tp.B, g * tp.C,
-                               tp.N, tp.M), ex, ey))
-    return min(forms)
+    solution (ex*x, ey*y) of tp; C != 0.  It is the least member as a
+    tuple, so the global flip g makes negative the first of A, B, C whose
+    sign no other flip can change, and ex (odd N), ey (odd M) make A', B'
+    negative."""
+    A, B, C, N, M = tp.A, tp.B, tp.C, tp.N, tp.M
+    g = -1 if (A if N % 2 == 0 else B if M % 2 == 0 else C) > 0 else 1
+    ex = -1 if N % 2 and g * A > 0 else 1
+    ey = -1 if M % 2 and g * B > 0 else 1
+    return (g * ex * A, g * ey * B, g * C, N, M), ex, ey
 
 
 # One entry serves a whole sign class: gcds, valuations and certificates
 # ignore the signs the class changes (both covariances are tested).
 @lru_cache(maxsize=4096)
 def _descended_class(rep: tuple) -> tuple:
-    """((A', B', C', mul_x, mul_y), empty): _twopower_descend of rep."""
+    """((A', B', C', mul_x, mul_y), empty, (rep', ex', ey')):
+    _twopower_descend of rep, and the sign class of the descended form with
+    the signs that carry rep' to it."""
     tp, empty = _twopower_descend(_TwoPower(*rep))
-    return (tp.A, tp.B, tp.C, tp.mul_x, tp.mul_y), empty
+    return ((tp.A, tp.B, tp.C, tp.mul_x, tp.mul_y), empty,
+            _twopower_sign_class(tp))
 
 
 @lru_cache(maxsize=4096)
@@ -706,35 +711,36 @@ def solve_superelliptic(a: int, b: int, c: int, n: int, m: int,
     the terminal Thue/superelliptic cases run a bounded search with explicit
     status.
 
-    The terminal case works on sign classes of A x^N + B y^M = C (under
-    x -> -x for odd N, y -> -y for odd M and a global sign flip) through
-    two process-wide caches of 4096 entries: the descent per class before
-    descent, the certificates and search per (class after descent, bound).
-    Each member maps the class's points by its own signs, shares its status
-    and provenance, and keeps its own trace record.  Backend calls bypass
-    the terminal cache."""
+    The terminal case (2 <= m <= n, n >= 3, c != 0) takes the sign class
+    of its A x^N + B y^M = C (under x -> -x for odd N, y -> -y for odd M
+    and a global sign flip) once and builds no Polynomial.  Two
+    process-wide caches of 4096 entries hold the descent and the descended
+    form's class per class, and the certificates and search per (descended
+    class, bound); backend calls bypass the second.  Each member maps the
+    class's points by its own signs, checks them against a*y^m = b*x^n + c
+    in integers, shares status and provenance, and keeps its own record."""
     variables = variables or ["x", "y"]
     if a == 0 or b == 0:
         raise ValueError("need a, b nonzero")
     if n < 1 or m < 1:
         raise ValueError("need n, m >= 1")
-    poly = _superelliptic_poly(a, b, c, n, m, variables)
-    vx, vy = variables
 
     def record(desc, sols, status):
         if trace is not None:
             trace.append(BaseSolveRecord(desc, sorted(sols), status))
 
+    if c == 0 or m == 1 or m > n or m == n == 2:
+        poly = _superelliptic_poly(a, b, c, n, m, variables)
+
     if c == 0:
         out = solve_two_monomial(poly)
-        out.equation = poly
         out.add_finite((0, 0))
         record(f"{a}*y^{m} = {b}*x^{n}", sorted(out.finite), "complete")
         return out
 
     if m > n:
         inner = solve_superelliptic(-b, -a, c, m, n, bound,
-                                    [vy, vx], backend, trace)
+                                    variables[::-1], backend, trace)
         flipped = SolutionSet(variables, status=inner.status,
                               provenance=inner.provenance, equation=poly)
         for (y, x) in inner.finite:
@@ -756,34 +762,42 @@ def solve_superelliptic(a: int, b: int, c: int, n: int, m: int,
         return out
 
     # terminal: 2 <= m <= n, n >= 3, c != 0; this equation is (s*ex*A,
-    # s*ey*B, s*C) for its class's (A, B, C), and so is its descent
+    # s*ey*B, s*C) for its class's (A, B, C), and so is its descent, whose
+    # class the descent cache holds with its own signs
     rep, ex, ey = _twopower_sign_class(_TwoPower(b, -a, -c, n, m))
     s = 1 if rep[2] == -c else -1
-    (A, B, C, mul_x, mul_y), empty = _descended_class(rep)
-    tp = _TwoPower(s * ex * A, s * ey * B, s * C, n, m, mul_x, mul_y)
-    out = SolutionSet(variables, status=COMPLETE, equation=poly)
+    (A, B, C, mul_x, mul_y), empty, (rep, dex, dey) = _descended_class(rep)
+    desc = f"{s * ex * A}*x^{n} + {s * ey * B}*y^{m} = {s * C}"
+    out = SolutionSet(variables, status=COMPLETE)
+
+    def add(x, y):
+        # the check SolutionSet makes against an equation, in integers
+        if a * y**m != b * x**n + c:
+            raise ConstructionError(f"{(x, y)} does not satisfy the equation")
+        out.add_finite((x, y))
+
     if empty:
-        record(tp.describe(), [], "complete-empty (p-adic obstruction)")
+        record(desc, [], "complete-empty (p-adic obstruction)")
         return out
 
     if backend is not None:
         sols, complete = run_backend(backend, a, b, c, n, m)
         for x, y in sols:
-            out.add_finite((x, y))
+            add(x, y)
         out.status = COMPLETE if complete else searched(bound)
         record(f"{a}*y^{m} = {b}*x^{n} + {c} [backend]", sols,
                str(out.status))
         return out
 
-    rep, ex, ey = _twopower_sign_class(tp)
+    ex, ey = ex * dex, ey * dey
     rep_sols, status, provenance = _terminal_class(rep, bound)
     sols = sorted((ex * x, ey * y) for x, y in rep_sols)
     if status.startswith("searched"):
         out.status = searched(bound)
     for x, y in sols:
-        out.add_finite((tp.mul_x * x, tp.mul_y * y))
+        add(mul_x * x, mul_y * y)
     out.provenance.extend(provenance)
-    record(tp.describe(), sols, status)
+    record(desc, sols, status)
     return out
 
 

@@ -183,17 +183,29 @@ def cmd_repro(args) -> int:
 
 
 def _repro_table1(args) -> int:
+    """Each row through solve_masser and the general solve_two_var: a row
+    matches when both give the published nontrivial points, with one
+    status."""
     mismatches = 0
     for a in range(1, 101):
         expected = fixtures.TABLE1.get(a, set())
-        s = solve_masser(a, bound=args.bound, backend=args.backend)
-        got = {t for t in s.finite if t != (0, 0)}
-        ok = got == expected
-        if not ok:
+        masser = solve_masser(a, bound=args.bound, backend=args.backend)
+        general = solve_two_var(parse_trinomial(f"x^4+{a}*x*y+y^3=0"),
+                                bound=args.bound,
+                                backend=args.backend).solutions
+        wrong = []
+        for name, sols in (("solve_masser", masser),
+                           ("solve_two_var", general)):
+            got = {t for t in sols.finite if t != (0, 0)}
+            if got != expected or str(sols.status) != str(masser.status):
+                wrong.append(f"a={a}: MISMATCH {name} got={sorted(got)} "
+                             f"expected={sorted(expected)} [{sols.status}]")
+        if wrong:
             mismatches += 1
-        if not ok or args.verbose:
-            print(f"a={a}: {'ok' if ok else 'MISMATCH'} got={sorted(got)} "
-                  f"expected={sorted(expected)} [{s.status}]")
+            print("\n".join(wrong))
+        elif args.verbose:
+            print(f"a={a}: ok got={sorted(expected)} "
+                  f"expected={sorted(expected)} [{masser.status}]")
     print(f"table 1: {100 - mismatches}/100 rows match "
           f"({len(fixtures.TABLE1)} nontrivial)")
     return 0 if mismatches == 0 else 4

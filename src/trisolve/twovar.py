@@ -169,9 +169,9 @@ def solve_strict_case(form: TwoVarForm, bound: int = 10_000,
 
     Exact repeats of a base equation are solved once per call (``cache``),
     each with one trace record.  The variants of a candidate mostly share
-    a sign class, which solve_superelliptic descends and solves once per
-    process (caches of 4096 entries keyed on the class before descent, and
-    after descent with the bound; backend calls bypass the latter)."""
+    a sign class, which solve_superelliptic takes once per base equation,
+    and descends and solves once per process (see its caches), building no
+    Polynomial; its bounded search shares sieve periods across calls."""
     lp, np_, mp, kp, ev, eu = form.strict_data()
     variables = form.variables
     out = SolutionSet(variables, status=COMPLETE)
@@ -283,10 +283,10 @@ def solve_masser(a: int, bound: int = 10_000,
     """Dedicated solver for x^4 + a*x*y + y^3 = 0 via the gcd substitution:
     candidates (u, w) with u*w | a, then one quintic base equation each.
 
-    Each sign class of the base equations is descended and solved once per
-    process (caches of 4096 entries keyed on the class before descent, and
-    after descent with the bound; backend calls bypass the latter), and
-    every base equation keeps its own trace record."""
+    Each base equation takes its sign class once, and each class is
+    descended and solved once per process (solve_superelliptic's caches,
+    which backend calls bypass) with no Polynomial built; every base
+    equation keeps its own trace record."""
     variables = ["x", "y"]
     if a == 0:
         out = SolutionSet(variables, status=COMPLETE)

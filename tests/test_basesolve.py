@@ -35,7 +35,7 @@ from trisolve.intcore import (
 )
 from trisolve.multivar import solve
 from trisolve.oracle import brute_force
-from trisolve.solset import verify_against_oracle
+from trisolve.solset import ConstructionError, verify_against_oracle
 
 
 def test_pell_fundamental():
@@ -331,6 +331,38 @@ def test_edited_answers_and_backend_calls_leave_the_caches_alone(tmp_path):
                                 backend=f"python3 {script}")
         assert basesolve._terminal_class.cache_info() == info
         assert str(s.status) == "Complete" and s.finite == set()
+
+
+def test_a_terminal_point_off_the_equation_is_refused(monkeypatch):
+    # the terminal branch checks each point it returns against
+    # a*y^m = b*x^n + c: (1, 1) under any signs misses y^5 = 8x^5 - 1
+    monkeypatch.setattr(basesolve, "_terminal_class",
+                        lambda rep, bound: (((1, 1),), "searched(50)", ()))
+    with pytest.raises(ConstructionError):
+        solve_superelliptic(1, 8, -1, 5, 5, bound=50)
+
+
+def test_a_backend_point_off_the_equation_is_refused(tmp_path):
+    # as does the backend branch, for whatever the backend prints
+    script = tmp_path / "fake_backend.py"
+    script.write_text("print('SOL 1 1')\nprint('END COMPLETE')\n")
+    with pytest.raises(ConstructionError):
+        solve_superelliptic(1, 8, -1, 5, 5, bound=50,
+                            backend=f"python3 {script}")
+
+
+def test_sign_class_is_the_least_member():
+    # the representative, found without listing the class, is the least
+    # of the (up to 8) members as a tuple, with that member's signs
+    rng = random.Random(38)
+    for _ in range(3000):
+        N, M = rng.randint(2, 7), rng.randint(2, 7)
+        A, B, C = (rng.choice((1, -1)) * rng.randint(1, 9) for _ in range(3))
+        members = [((g * ex * A, g * ey * B, g * C, N, M), ex, ey)
+                   for ex in ((1, -1) if N % 2 else (1,))
+                   for ey in ((1, -1) if M % 2 else (1,))
+                   for g in (1, -1)]
+        assert _twopower_sign_class(_TwoPower(A, B, C, N, M)) == min(members)
 
 
 def test_runge_condition_checks():

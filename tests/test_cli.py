@@ -132,6 +132,25 @@ def test_monte_carlo_runs_in_one_process_by_default():
         assert parser.parse_args(argv).threads == 1
 
 
+def test_repro_table1_checks_both_pipelines(capsys, monkeypatch):
+    # a row matches only when the general pipeline agrees with the
+    # published set too; here it drops the point (-1, 1) of row 2
+    real = cli.solve_two_var
+
+    def dropping(eq, **kwargs):
+        rep = real(eq, **kwargs)
+        rep.solutions.finite.discard((-1, 1))
+        return rep
+
+    monkeypatch.setattr(cli, "solve_two_var", dropping)
+    code, out = run(capsys, "repro", "1")
+    assert code == 4
+    assert out.splitlines() == [
+        "a=2: MISMATCH solve_two_var got=[(2, -2)] "
+        "expected=[(-1, 1), (2, -2)] [SearchedToBound(10000)]",
+        "table 1: 99/100 rows match (23 nontrivial)"]
+
+
 def test_repro_table3(capsys):
     code, out = run(capsys, "repro", "3")
     assert code == 0

@@ -389,6 +389,22 @@ def test_masser_solves_each_sign_class_once(monkeypatch):
     assert reports[0][0] == [(0, 0)]
 
 
+def test_warm_masser_row_takes_one_sign_class_per_base_equation(monkeypatch):
+    # once the caches hold row 36, its 36 base equations each take their
+    # sign class once (the descent cache holds the descended class), and no
+    # Polynomial is built for any of them
+    cold = _masser_report(36)
+    calls = {"_twopower_sign_class": 0, "_superelliptic_poly": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(basesolve, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(basesolve, name, counted)
+    assert _masser_report(36) == cold
+    assert calls["_twopower_sign_class"] <= len(cold[-1]) == 36
+    assert calls["_superelliptic_poly"] == 0
+
+
 def test_table1_answers_do_not_depend_on_what_the_caches_hold():
     # each row through both pipelines, first on cleared caches, then in one
     # process with the caches filled by the rows before it, in ascending and
@@ -399,6 +415,7 @@ def test_table1_answers_do_not_depend_on_what_the_caches_hold():
     def clear():
         basesolve._descended_class.cache_clear()
         basesolve._terminal_class.cache_clear()
+        basesolve._sieve_period.cache_clear()
 
     rows = range(1, 101)
     cold = {}
