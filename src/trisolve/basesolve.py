@@ -221,7 +221,7 @@ def _quad_poly(A, B, C, variables):
 
 def _ray_family(variables, p, q):
     def witness(sol):
-        if q and sol[1] % q == 0 and sol[0] * q == p * (sol[1] // q):
+        if q and sol[1] % q == 0 and sol[0] == p * (sol[1] // q):
             return {"t": sol[1] // q}
         return None
 

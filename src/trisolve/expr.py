@@ -5,18 +5,22 @@ is all the solution formats need.  Evaluation is exact; a non-exact division
 signals a malformed family and raises.
 
 `eval` walks the tree on every call.  `compile` walks it once and returns a
-closure env -> int with the same value, raising on the same envs; a box
-listing that evaluates a family's expressions many times compiles them once
-per listing, from the tree as it stands then.
+closure env -> int with the same value, raising on the same envs; a
+parameter sweep compiles a family's expressions once per listing, from the
+tree as it stands then.  A divisor family's candidate sweep instead runs one
+function that `listing_kernel` generates per listing: it computes each
+distinct subtree once per candidate and skips the candidates where `eval`
+raises.
 """
 
 from __future__ import annotations
 
 from math import gcd as _gcd
-from operator import itemgetter
-from typing import Callable
+from operator import itemgetter, methodcaller
+from typing import Callable, Iterable
 
 Compiled = Callable[[dict[str, int]], int]
+Points = Iterable[tuple[int, ...]]
 
 
 class ExactDivisionError(ArithmeticError):
@@ -215,14 +219,15 @@ class Gcd(Expr):
         return f"gcd({self.a},{self.b})"
 
 
-def _split_constants(items, unit: int, combine) -> tuple[int, list[Compiled]]:
+def _split_constants(items, unit: int, combine, build=methodcaller("compile")
+                     ) -> tuple[int, list]:
     """The items of one value at every env folded into one value from
-    `unit`, and the compiled other items in order."""
+    `unit`, and the other items built (compiled by default) in order."""
     c, fns = unit, []
     for it in items:
         value = _fixed_value(it)
         if value is None:
-            fns.append(it.compile())
+            fns.append(build(it))
         else:
             c = combine(c, value)
     return c, fns
@@ -249,6 +254,76 @@ def _division_free(expr: Expr) -> bool:
     if isinstance(expr, Gcd):
         return _division_free(expr.a) and _division_free(expr.b)
     return not isinstance(expr, ExactDiv)
+
+
+def listing_kernel(params: list[str], lets: dict[str, Expr],
+                   exprs: list[Expr], nonzero: list[int]
+                   ) -> Callable[[Points], set[tuple[int, ...]]]:
+    """A function from candidate tuples to the set of tuples of `exprs` at
+    them, through a generator whose code is generated per call.  Each
+    candidate binds `params` by position; one with a zero at a `nonzero`
+    position is skipped; then each let name is bound to the value of its
+    expression.  A candidate where `eval` of a let or of an expression would
+    raise ExactDivisionError is skipped too.  Each distinct subtree is
+    computed once per candidate, and constants are folded as `compile` folds
+    them."""
+    atoms = {name: f"p{i}" for i, name in enumerate(params)}
+    temps: dict[str, str] = {}  # code of a node -> the local holding it
+    lines = [f"if not ({' and '.join(atoms[params[i]] for i in nonzero)}):"
+             " continue"] if nonzero else []
+
+    def emit(expr: Expr) -> str:
+        """Append the statements computing expr; its atom (local or
+        literal)."""
+        if isinstance(expr, Const):
+            return f"({expr.value})" if expr.value < 0 else str(expr.value)
+        if isinstance(expr, Param):
+            return atoms[expr.name]
+        if isinstance(expr, (Add, Mul)):
+            add = isinstance(expr, Add)
+            unit = 0 if add else 1
+            c, parts = _split_constants(
+                expr.items, unit, int.__add__ if add else int.__mul__, emit)
+            if c != unit or not parts:
+                parts.append(emit(Const(c)))
+            if len(parts) == 1:
+                return parts[0]
+            code = (" + " if add else " * ").join(parts)
+        elif isinstance(expr, Neg):
+            code = f"-{emit(expr.item)}"
+        elif isinstance(expr, Pow):
+            if expr.exp == 0:  # a base that may raise is still computed
+                if not _division_free(expr.base):
+                    emit(expr.base)
+                return "1"
+            base = emit(expr.base)
+            if expr.exp == 1:
+                return base
+            code = f"{base} ** {expr.exp}"
+        elif isinstance(expr, ExactDiv):
+            n, d = emit(expr.num), emit(expr.den)
+            code = f"{n} // {d}"
+            if code not in temps:
+                lines.append(f"if not {d} or {n} % {d}: continue")
+        else:
+            code = f"gcd({emit(expr.a)}, {emit(expr.b)})"
+        if code not in temps:
+            temps[code] = f"t{len(temps)}"
+            lines.append(f"{temps[code]} = {code}")
+        return temps[code]
+
+    for name, expr in lets.items():
+        atoms[name] = emit(expr)
+    coords = [emit(expr) for expr in exprs]
+    source = "\n".join([
+        "def kernel(points):",
+        f"    for ({''.join(atoms[p] + ', ' for p in params)}) in points:",
+        *(f"        {line}" for line in lines),
+        f"        yield ({''.join(c + ', ' for c in coords)})"])
+    namespace = {"gcd": _gcd}
+    exec(source, namespace)
+    kernel = namespace.pop("kernel")  # no cycle through its globals
+    return lambda points: set(kernel(points))
 
 
 def const(v: int) -> Const:

@@ -160,7 +160,9 @@ def direct_formula(eq: TrinomialEquation, cert: Prop4Certificate
     w = c prod u^gamma, which gives x_i = lambda^{z_i} u_i for
     lambda = (a prod u^alpha + b prod u^beta) / (c prod u^gamma).  Since
     alpha.z = beta.z = gamma.z - 1, every integral such x is a solution, and
-    each nonzero box solution x comes back from u = x."""
+    each nonzero box solution x comes back from u = x.  The listing runs as
+    one kernel generated from the expressions (`twomon.divisor_family`),
+    which computes the bracket and c prod u^gamma once per u."""
     if cert.t is None:
         raise ValueError("direct formula needs both systems solvable")
     ia, ib, ig = _ORIENTATIONS[cert.orientation]

@@ -189,7 +189,8 @@ class SolutionFamily(Family):
     their box through `box_enumerator(B)` instead, B the largest bound: it
     evaluates the expressions at the witnesses of candidate points (see
     `twomon.divisor_family`).  Either way every listed point is a value of
-    the expressions, compiled once per listing.
+    the expressions, compiled (or, for `box_enumerator`, generated into one
+    kernel) once per listing.
     """
 
     variables: list[str]

@@ -251,11 +251,11 @@ def divisor_family(variables: list[str], u_params, lhs: ex.Expr,
     D_1(gcd(lhs, rhs)).  The witness of a solution x with its z-coordinates
     nonzero is u = x, w = rhs(x): lhs(x) = rhs(x) there, so the expressions
     give back x.  The box listing evaluates the expressions at the witness
-    of every point of `candidates(bound)` and keeps the integral values.
-    The candidates must include every box solution the family stands for;
-    a wrong expression then moves listed points off the solutions.  The
-    listing compiles the expressions and rhs once per call, from `exprs` as
-    it stands then."""
+    of every point of `candidates(bound)` and keeps the integral values,
+    through one kernel generated per call by `expr.listing_kernel` from
+    `exprs` and rhs as they stand then.  The candidates must include every
+    box solution the family stands for; a wrong expression then moves
+    listed points off the solutions."""
     unames = [name for name, _ in u_params]
     params = list(u_params) + [("w", DivisorSet(1, ex.Gcd(lhs, rhs)))]
     exprs = {}
@@ -269,26 +269,17 @@ def divisor_family(variables: list[str], u_params, lhs: ex.Expr,
 
     zpos = [i for i, v in enumerate(variables) if v in z]
 
-    def witness(solution, rhs_value=rhs.eval):
+    def witness(solution):
         if not all(map(solution.__getitem__, zpos)):
             return None
         env = dict(zip(unames, solution))
-        env["w"] = rhs_value(env)
+        env["w"] = rhs.eval(env)
         return env
 
     def box_enumerator(bound):
-        fns = [exprs[v].compile() for v in variables]
-        rhs_value = rhs.compile()
-        out = set()
-        for point in candidates(bound):
-            env = witness(point, rhs_value)
-            if env is None:
-                continue
-            try:
-                out.add(tuple([f(env) for f in fns]))
-            except ex.ExactDivisionError:
-                continue
-        return out
+        kernel = ex.listing_kernel(unames, {"w": rhs},
+                                   [exprs[v] for v in variables], zpos)
+        return kernel(candidates(bound))
 
     return SolutionFamily(
         variables=list(variables), params=params, exprs=exprs,

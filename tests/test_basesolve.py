@@ -6,6 +6,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from test_solset import assert_witness_round_trip
 
 from trisolve import basesolve
 from trisolve.basesolve import (
@@ -84,6 +85,16 @@ def test_quadratic_linear_factor_families():
     pts, _ = s.enumerate_box(30)
     truth = brute_force(parse_equation("u^2-9*v^2"), 30).solutions
     assert set(pts) == set(truth)
+
+
+def test_ray_and_pinned_family_witnesses_round_trip():
+    # 4u^2 = 9v^2, u^2 = 9v^2 and 4v^2 = 9u^2 give the rays (+-3t, 2t),
+    # (+-3t, t) and (+-2t, 3t); v^2 = 4 gives the lines v = +-2
+    for A, B, C in ((4, -9, 0), (1, -9, 0), (-9, 4, 0), (0, 1, -4)):
+        families = solve_quadratic(A, B, C).families
+        assert len(families) == 2
+        for fam in families:
+            assert_witness_round_trip(fam, 12)
 
 
 def test_quadratic_vs_oracle_random():

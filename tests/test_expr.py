@@ -1,3 +1,5 @@
+import copy
+import itertools
 import random
 
 import pytest
@@ -106,3 +108,72 @@ def test_compile_raises_where_eval_raises():
     # a zeroth power of a division-free base is 1 wherever it is evaluated
     assert ex.Pow(ex.Add(a, b), 0).compile()({"a": 0, "b": 0}) == 1
 
+
+
+def _eval_listing(params, lets, exprs, nonzero, points):
+    """Reference: the tuples of `eval` at each candidate, leaving out those
+    with a zero at a nonzero position and those where evaluation raises."""
+    out = set()
+    for point in points:
+        if not all(point[i] for i in nonzero):
+            continue
+        env = dict(zip(params, point))
+        try:
+            for name, tree in lets.items():
+                env[name] = tree.eval(env)
+            out.add(tuple(tree.eval(env) for tree in exprs))
+        except ex.ExactDivisionError:
+            continue
+    return out
+
+
+def test_listing_kernel_equals_eval_on_random_trees():
+    # shared subtrees enter both as one object in several places and as
+    # equal copies; the let "w" stands for a tree as the divisor families'
+    # witness value does
+    rng = random.Random(39)
+    params = ["a", "b", "c"]
+    points = list(itertools.product(range(-2, 3), repeat=3))
+    kinds: set[str] = set()
+    kept = raised = 0
+    for _ in range(300):
+        shared = _random_tree(rng, params, 3, kinds)
+        lets = {"w": _random_tree(rng, params, 2, kinds)}
+        exprs = []
+        for _ in range(rng.randint(1, 3)):
+            tree = _random_tree(rng, params + ["w"], 3, kinds)
+            exprs.append(rng.choice((
+                tree, ex.Mul(shared, tree),
+                ex.Add(tree, copy.deepcopy(shared)),
+                ex.ExactDiv(tree, ex.Pow(shared, rng.randint(0, 2))))))
+        nonzero = sorted(rng.sample(range(3), rng.randint(0, 2)))
+        expected = _eval_listing(params, lets, exprs, nonzero, points)
+        kernel = ex.listing_kernel(params, lets, exprs, nonzero)
+        assert kernel(points) == expected, ([str(e) for e in exprs],
+                                            str(lets["w"]), nonzero)
+        kept += bool(expected)
+        raised += not _eval_listing(params, lets, exprs, [], points[:1])
+    assert kinds == {"Const", "Param", "Add", "Mul", "Neg", "Pow",
+                     "ExactDiv", "Gcd"}
+    assert kept > 100 and raised > 30
+
+
+def test_listing_kernel_skips_where_eval_raises():
+    a, b = ex.param("a"), ex.param("b")
+    points = [(5, 0), (5, 2), (6, 3), (0, 4)]
+    cases = [
+        ex.ExactDiv(a, ex.const(0)),              # constant zero divisor
+        ex.ExactDiv(a, b),                        # zero divisor at b = 0
+        ex.Mul(ex.const(0), ex.ExactDiv(a, b)),   # a zero factor still raises
+        ex.Pow(ex.ExactDiv(a, b), 0),             # so does a zeroth power
+        ex.Add(ex.const(1), ex.ExactDiv(ex.const(3), ex.Neg(b))),
+        ex.Pow(ex.Add(a, b), 0),                  # 1 wherever evaluated
+    ]
+    for tree in cases:
+        for nonzero in ([], [0], [1]):
+            kernel = ex.listing_kernel(["a", "b"], {}, [tree, b], nonzero)
+            assert kernel(points) == _eval_listing(["a", "b"], {}, [tree, b],
+                                                   nonzero, points), str(tree)
+    # a let that raises skips the candidate even where no expression uses it
+    kernel = ex.listing_kernel(["a", "b"], {"w": ex.ExactDiv(a, b)}, [a], [])
+    assert kernel(points) == {(6,), (0,)}

@@ -7,6 +7,8 @@ start-up.  No box listing calls the oracle, only `cli` and `multivar`
 import it, and it imports nothing of the package but `eqparse` and
 `intcore`, so `verify` stays an independent check; every box listing reads
 the expressions of its family, so a wrong expression shows up in `verify`.
+Only `expr` generates code, so a generated listing kernel is built from the
+expressions and nowhere else.
 Every private top-level function or class is used somewhere in the package,
 so no helper outlives its callers, and no module imports another module's
 private name, so what one module uses of another is its public surface.
@@ -130,6 +132,22 @@ def test_every_box_listing_evaluates_its_expressions():
                        for node in ast.walk(func)):
                 lazy.append(f"{name}:{func.lineno}")
     assert found and not lazy, lazy
+
+
+def test_only_expr_generates_code():
+    # `expr.listing_kernel` turns a family's expressions into a function; a
+    # module that ran code of its own making would bypass the expressions.
+    # Methods named compile, such as `Expr.compile`, are not the builtin
+    found = []
+    for name, tree in _trees().items():
+        if name == "expr.py":
+            continue
+        found.extend(f"{name}:{node.lineno} {node.func.id}"
+                     for node in ast.walk(tree)
+                     if isinstance(node, ast.Call)
+                     and isinstance(node.func, ast.Name)
+                     and node.func.id in ("exec", "eval", "compile"))
+    assert not found, found
 
 
 def test_every_private_top_level_definition_is_used():

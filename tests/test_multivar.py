@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import glob
 import itertools
@@ -7,9 +8,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from test_golden import CASES
 from test_lindioph import fits_a_circuit
 
-from trisolve import multivar
+from trisolve import expr as ex, multivar, twomon
 from trisolve.cli import main
 from trisolve.eqparse import (
     Monomial,
@@ -883,6 +885,69 @@ def test_verify_sees_a_point_dropped_from_the_direct_formula(monkeypatch):
     assert rep.path == ["n-variable", "direct-formula"] and len(dropped) == 1
     ver = verify_against_oracle(rep.solutions, poly, truth, box)
     assert ver.sound and ver.missing == sorted(dropped)
+
+
+def _witness_listing(fam, points):
+    """Reference: the values of the expressions, by `Expr.eval`, at the
+    witness of each candidate that has one, leaving out the candidates where
+    an exact division fails."""
+    out = set()
+    for point in points:
+        env = fam.witness(point)
+        if env is None:
+            continue
+        try:
+            out.add(tuple(fam.exprs[v].eval(env) for v in fam.variables))
+        except ex.ExactDivisionError:
+            continue
+    return out
+
+
+def test_divisor_family_listings_equal_witness_and_eval(monkeypatch):
+    # every direct-formula and power-product listing, nested ones included,
+    # lists what the witness and eval give on the candidates it sweeps:
+    # the golden direct-formula and two-monomial entries in three and four
+    # variables, and 60 seeded trinomials, at the corpus boxes
+    swept = []
+    real_kernel, real_family = ex.listing_kernel, twomon.divisor_family
+
+    def recording_kernel(*args):
+        kernel = real_kernel(*args)
+
+        def run(points):
+            swept.append(list(points))
+            return kernel(swept[-1])
+        return run
+
+    checked = collections.Counter()
+
+    def checked_family(*args):
+        fam = real_family(*args)
+        listing = fam.box_enumerator
+
+        def box_enumerator(bound):
+            swept.clear()
+            out = listing(bound)
+            (points,) = swept
+            assert out == _witness_listing(fam, points), fam.note
+            checked[fam.note.split(",")[0]] += 1
+            return out
+        fam.box_enumerator = box_enumerator
+        return fam
+
+    monkeypatch.setattr(ex, "listing_kernel", recording_kernel)
+    monkeypatch.setattr(twomon, "divisor_family", checked_family)
+    monkeypatch.setattr(multivar, "divisor_family", checked_family)
+    polys = [parse_equation(argv[0]) for name, argv in CASES
+             if name.startswith(("direct-", "two-monomial-"))]
+    polys = [p for p in polys if len(p.variables) in (3, 4)]
+    rng = random.Random(39)
+    polys += [_draw_trinomial(rng) for _ in range(60)]
+    for poly in polys:
+        box = 5 if len(poly.variables) == 3 else 3
+        solve(poly, bound=1000).solutions.enumerate_box(box)
+    assert checked["direct formula"] >= 30, checked
+    assert checked["power-product family"] >= 50, checked
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from trisolve.solset import (
     RecurrenceFamily,
     SolutionFamily,
     SolutionSet,
+    pinned_family,
     searched,
     verify_against_oracle,
 )
@@ -103,6 +105,28 @@ def test_heuristic_flag_without_witness():
     s = SolutionSet(["x"], families=[fam])
     _, exact = s.enumerate_box(5)
     assert not exact
+
+
+def assert_witness_round_trip(fam, box):
+    """Each box point of fam comes back from its witness, and no other box
+    point has one."""
+    listed = fam.enumerate_box(box)
+    assert listed
+    for point in itertools.product(range(-box, box + 1),
+                                   repeat=len(fam.variables)):
+        env = fam.witness(point)
+        if point in listed:
+            assert env is not None and fam.evaluate(env) == point, point
+        else:
+            assert env is None, point
+
+
+def test_pinned_family_witness_round_trip():
+    # no coordinate fixed, a zero one as the trivial solutions pin, a
+    # nonzero one, and every coordinate fixed
+    for fixed in ({}, {"y": 0}, {"x": 2, "z": -1}, {"x": 1, "y": -3, "z": 0}):
+        assert_witness_round_trip(pinned_family(
+            ["x", "y", "z"], fixed, "pinned", lambda v: f"u_{v}"), 3)
 
 
 def test_witness_roundtrip_random():
