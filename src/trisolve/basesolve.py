@@ -347,9 +347,8 @@ def _twopower_search(tp: _TwoPower, bound: int) -> list[tuple[int, int]]:
     would check it: the result equals a scan of every x.  A modulus q is
     sieved only while at least q survivors remain, since listing its
     residues costs about as much as testing that many survivors.  Each
-    prime's one-period pattern comes from `_sieve_period`, cached across
-    calls on (N, M, q) and C/B, A/B modulo q; only its tiling to the bound
-    is done per call.
+    prime's one-period pattern (q bits, from `_sieve_period`) is tiled to
+    the bound.
     """
     out = set(_twopower_axis_solutions(tp))
     A, B, C, N, M = tp.A, tp.B, tp.C, tp.N, tp.M
@@ -392,8 +391,6 @@ def _sieve_table(N: int, M: int, q: int):
             tuple(pow(r, N, q) for r in range(q)))
 
 
-# Periods, not tiled masks: one holds at most 97 bits, a mask 2*bound + 1.
-@lru_cache(maxsize=4096)
 def _sieve_period(N: int, M: int, q: int, c: int, a: int) -> int:
     """Bit r set exactly when c - a*r^N is an M-th power residue modulo q:
     the x = r (mod q) that pass the sieve of c - a*x^N = y^M."""

@@ -4,10 +4,8 @@ Supports polynomials in named parameters plus exact division and gcd, which
 is all the solution formats need.  Evaluation is exact; a non-exact division
 signals a malformed family and raises.
 
-`eval` walks the tree on every call.  `compile` walks it once and returns a
-closure env -> int with the same value, raising on the same envs; a
-parameter sweep compiles a family's expressions once per listing, from the
-tree as it stands then.  A divisor family's candidate sweep instead runs one
+`eval` walks the tree on every call; a parameter sweep evaluates a family's
+expressions with it.  A divisor family's candidate sweep instead runs one
 function that `listing_kernel` generates per listing: it computes each
 distinct subtree once per candidate and skips the candidates where `eval`
 raises.
@@ -16,10 +14,8 @@ raises.
 from __future__ import annotations
 
 from math import gcd as _gcd
-from operator import itemgetter, methodcaller
 from typing import Callable, Iterable
 
-Compiled = Callable[[dict[str, int]], int]
 Points = Iterable[tuple[int, ...]]
 
 
@@ -29,11 +25,6 @@ class ExactDivisionError(ArithmeticError):
 
 class Expr:
     def eval(self, env: dict[str, int]) -> int:
-        raise NotImplementedError
-
-    def compile(self) -> Compiled:
-        """A closure equal to `eval`: same value, and ExactDivisionError on
-        exactly the envs where `eval` raises it."""
         raise NotImplementedError
 
     def __str__(self) -> str:
@@ -50,10 +41,6 @@ class Const(Expr):
     def eval(self, env):
         return self.value
 
-    def compile(self):
-        value = self.value
-        return lambda env: value
-
     def __str__(self):
         return str(self.value)
 
@@ -65,9 +52,6 @@ class Param(Expr):
     def eval(self, env):
         return env[self.name]
 
-    def compile(self):
-        return itemgetter(self.name)
-
     def __str__(self):
         return self.name
 
@@ -77,25 +61,10 @@ class Add(Expr):
         self.items = items
 
     def eval(self, env):
-        return sum(it.eval(env) for it in self.items)
-
-    def compile(self):
-        c, fns = _split_constants(self.items, 0, int.__add__)
-        if not fns:
-            return Const(c).compile()
-        if len(fns) == 1:
-            f, = fns
-            return f if c == 0 else lambda env: f(env) + c
-        if len(fns) == 2:
-            f, g = fns
-            return lambda env: f(env) + g(env) + c
-
-        def add(env):
-            total = c
-            for f in fns:
-                total += f(env)
-            return total
-        return add
+        out = 0
+        for it in self.items:
+            out += it.eval(env)
+        return out
 
     def __str__(self):
         parts = [str(it) for it in self.items]
@@ -115,43 +84,8 @@ class Mul(Expr):
             out *= it.eval(env)
         return out
 
-    def compile(self):
-        # a zero constant factor does not skip the other factors: they may
-        # raise, as they do under eval
-        c, fns = _split_constants(self.items, 1, int.__mul__)
-        if not fns:
-            return Const(c).compile()
-        if len(fns) == 1:
-            f, = fns
-            return f if c == 1 else lambda env: c * f(env)
-        if len(fns) == 2:
-            f, g = fns
-            return lambda env: c * f(env) * g(env)
-
-        def mul(env):
-            out = c
-            for f in fns:
-                out *= f(env)
-            return out
-        return mul
-
     def __str__(self):
         return "*".join(str(it) for it in self.items)
-
-
-class Neg(Expr):
-    def __init__(self, item: Expr):
-        self.item = item
-
-    def eval(self, env):
-        return -self.item.eval(env)
-
-    def compile(self):
-        f = self.item.compile()
-        return lambda env: -f(env)
-
-    def __str__(self):
-        return f"-{self.item}"
 
 
 class Pow(Expr):
@@ -163,14 +97,6 @@ class Pow(Expr):
 
     def eval(self, env):
         return self.base.eval(env) ** self.exp
-
-    def compile(self):
-        e = self.exp
-        if isinstance(self.base, Param):
-            name = self.base.name
-            return lambda env: env[name] ** e
-        f = self.base.compile()
-        return f if e == 1 else lambda env: f(env) ** e
 
     def __str__(self):
         return f"{self.base}^{self.exp}"
@@ -188,17 +114,6 @@ class ExactDiv(Expr):
             raise ExactDivisionError(f"{n} / {d} is not an exact integer")
         return n // d
 
-    def compile(self):
-        num, den = self.num.compile(), self.den.compile()
-
-        def divide(env):
-            n = num(env)
-            d = den(env)
-            if d == 0 or n % d != 0:
-                raise ExactDivisionError(f"{n} / {d} is not an exact integer")
-            return n // d
-        return divide
-
     def __str__(self):
         return f"({self.num})/({self.den})"
 
@@ -211,26 +126,21 @@ class Gcd(Expr):
     def eval(self, env):
         return _gcd(self.a.eval(env), self.b.eval(env))
 
-    def compile(self):
-        a, b = self.a.compile(), self.b.compile()
-        return lambda env: _gcd(a(env), b(env))
-
     def __str__(self):
         return f"gcd({self.a},{self.b})"
 
 
-def _split_constants(items, unit: int, combine, build=methodcaller("compile")
-                     ) -> tuple[int, list]:
+def _split_constants(items, unit: int, combine, build) -> tuple[int, list]:
     """The items of one value at every env folded into one value from
-    `unit`, and the other items built (compiled by default) in order."""
-    c, fns = unit, []
+    `unit`, and the other items built in order."""
+    c, built = unit, []
     for it in items:
         value = _fixed_value(it)
         if value is None:
-            fns.append(build(it))
+            built.append(build(it))
         else:
             c = combine(c, value)
-    return c, fns
+    return c, built
 
 
 def _fixed_value(expr: Expr) -> int | None:
@@ -247,8 +157,6 @@ def _division_free(expr: Expr) -> bool:
     """True when evaluating expr cannot raise ExactDivisionError."""
     if isinstance(expr, (Add, Mul)):
         return all(map(_division_free, expr.items))
-    if isinstance(expr, Neg):
-        return _division_free(expr.item)
     if isinstance(expr, Pow):
         return _division_free(expr.base)
     if isinstance(expr, Gcd):
@@ -265,8 +173,10 @@ def listing_kernel(params: list[str], lets: dict[str, Expr],
     position is skipped; then each let name is bound to the value of its
     expression.  A candidate where `eval` of a let or of an expression would
     raise ExactDivisionError is skipped too.  Each distinct subtree is
-    computed once per candidate, and constants are folded as `compile` folds
-    them."""
+    computed once per candidate.  Constants fold: x**0 is 1 only when its
+    base has no division (otherwise the base is still computed), x**1 is x,
+    and the constants of a sum or product fold into one, dropped when it is
+    the unit (0 in a sum, 1 in a product)."""
     atoms = {name: f"p{i}" for i, name in enumerate(params)}
     temps: dict[str, str] = {}  # code of a node -> the local holding it
     lines = [f"if not ({' and '.join(atoms[params[i]] for i in nonzero)}):"
@@ -289,8 +199,6 @@ def listing_kernel(params: list[str], lets: dict[str, Expr],
             if len(parts) == 1:
                 return parts[0]
             code = (" + " if add else " * ").join(parts)
-        elif isinstance(expr, Neg):
-            code = f"-{emit(expr.item)}"
         elif isinstance(expr, Pow):
             if expr.exp == 0:  # a base that may raise is still computed
                 if not _division_free(expr.base):

@@ -5,7 +5,6 @@ where a witness construction justifies it.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from operator import le
 from typing import Callable, Iterable, Optional, Union
@@ -86,11 +85,6 @@ class ParamDomain:
     def describe(self) -> str:
         raise NotImplementedError
 
-    def compile(self) -> "ParamDomain":
-        """The domain to sweep in one box listing: its expressions compiled
-        (see `Expr.compile`).  A domain without expressions is its own."""
-        return self
-
 
 class AllIntegers(ParamDomain):
     def contains(self, value, env):
@@ -129,20 +123,11 @@ class DivisorSet(ParamDomain):
         self.k = k
         self.of = of
 
-    def value_of(self, env) -> int:
-        return self.of.eval(env)
-
-    def compile(self):
-        # the copy's value_of is the compiled `of`, which shadows the method
-        compiled = copy.copy(self)
-        compiled.value_of = self.of.compile()
-        return compiled
-
     def contains(self, value, env):
-        return in_divisor_set(value, self.value_of(env), self.k)
+        return in_divisor_set(value, self.of.eval(env), self.k)
 
     def enumerate(self, env, sweep):
-        m = self.value_of(env)
+        m = self.of.eval(env)
         if m == 0:
             for v in range(1, sweep + 1):
                 yield v
@@ -189,8 +174,8 @@ class SolutionFamily(Family):
     their box through `box_enumerator(B)` instead, B the largest bound: it
     evaluates the expressions at the witnesses of candidate points (see
     `twomon.divisor_family`).  Either way every listed point is a value of
-    the expressions, compiled (or, for `box_enumerator`, generated into one
-    kernel) once per listing.
+    the expressions: evaluated by `Expr.eval` in a parameter sweep, by one
+    kernel generated per listing for `box_enumerator`.
     """
 
     variables: list[str]
@@ -222,14 +207,14 @@ class SolutionFamily(Family):
         names = [name for name, _ in self.params]
         limits = (self.param_bound(dict(zip(self.variables, bounds)))
                   if self.param_bound else dict.fromkeys(names, top))
-        sweeps = [(name, domain.compile().enumerate, limits[name])
+        sweeps = [(name, domain.enumerate, limits[name])
                   for name, domain in self.params]
-        fns = [self.exprs[v].compile() for v in self.variables]
+        exprs = [self.exprs[v] for v in self.variables]
         out: set[tuple[int, ...]] = set()
 
         def emit(env):
             try:
-                tup = tuple([f(env) for f in fns])
+                tup = tuple([e.eval(env) for e in exprs])
             except ExactDivisionError:
                 return
             if in_box(tup, bounds):

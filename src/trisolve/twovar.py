@@ -171,7 +171,7 @@ def solve_strict_case(form: TwoVarForm, bound: int = 10_000,
     each with one trace record.  The variants of a candidate mostly share
     a sign class, which solve_superelliptic takes once per base equation,
     and descends and solves once per process (see its caches), building no
-    Polynomial; its bounded search shares sieve periods across calls."""
+    Polynomial."""
     lp, np_, mp, kp, ev, eu = form.strict_data()
     variables = form.variables
     out = SolutionSet(variables, status=COMPLETE)

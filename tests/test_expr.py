@@ -10,7 +10,7 @@ from trisolve import expr as ex
 def test_eval_basic():
     e = ex.Add(ex.Mul(ex.const(3), ex.Pow(ex.param("x"), 2)), ex.const(-5))
     assert e.eval({"x": 4}) == 43
-    assert ex.Neg(ex.param("x")).eval({"x": 7}) == -7
+    assert ex.Mul(ex.const(-1), ex.param("x")).eval({"x": 7}) == -7
 
 
 def test_exact_division():
@@ -50,7 +50,7 @@ def _random_tree(rng, names, depth, kinds):
                 else ex.param(rng.choice(names)))
         kinds.add(type(leaf).__name__)
         return leaf
-    kind = rng.choice((ex.Add, ex.Mul, ex.Neg, ex.Pow, ex.ExactDiv, ex.Gcd))
+    kind = rng.choice((ex.Add, ex.Mul, ex.Pow, ex.ExactDiv, ex.Gcd))
     kinds.add(kind.__name__)
 
     def sub():
@@ -58,56 +58,9 @@ def _random_tree(rng, names, depth, kinds):
 
     if kind in (ex.Add, ex.Mul):
         return kind(*[sub() for _ in range(rng.randint(1, 4))])
-    if kind is ex.Neg:
-        return ex.Neg(sub())
     if kind is ex.Pow:
         return ex.Pow(sub(), rng.randint(0, 3))
     return kind(sub(), sub())
-
-
-def _outcome(fn, env):
-    try:
-        return fn(env)
-    except ex.ExactDivisionError:
-        return "raises"
-
-
-def test_compile_agrees_with_eval_on_random_trees():
-    rng = random.Random(2024)
-    names = ["a", "b", "c"]
-    kinds: set[str] = set()
-    outcomes = []
-    for _ in range(600):
-        tree = _random_tree(rng, names, 4, kinds)
-        compiled = tree.compile()
-        for _ in range(6):
-            env = {n: rng.randint(-3, 3) for n in names}
-            expected = _outcome(tree.eval, env)
-            assert _outcome(compiled, env) == expected, (str(tree), env)
-            outcomes.append(expected)
-    assert kinds == {"Const", "Param", "Add", "Mul", "Neg", "Pow",
-                     "ExactDiv", "Gcd"}
-    # both outcomes are common, so the draws test where compiled trees raise
-    assert 0.1 < outcomes.count("raises") / len(outcomes) < 0.9
-
-
-def test_compile_raises_where_eval_raises():
-    a, b = ex.param("a"), ex.param("b")
-    cases = [
-        ex.ExactDiv(a, ex.const(0)),              # constant zero divisor
-        ex.ExactDiv(a, b),                        # zero divisor at b = 0
-        ex.Mul(ex.const(0), ex.ExactDiv(a, b)),   # a zero factor still raises
-        ex.Pow(ex.ExactDiv(a, b), 0),             # so does a zeroth power
-        ex.Add(ex.const(1), ex.ExactDiv(ex.const(3), ex.Neg(b))),
-    ]
-    for tree in cases:
-        for env in ({"a": 5, "b": 0}, {"a": 5, "b": 2}, {"a": 6, "b": 3}):
-            assert _outcome(tree.compile(), env) == _outcome(tree.eval, env)
-        with pytest.raises(ex.ExactDivisionError):
-            tree.compile()({"a": 5, "b": 0})
-    # a zeroth power of a division-free base is 1 wherever it is evaluated
-    assert ex.Pow(ex.Add(a, b), 0).compile()({"a": 0, "b": 0}) == 1
-
 
 
 def _eval_listing(params, lets, exprs, nonzero, points):
@@ -153,8 +106,8 @@ def test_listing_kernel_equals_eval_on_random_trees():
                                             str(lets["w"]), nonzero)
         kept += bool(expected)
         raised += not _eval_listing(params, lets, exprs, [], points[:1])
-    assert kinds == {"Const", "Param", "Add", "Mul", "Neg", "Pow",
-                     "ExactDiv", "Gcd"}
+    assert kinds == {"Const", "Param", "Add", "Mul", "Pow", "ExactDiv",
+                     "Gcd"}
     assert kept > 100 and raised > 30
 
 
@@ -166,9 +119,14 @@ def test_listing_kernel_skips_where_eval_raises():
         ex.ExactDiv(a, b),                        # zero divisor at b = 0
         ex.Mul(ex.const(0), ex.ExactDiv(a, b)),   # a zero factor still raises
         ex.Pow(ex.ExactDiv(a, b), 0),             # so does a zeroth power
-        ex.Add(ex.const(1), ex.ExactDiv(ex.const(3), ex.Neg(b))),
+        ex.Add(ex.const(1),
+               ex.ExactDiv(ex.const(3), ex.Mul(ex.const(-1), b))),
         ex.Pow(ex.Add(a, b), 0),                  # 1 wherever evaluated
     ]
+    for tree in cases[:-1]:
+        with pytest.raises(ex.ExactDivisionError):
+            tree.eval({"a": 5, "b": 0})
+    assert cases[-1].eval({"a": 0, "b": 0}) == 1
     for tree in cases:
         for nonzero in ([], [0], [1]):
             kernel = ex.listing_kernel(["a", "b"], {}, [tree, b], nonzero)

@@ -19,10 +19,11 @@ import sys
 import pytest
 
 from trisolve import expr as ex, multivar, twovar
-from trisolve.cli import main
+from trisolve.cli import build_parser, main
 from trisolve.eqparse import parse_equation
 from trisolve.oracle import brute_force
-from trisolve.solset import MappedFamily, verify_against_oracle
+from trisolve.solset import (DivisorSet, MappedFamily, SolutionFamily,
+                             verify_against_oracle)
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -164,6 +165,45 @@ def test_every_path_string_in_the_source_is_reached():
         with open(path_of(name), encoding="utf-8") as fh:
             reached.update(json.load(fh)["path"])
     assert _path_strings(twovar) | _path_strings(multivar) == reached
+
+
+def _node_kinds(expr) -> set[type]:
+    kinds = {type(expr)}
+    for value in vars(expr).values():
+        for child in value if isinstance(value, tuple) else [value]:
+            if isinstance(child, ex.Expr):
+                kinds |= _node_kinds(child)
+    return kinds
+
+
+def _expression_kinds(solset) -> set[type]:
+    """The node kinds in the expressions and divisor domains of every
+    expression family of solset, inner sets of mapped families included."""
+    kinds = set()
+    for fam in solset.families:
+        if isinstance(fam, MappedFamily):
+            kinds |= _expression_kinds(fam.inner)
+        elif isinstance(fam, SolutionFamily):
+            trees = [*fam.exprs.values(),
+                     *(d.of for _, d in fam.params
+                       if isinstance(d, DivisorSet))]
+            for tree in trees:
+                kinds |= _node_kinds(tree)
+    return kinds
+
+
+def test_every_expression_node_kind_is_built():
+    # a node kind no answer builds is code that only its own tests run
+    reached = set()
+    for _, argv in CASES:
+        args = build_parser().parse_args(["solve", *argv])
+        report = multivar.solve(args.equation, bound=args.bound,
+                                budget=args.budget)
+        reached |= _expression_kinds(report.solutions)
+    defined = {kind for kind in vars(ex).values()
+               if isinstance(kind, type) and issubclass(kind, ex.Expr)
+               and kind is not ex.Expr}
+    assert reached == defined, sorted(k.__name__ for k in reached ^ defined)
 
 
 # Entries whose answers hold a family with its own box listing: the direct

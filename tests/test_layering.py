@@ -137,7 +137,7 @@ def test_every_box_listing_evaluates_its_expressions():
 def test_only_expr_generates_code():
     # `expr.listing_kernel` turns a family's expressions into a function; a
     # module that ran code of its own making would bypass the expressions.
-    # Methods named compile, such as `Expr.compile`, are not the builtin
+    # Methods named like a builtin, such as `Expr.eval`, are not the builtin
     found = []
     for name, tree in _trees().items():
         if name == "expr.py":

@@ -58,8 +58,10 @@ def test_table2_row_family():
     fam = SolutionFamily(
         variables=["x", "y"],
         params=[("w", AllIntegers())],
-        exprs={"x": ex.Neg(ex.Mul(ex.Pow(w, 2), ex.Add(ex.const(1), w))),
-               "y": ex.Neg(ex.Mul(ex.Pow(w, 3), ex.Add(ex.const(1), w)))},
+        exprs={"x": ex.Mul(ex.const(-1), ex.Pow(w, 2),
+                           ex.Add(ex.const(1), w)),
+               "y": ex.Mul(ex.const(-1), ex.Pow(w, 3),
+                           ex.Add(ex.const(1), w))},
         exact_box=False)
     assert fam.evaluate({"w": 1}) == (-2, -2)
     poly = parse_equation("x^4+x*y^2+y^3")
@@ -207,6 +209,16 @@ def test_nonzero_domain():
     dom = NonzeroIntegers()
     assert dom.contains(3, {}) and not dom.contains(0, {})
     assert 0 not in list(dom.enumerate({}, 4))
+
+
+def test_parameter_sweep_drops_the_points_where_a_division_fails():
+    # (x, y) = (u/2, u): the odd u of the sweep raise and list no point
+    u = ex.param("u")
+    fam = SolutionFamily(variables=["x", "y"], params=[("u", AllIntegers())],
+                         exprs={"x": ex.ExactDiv(u, ex.const(2)), "y": u})
+    with pytest.raises(ex.ExactDivisionError):
+        fam.evaluate({"u": 1})
+    assert fam.enumerate_box(3) == {(0, 0), (1, 2), (-1, -2)}
 
 
 def _within(point, box):

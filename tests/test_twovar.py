@@ -415,7 +415,6 @@ def test_table1_answers_do_not_depend_on_what_the_caches_hold():
     def clear():
         basesolve._descended_class.cache_clear()
         basesolve._terminal_class.cache_clear()
-        basesolve._sieve_period.cache_clear()
 
     rows = range(1, 101)
     cold = {}
