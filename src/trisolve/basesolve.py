@@ -1,11 +1,13 @@
 """Solvers for the base equation shapes a*y^m = b*x^n + c, quadratic forms
 A*u^2 + B*v^2 + C = 0, trinomials a*x^n + b*x^k*y^l + c*y^m = 0 under
 Runge's condition n*l + m*k > m*n, and separated-linear equations
-a*x + P(rest) = 0 in any number of variables, by residue classes.
+a*x + P(rest) = 0 in any number of variables, by residue classes.  The
+base equations and quadratic forms have three nonzero coefficients, as
+their callers pass them; an equation of two monomials is twomon's.
 
 Everything elementary is solved completely (m = 1, which is separated
-linear, quadratics, two-monomial, definite or factorable power forms,
-p-adically impossible equations).  The
+linear, quadratics, definite or factorable power forms, p-adically
+impossible equations).  The
 remaining Thue / superelliptic cases run a bounded search whose status is
 SearchedToBound unless an external backend certifies completeness, or the
 equation has |C| = 1 in reduced two-power form and the search exhibits the
@@ -52,10 +54,8 @@ from .solset import (
     RecurrenceFamily,
     SolutionFamily,
     SolutionSet,
-    pinned_family,
     searched,
 )
-from .twomon import solve_two_monomial
 
 BENNETT_CITATION = ("uniqueness of the positive solution of |a*x^n - b*y^n| = 1 "
                     "(Bennett, J. reine angew. Math. 535, 2001)")
@@ -117,38 +117,16 @@ def pell_fundamental(d: int, limit: int | None = None) -> tuple[int, int]:
 
 def solve_quadratic(A: int, B: int, C: int,
                     variables: list[str] | None = None) -> SolutionSet:
-    """Complete integer solution set of A u^2 + B v^2 + C = 0."""
+    """Complete integer solution set of A u^2 + B v^2 + C = 0 for A, B, C
+    nonzero; with a zero coefficient the equation has at most two monomials
+    (twomon's business), and ValueError is raised."""
+    if A * B * C == 0:
+        raise ValueError("need A, B, C nonzero")
     variables = variables or ["u", "v"]
-    eq = _quad_poly(A, B, C, variables)
+    eq = Polynomial([Monomial.make(A, {variables[0]: 2}),
+                     Monomial.make(B, {variables[1]: 2}),
+                     Monomial.make(C, {})], list(variables))
     out = SolutionSet(variables, status=COMPLETE, equation=eq)
-
-    if A == 0 and B == 0:
-        if C == 0:
-            out.families.append(pinned_family(
-                variables, {}, "identically zero", lambda v: f"u_{v}"))
-        return out
-    if A == 0 or B == 0:
-        coef = B if A == 0 else A
-        fixed_index = 1 if A == 0 else 0
-        if C % coef != 0 or -C // coef < 0:
-            return out
-        s = exact_iroot(-C // coef, 2)
-        if s is None:
-            return out
-        fixed_var = variables[fixed_index]
-        for val in {s, -s}:
-            out.families.append(pinned_family(
-                variables, {fixed_var: val}, f"{fixed_var} = {val}",
-                lambda v: "w"))
-        return out
-    if C == 0:
-        out.add_finite((0, 0))
-        root = rational_root_d(Fraction(-B, A), 2) if -B * A > 0 else None
-        if root is not None:
-            p, q = root.numerator, root.denominator
-            for sp in (p, -p):
-                out.families.append(_ray_family(variables, sp, q))
-        return out
 
     if A * B > 0:
         for sol in _twopower_definite(_TwoPower(A, B, -C, 2, 2)):
@@ -208,32 +186,6 @@ def solve_quadratic(A: int, B: int, C: int,
     return out
 
 
-def _quad_poly(A, B, C, variables):
-    monos = []
-    if A:
-        monos.append(Monomial.make(A, {variables[0]: 2}))
-    if B:
-        monos.append(Monomial.make(B, {variables[1]: 2}))
-    if C:
-        monos.append(Monomial.make(C, {}))
-    return Polynomial(monos, list(variables))
-
-
-def _ray_family(variables, p, q):
-    def witness(sol):
-        if q and sol[1] % q == 0 and sol[0] == p * (sol[1] // q):
-            return {"t": sol[1] // q}
-        return None
-
-    return SolutionFamily(
-        variables=list(variables),
-        params=[("t", AllIntegers())],
-        exprs={variables[0]: ex.monomial_expr(p, [("t", 1)]),
-               variables[1]: ex.monomial_expr(q, [("t", 1)])},
-        witness=witness, exact_box=True,
-        note=f"ray ({p}t, {q}t)")
-
-
 # ---------------------------------------------------------------------------
 # Two-power equations A x^N + B y^M = C: certificates and search
 # ---------------------------------------------------------------------------
@@ -263,8 +215,6 @@ def _twopower_descend(tp: _TwoPower):
         for p in factorize(abs(tp.A) * abs(tp.B) * abs(tp.C)).primes():
             ap, bp, cp = (valuation(tp.A, p), valuation(tp.B, p),
                           valuation(tp.C, p))
-            if ap == 0 and bp == 0 and cp == 0:
-                continue
             feas = _feasible_valuations(ap, bp, cp, tp.N, tp.M, p)
             if feas == "empty":
                 return tp, True
@@ -429,8 +379,6 @@ def _twopower_factorable(tp: _TwoPower) -> list[tuple[int, int]] | None:
         return []
     T = tp.C * q**D // tp.A
     out = set()
-    if T == 0:
-        return None  # C == 0 is not this shape's business
     for d in divisors_k(T, 1):
         for v in _power_difference_roots(d, D, T):
             u = v + d
@@ -704,11 +652,12 @@ def solve_superelliptic(a: int, b: int, c: int, n: int, m: int,
                         variables: list[str] | None = None,
                         backend: str | None = None,
                         trace: list | None = None) -> SolutionSet:
-    """Complete-where-elementary solver for a*y^m = b*x^n + c, n, m >= 1;
-    the terminal Thue/superelliptic cases run a bounded search with explicit
-    status.
+    """Complete-where-elementary solver for a*y^m = b*x^n + c with a, b, c
+    nonzero and n, m >= 1 (with c = 0 the equation has two monomials, which
+    twomon solves; ValueError is raised); the terminal Thue/superelliptic
+    cases run a bounded search with explicit status.
 
-    The terminal case (2 <= m <= n, n >= 3, c != 0) takes the sign class
+    The terminal case (2 <= m <= n, n >= 3) takes the sign class
     of its A x^N + B y^M = C (under x -> -x for odd N, y -> -y for odd M
     and a global sign flip) once and builds no Polynomial.  Two
     process-wide caches of 4096 entries hold the descent and the descended
@@ -717,8 +666,8 @@ def solve_superelliptic(a: int, b: int, c: int, n: int, m: int,
     class's points by its own signs, checks them against a*y^m = b*x^n + c
     in integers, shares status and provenance, and keeps its own record."""
     variables = variables or ["x", "y"]
-    if a == 0 or b == 0:
-        raise ValueError("need a, b nonzero")
+    if a == 0 or b == 0 or c == 0:
+        raise ValueError("need a, b, c nonzero")
     if n < 1 or m < 1:
         raise ValueError("need n, m >= 1")
 
@@ -726,14 +675,8 @@ def solve_superelliptic(a: int, b: int, c: int, n: int, m: int,
         if trace is not None:
             trace.append(BaseSolveRecord(desc, sorted(sols), status))
 
-    if c == 0 or m == 1 or m > n or m == n == 2:
+    if m == 1 or m > n or m == n == 2:
         poly = _superelliptic_poly(a, b, c, n, m, variables)
-
-    if c == 0:
-        out = solve_two_monomial(poly)
-        out.add_finite((0, 0))
-        record(f"{a}*y^{m} = {b}*x^{n}", sorted(out.finite), "complete")
-        return out
 
     if m > n:
         inner = solve_superelliptic(-b, -a, c, m, n, bound,
@@ -758,7 +701,7 @@ def solve_superelliptic(a: int, b: int, c: int, n: int, m: int,
         record(f"{a}*y^2 = {b}*x^2 + {c}", sorted(out.finite), "complete")
         return out
 
-    # terminal: 2 <= m <= n, n >= 3, c != 0; this equation is (s*ex*A,
+    # terminal: 2 <= m <= n, n >= 3; this equation is (s*ex*A,
     # s*ey*B, s*C) for its class's (A, B, C), and so is its descent, whose
     # class the descent cache holds with its own signs
     rep, ex, ey = _twopower_sign_class(_TwoPower(b, -a, -c, n, m))
@@ -800,10 +743,8 @@ def solve_superelliptic(a: int, b: int, c: int, n: int, m: int,
 
 def _superelliptic_poly(a, b, c, n, m, variables):
     vx, vy = variables
-    monos = [Monomial.make(a, {vy: m}), Monomial.make(-b, {vx: n})]
-    if c:
-        monos.append(Monomial.make(-c, {}))
-    return Polynomial(monos, list(variables))
+    return Polynomial([Monomial.make(a, {vy: m}), Monomial.make(-b, {vx: n}),
+                       Monomial.make(-c, {})], list(variables))
 
 
 def _swap_family(fam, variables):

@@ -176,10 +176,7 @@ def cmd_repro(args) -> int:
         return _repro_table3(args)
     if table in (4, 5):
         return _repro_table45(args, table)
-    if table == 6:
-        return _repro_table6(args)
-    print(f"unknown table {table}", file=sys.stderr)
-    return 2
+    return _repro_table6(args)
 
 
 def _repro_table1(args) -> int:

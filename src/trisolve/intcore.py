@@ -1,11 +1,9 @@
 """Exact integer and rational primitives: factorization, p-adic valuations,
-divisor sets D_k, signed and rational d-th roots, shifted powers, the
-three-way valuation split, univariate solving over Z and Q, and roots
-modulo m.
+divisor sets D_k, signed and rational d-th roots, shifted powers,
+univariate solving over Z and Q, and roots modulo m.
 
 Everything here is pure and exact (arbitrary precision); no floats are used
-for anything that affects a result, except OO = math.inf, the valuation of
-0, which only takes part in comparisons.
+for anything that affects a result.
 """
 
 from __future__ import annotations
@@ -14,16 +12,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, inf, isqrt
+from math import comb, gcd, isqrt
 
 
 class ResourceLimit(RuntimeError):
     """A computation would pass one of the program's size limits."""
-
-
-#: Valuation of zero.  Float infinity compares exactly with every int and is
-#: never equal to one.
-OO = inf
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +169,7 @@ def factorize(n: int) -> Factorization:
 def valuation(n: int, p: int) -> int:
     """Largest e with p**e | n, for n != 0."""
     if n == 0:
-        raise ValueError("valuation of 0 is infinite; use valuation_or_infinity")
+        raise ValueError("valuation of 0 is infinite")
     if p < 2:
         raise ValueError("p must be a prime >= 2")
     n = abs(n)
@@ -185,11 +178,6 @@ def valuation(n: int, p: int) -> int:
         v += 1
         n //= p
     return v
-
-
-def valuation_or_infinity(n: int, p: int):
-    """valuation(n, p), with OO for n = 0."""
-    return OO if n == 0 else valuation(n, p)
 
 
 # ---------------------------------------------------------------------------
@@ -291,32 +279,6 @@ def rational_root_d(r: Fraction, d: int) -> Fraction | None:
     if num is None or den is None:
         return None
     return Fraction(num, den)
-
-
-# ---------------------------------------------------------------------------
-# Lemma of the three valuations
-# ---------------------------------------------------------------------------
-
-def valuation_split(a: int, b: int, c: int, p: int) -> tuple[str, int]:
-    """For a + b + c = 0, identify which two of v_p(a), v_p(b), v_p(c) attain
-    the common minimum: tag 'ab', 'ac', 'bc', or 'abc' when all equal.
-
-    Returns (tag, minimum).  The two smallest valuations of a zero-sum triple
-    are always equal, which this function asserts.
-    """
-    if a + b + c != 0:
-        raise ValueError("expected a + b + c = 0")
-    if a == 0 and b == 0 and c == 0:
-        raise ValueError("at least one of a, b, c must be nonzero")
-    va = valuation_or_infinity(a, p)
-    vb = valuation_or_infinity(b, p)
-    vc = valuation_or_infinity(c, p)
-    lo = min(va, vb, vc)
-    hits = [t for t, v in (("a", va), ("b", vb), ("c", vc)) if v == lo]
-    if len(hits) < 2:
-        raise AssertionError(f"valuation split violated for ({a},{b},{c}) at p={p}")
-    tag = "abc" if len(hits) == 3 else "".join(hits)
-    return tag, lo
 
 
 # ---------------------------------------------------------------------------

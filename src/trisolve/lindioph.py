@@ -1,12 +1,12 @@
 """Linear Diophantine machinery over the non-negative integers.
 
-Covers the two-term solver (n*x = m*y + b), the per-prime valuation split
-of a two-variable trinomial built on it, Hilbert bases / minimal solutions
-of linear systems via a Contejean-Devie completion, the xy = zt
-parametrization, minimal divisibility sets, and an exact decision procedure
-for membership of a target vector in the monoid generated by a finite set of
-2-D integer vectors (the workhorse behind the sufficient-condition check,
-fast enough for exponent bounds around 1e5).  Its witness, the only one the
+Covers the two-term solver (n*x = m*y + b), the per-prime valuation split of
+a two-variable trinomial built on it, Hilbert bases / minimal solutions of
+linear systems via a Contejean-Devie completion, the xy = zt parametrization
+(x != 0), minimal divisibility sets, and an exact decision procedure for
+membership of a target vector in the monoid generated by a finite set of 2-D
+integer vectors (the workhorse behind the sufficient-condition check, fast
+enough for exponent bounds around 1e5).  Its witness, the only one the
 sufficient condition uses, is shrunk by the one-signed circuits of the
 generators (kernel vectors on three columns) and is not always the least.
 """
@@ -131,32 +131,19 @@ def _equal_valuation_points(vals, exps, i, j, h):
 # ---------------------------------------------------------------------------
 
 def solve_xy_eq_zt(x: int, y: int, z: int, t: int) -> tuple[int, int, int, int]:
-    """Given x*y == z*t, return (u, v, w, r) with x=u*v, y=w*r, z=u*w, t=v*r.
-
-    Follows the gcd construction: u = gcd(x, z) > 0 when x != 0.
+    """Given x*y == z*t with x != 0, return (u, v, w, r) with x=u*v, y=w*r,
+    z=u*w, t=v*r, by the gcd construction u = gcd(x, z) > 0.  The equality
+    case passes x = m >= 1; x = 0 raises ValueError.
     """
+    if x == 0:
+        raise ValueError("need x nonzero")
     if x * y != z * t:
         raise ValueError("xy != zt")
-    if x != 0:
-        u = gcd(x, z)
-        v = x // u
-        w = z // u
-        assert t % v == 0
-        r = t // v
-    elif z != 0:
-        # zt = 0 forces t = 0 here
-        w = gcd(z, y)
-        u = z // w
-        r = y // w
-        v = 0
-    else:
-        r = gcd(y, t)
-        if r == 0:
-            u = v = w = 0
-        else:
-            u = 0
-            w = y // r
-            v = t // r
+    u = gcd(x, z)
+    v = x // u
+    w = z // u
+    assert t % v == 0
+    r = t // v
     assert (x, y, z, t) == (u * v, w * r, u * w, v * r)
     return u, v, w, r
 
@@ -262,34 +249,6 @@ def solve_system_nonneg(system: list[list[int]], rhs: list[int],
     hom = sorted(v[:n] for v in minimals if v[n] == 0)
     part = sorted(v[:n] for v in minimals if v[n] == 1)
     return MinimalBasis(hom, part, status, False, n)
-
-
-def generate_solutions(basis: MinimalBasis, bound: int) -> set[tuple[int, ...]]:
-    """All solutions with entries <= bound generated as particular plus
-    non-negative combinations of the homogeneous minimals (for testing)."""
-    if basis.homogeneous_system:
-        seeds = [None]
-    elif basis.particular:
-        seeds = list(basis.particular)
-    else:
-        return set()
-    out: set[tuple[int, ...]] = set()
-    for seed in seeds:
-        n = basis.nvars or (len(seed) if seed else 0)
-        if n == 0:
-            continue
-        start = tuple(seed) if seed else tuple([0] * n)
-        stack = [start]
-        seen = {start}
-        while stack:
-            cur = stack.pop()
-            out.add(cur)
-            for h in basis.homogeneous:
-                nxt = tuple(c + d for c, d in zip(cur, h))
-                if max(nxt) <= bound and nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -398,8 +398,6 @@ def _block_term_options(coeff: Fraction, eks: list[int], prefix: str):
             if num % den:
                 continue
             target = num // den
-            if target == 0:
-                continue
             side_exps = tuple(-e for e in eks)
             tuples = exact_products([e for e in side_exps if e], target)
             if not tuples:

@@ -2,7 +2,7 @@
 equation inside a box.  It stays independent of the solvers (it imports only
 the parser and integer primitives): one variable is solved exactly from the
 residual univariate polynomial at each point of a sweep over the others,
-and `brute_force_naive`, a full sweep, is its reference in the tests.
+and the tests compare it with a full sweep of the box.
 """
 
 from __future__ import annotations
@@ -96,15 +96,4 @@ def brute_force(poly: Polynomial, bound: int) -> OracleRun:
             out.extend(head[:solved] + (x,) + head[solved:] for x in roots)
     out.sort()
     return OracleRun(variables, bound, out, time.perf_counter() - start)
-
-
-def brute_force_naive(poly: Polynomial, bound: int) -> list[tuple[int, ...]]:
-    """Full sweep without the residual trick; cross-check for the oracle."""
-    variables = list(poly.variables)
-    rng = range(-bound, bound + 1)
-    out = []
-    for point in itertools.product(rng, repeat=len(variables)):
-        if poly.evaluate(dict(zip(variables, point))) == 0:
-            out.append(point)
-    return out
 

@@ -114,7 +114,7 @@ def _embed_nonzero(out: SolutionSet, zeros: set[str], inner: SolutionSet):
 def solve_power_product(exponents: list[int], r: Fraction,
                         variables: list[str],
                         equation: Polynomial | None = None) -> SolutionSet:
-    """Solve prod(x_i**e_i) = r over nonzero integers, completely.
+    """Solve prod(x_i**e_i) = r != 0 over nonzero integers, completely.
 
     Variables with e_i = 0 are free.  For mixed-sign exponents the solution
     is the standard parametric family; the rational d-th-root criterion
@@ -125,8 +125,6 @@ def solve_power_product(exponents: list[int], r: Fraction,
     free = [i for i in range(len(variables)) if i not in support]
     if not support:
         raise ValueError("no variable with nonzero exponent")
-    if r == 0:
-        return out  # no nonzero solutions
 
     pos = all(exponents[i] > 0 for i in support)
     neg = all(exponents[i] < 0 for i in support)

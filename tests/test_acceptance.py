@@ -12,6 +12,12 @@ import itertools
 import random
 
 import pytest
+from references import (
+    OO,
+    generate_solutions,
+    valuation_or_infinity,
+    valuation_split,
+)
 
 from trisolve import expr as ex
 from trisolve.eqparse import parse_equation, parse_trinomial
@@ -27,9 +33,8 @@ from trisolve.fixtures import (
     family_rows_as_written,
     table2_family,
 )
-from trisolve.intcore import OO, divisors_k, valuation_or_infinity, valuation_split
+from trisolve.intcore import divisors_k
 from trisolve.lindioph import (
-    generate_solutions,
     minimal_divisibility_set,
     solve_system_nonneg,
     solve_two_term,

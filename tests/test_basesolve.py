@@ -6,7 +6,6 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from test_solset import assert_witness_round_trip
 
 from trisolve import basesolve
 from trisolve.basesolve import (
@@ -80,43 +79,55 @@ def test_quadratic_degenerate_square_disc():
 
 
 def test_quadratic_linear_factor_families():
-    # u^2 = 9 v^2
-    s = solve_quadratic(1, -9, 0)
-    pts, _ = s.enumerate_box(30)
+    # u^2 = 9 v^2 has C = 0: solve_quadratic refuses it, and solve takes it
+    # as the two-monomial equation it is
+    with pytest.raises(ValueError):
+        solve_quadratic(1, -9, 0)
+    pts, exact = solve("u^2-9*v^2=0", bound=30).solutions.enumerate_box(30)
     truth = brute_force(parse_equation("u^2-9*v^2"), 30).solutions
-    assert set(pts) == set(truth)
+    assert exact and set(pts) == set(truth)
 
 
 def test_ray_and_pinned_family_witnesses_round_trip():
-    # 4u^2 = 9v^2, u^2 = 9v^2 and 4v^2 = 9u^2 give the rays (+-3t, 2t),
-    # (+-3t, t) and (+-2t, 3t); v^2 = 4 gives the lines v = +-2
-    for A, B, C in ((4, -9, 0), (1, -9, 0), (-9, 4, 0), (0, 1, -4)):
-        families = solve_quadratic(A, B, C).families
-        assert len(families) == 2
-        for fam in families:
-            assert_witness_round_trip(fam, 12)
+    # 4u^2 = 9v^2, u^2 = 9v^2 and 4v^2 = 9u^2 (the rays (+-3t, 2t),
+    # (+-3t, t) and (+-2t, 3t)) and v^2 = 4 have a zero coefficient, so
+    # solve_quadratic refuses them; solve lists each box exactly, and each
+    # listed point comes back from its family's witness.  A divisor
+    # family's witness is defined on its solutions only, so points off the
+    # family are not checked here (test_solset does so for pinned families)
+    for (A, B, C), text in (((4, -9, 0), "4*u^2-9*v^2"),
+                            ((1, -9, 0), "u^2-9*v^2"),
+                            ((-9, 4, 0), "4*v^2-9*u^2"),
+                            ((0, 1, -4), "v^2-4")):
+        with pytest.raises(ValueError):
+            solve_quadratic(A, B, C)
+        s = solve(f"{text}=0", bound=12).solutions
+        pts, exact = s.enumerate_box(12)
+        truth = brute_force(parse_equation(text), 12).solutions
+        assert exact and set(pts) == set(truth), text
+        assert len(s.families) == (2 if C == 0 else 0), text
+        for fam in s.families:
+            listed = fam.enumerate_box(12)
+            assert listed
+            for point in listed:
+                assert fam.evaluate(fam.witness(point)) == point, point
 
 
 def test_quadratic_vs_oracle_random():
+    # a zero coefficient is outside solve_quadratic's domain
     rng = random.Random(5)
     for _ in range(60):
         A = rng.randint(-6, 6)
         B = rng.randint(-6, 6)
         C = rng.randint(-20, 20)
-        if A == 0 and B == 0 and C != 0:
+        if A * B * C == 0:
+            with pytest.raises(ValueError):
+                solve_quadratic(A, B, C)
             continue
         s = solve_quadratic(A, B, C)
         pts, exact = s.enumerate_box(40)
-        poly = s.equation
-        if poly is None or not poly.monomials:
-            continue
-        run_vars = poly.variables
-        truth = set(brute_force(poly, 40).solutions)
-        got = set(pts)
-        if len(run_vars) < 2:
-            # a missing variable is free; compare on the present one only
-            continue
-        assert got == truth, (A, B, C)
+        truth = set(brute_force(s.equation, 40).solutions)
+        assert exact and set(pts) == truth, (A, B, C)
 
 
 def test_superelliptic_worked_examples():
@@ -445,13 +456,18 @@ def test_backend_hook(tmp_path):
 
 
 def test_superelliptic_linear_random_complete():
-    # a y = b x^n + c families are oracle-complete on boxes
+    # a y = b x^n + c families are oracle-complete on boxes; c = 0 is
+    # outside solve_superelliptic's domain
     rng = random.Random(314)
     for _ in range(100):
         a = rng.choice([1, 2, 3, 4, 5, -2, -3])
         b = rng.choice([1, 2, 3, -1, -2])
         c = rng.randint(-6, 6)
         n = rng.randint(1, 4)
+        if c == 0:
+            with pytest.raises(ValueError):
+                solve_superelliptic(a, b, c, n, 1, bound=100)
+            continue
         s = solve_superelliptic(a, b, c, n, 1, bound=100)
         assert str(s.status) == "Complete"
         pts, exact = s.enumerate_box(30)

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from references import OO, valuation_or_infinity, valuation_split
 
 from trisolve.intcore import (
-    OO,
     divisors_k,
     exact_iroot,
     exact_roots,
@@ -20,8 +20,6 @@ from trisolve.intcore import (
     shifted_power,
     solve_univariate,
     valuation,
-    valuation_or_infinity,
-    valuation_split,
 )
 
 

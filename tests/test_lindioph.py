@@ -5,13 +5,13 @@ from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from references import generate_solutions
 
 from trisolve import lindioph
 from trisolve.lindioph import (
     _cone_2d,
     _lattice_contains_2d,
     _xgcd,
-    generate_solutions,
     hilbert_basis,
     minimal_divisibility_set,
     monoid_contains_2d,
@@ -69,8 +69,8 @@ def test_two_term_vs_exhaustive():
 
 def test_xy_zt_examples():
     assert solve_xy_eq_zt(6, 1, 2, 3) == (2, 3, 1, 1)
-    u, v, w, r = solve_xy_eq_zt(0, 5, 0, 7)
-    assert (u * v, w * r, u * w, v * r) == (0, 5, 0, 7)
+    with pytest.raises(ValueError):  # x = 0 is outside the domain
+        solve_xy_eq_zt(0, 5, 0, 7)
     u, v, w, r = solve_xy_eq_zt(4, 6, 8, 3)
     assert (u * v, w * r, u * w, v * r) == (4, 6, 8, 3)
     assert u == 4
@@ -79,15 +79,15 @@ def test_xy_zt_examples():
 @given(st.integers(-30, 30), st.integers(-30, 30), st.integers(-30, 30))
 @settings(max_examples=300)
 def test_xy_zt_random(x, z, t):
-    # construct a valid instance: y determined when x != 0
-    if x != 0:
-        if (z * t) % x != 0:
-            return
-        y = z * t // x
-    else:
-        y = 7 if z * t == 0 else None
-        if y is None:
-            return
+    # construct a valid instance: y determined when x != 0; x = 0 is
+    # outside the domain, whether or not xy = zt holds
+    if x == 0:
+        with pytest.raises(ValueError):
+            solve_xy_eq_zt(x, 7, z, t)
+        return
+    if (z * t) % x != 0:
+        return
+    y = z * t // x
     u, v, w, r = solve_xy_eq_zt(x, y, z, t)
     assert (x, y, z, t) == (u * v, w * r, u * w, v * r)
 

@@ -2,9 +2,10 @@ import itertools
 import random
 
 import pytest
+from references import brute_force_naive
 
 from trisolve.eqparse import Monomial, Polynomial, parse_equation
-from trisolve.oracle import BoxTooLarge, brute_force, brute_force_naive
+from trisolve.oracle import BoxTooLarge, brute_force
 
 
 def test_table1_row_a2():
