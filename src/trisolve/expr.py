@@ -6,9 +6,9 @@ signals a malformed family and raises.
 
 `eval` walks the tree on every call; a parameter sweep evaluates a family's
 expressions with it.  A divisor family's candidate sweep instead runs one
-function that `listing_kernel` generates per listing: it computes each
-distinct subtree once per candidate and skips the candidates where `eval`
-raises.
+function that `listing_kernel` generates per listing with a candidate: it
+computes each distinct subtree once per candidate and skips the candidates
+where `eval` raises.
 """
 
 from __future__ import annotations
@@ -164,6 +164,57 @@ def _division_free(expr: Expr) -> bool:
     return not isinstance(expr, ExactDiv)
 
 
+class _KernelBody:
+    """The statements of a listing kernel's loop body.  `atoms` maps each
+    parameter and let name to its local; `temps` maps the code of each node
+    computed so far to the local holding it.  `emit` recurses as a method,
+    where a nested function would hold itself in a reference cycle."""
+
+    def __init__(self, atoms: dict[str, str], lines: list[str]):
+        self.atoms = atoms
+        self.temps: dict[str, str] = {}
+        self.lines = lines
+
+    def emit(self, expr: Expr) -> str:
+        """Append the statements computing expr; its atom (local or
+        literal)."""
+        if isinstance(expr, Const):
+            return f"({expr.value})" if expr.value < 0 else str(expr.value)
+        if isinstance(expr, Param):
+            return self.atoms[expr.name]
+        if isinstance(expr, (Add, Mul)):
+            add = isinstance(expr, Add)
+            unit = 0 if add else 1
+            c, parts = _split_constants(
+                expr.items, unit, int.__add__ if add else int.__mul__,
+                self.emit)
+            if c != unit or not parts:
+                parts.append(self.emit(Const(c)))
+            if len(parts) == 1:
+                return parts[0]
+            code = (" + " if add else " * ").join(parts)
+        elif isinstance(expr, Pow):
+            if expr.exp == 0:  # a base that may raise is still computed
+                if not _division_free(expr.base):
+                    self.emit(expr.base)
+                return "1"
+            base = self.emit(expr.base)
+            if expr.exp == 1:
+                return base
+            code = f"{base} ** {expr.exp}"
+        elif isinstance(expr, ExactDiv):
+            n, d = self.emit(expr.num), self.emit(expr.den)
+            code = f"{n} // {d}"
+            if code not in self.temps:
+                self.lines.append(f"if not {d} or {n} % {d}: continue")
+        else:
+            code = f"gcd({self.emit(expr.a)}, {self.emit(expr.b)})"
+        if code not in self.temps:
+            self.temps[code] = f"t{len(self.temps)}"
+            self.lines.append(f"{self.temps[code]} = {code}")
+        return self.temps[code]
+
+
 def listing_kernel(params: list[str], lets: dict[str, Expr],
                    exprs: list[Expr], nonzero: list[int]
                    ) -> Callable[[Points], set[tuple[int, ...]]]:
@@ -178,55 +229,16 @@ def listing_kernel(params: list[str], lets: dict[str, Expr],
     and the constants of a sum or product fold into one, dropped when it is
     the unit (0 in a sum, 1 in a product)."""
     atoms = {name: f"p{i}" for i, name in enumerate(params)}
-    temps: dict[str, str] = {}  # code of a node -> the local holding it
-    lines = [f"if not ({' and '.join(atoms[params[i]] for i in nonzero)}):"
-             " continue"] if nonzero else []
-
-    def emit(expr: Expr) -> str:
-        """Append the statements computing expr; its atom (local or
-        literal)."""
-        if isinstance(expr, Const):
-            return f"({expr.value})" if expr.value < 0 else str(expr.value)
-        if isinstance(expr, Param):
-            return atoms[expr.name]
-        if isinstance(expr, (Add, Mul)):
-            add = isinstance(expr, Add)
-            unit = 0 if add else 1
-            c, parts = _split_constants(
-                expr.items, unit, int.__add__ if add else int.__mul__, emit)
-            if c != unit or not parts:
-                parts.append(emit(Const(c)))
-            if len(parts) == 1:
-                return parts[0]
-            code = (" + " if add else " * ").join(parts)
-        elif isinstance(expr, Pow):
-            if expr.exp == 0:  # a base that may raise is still computed
-                if not _division_free(expr.base):
-                    emit(expr.base)
-                return "1"
-            base = emit(expr.base)
-            if expr.exp == 1:
-                return base
-            code = f"{base} ** {expr.exp}"
-        elif isinstance(expr, ExactDiv):
-            n, d = emit(expr.num), emit(expr.den)
-            code = f"{n} // {d}"
-            if code not in temps:
-                lines.append(f"if not {d} or {n} % {d}: continue")
-        else:
-            code = f"gcd({emit(expr.a)}, {emit(expr.b)})"
-        if code not in temps:
-            temps[code] = f"t{len(temps)}"
-            lines.append(f"{temps[code]} = {code}")
-        return temps[code]
-
+    body = _KernelBody(atoms, [
+        f"if not ({' and '.join(atoms[params[i]] for i in nonzero)}):"
+        " continue"] if nonzero else [])
     for name, expr in lets.items():
-        atoms[name] = emit(expr)
-    coords = [emit(expr) for expr in exprs]
+        atoms[name] = body.emit(expr)
+    coords = [body.emit(expr) for expr in exprs]
     source = "\n".join([
         "def kernel(points):",
         f"    for ({''.join(atoms[p] + ', ' for p in params)}) in points:",
-        *(f"        {line}" for line in lines),
+        *(f"        {line}" for line in body.lines),
         f"        yield ({''.join(c + ', ' for c in coords)})"])
     namespace = {"gcd": _gcd}
     exec(source, namespace)

@@ -17,6 +17,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import gcd
+from operator import add, ge, mul
 
 from .intcore import factorize, valuation
 
@@ -164,24 +165,17 @@ class MinimalBasis:
     homogeneous: list[tuple[int, ...]] = field(default_factory=list)
     particular: list[tuple[int, ...]] = field(default_factory=list)
     status: str = "complete"
-    homogeneous_system: bool = False
-    nvars: int = 0
 
 
 def _dominates(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     """Componentwise a >= b with a != b."""
-    return a != b and all(x >= y for x, y in zip(a, b))
-
-
-def _dominates_eq(a, b) -> bool:
-    return all(x >= y for x, y in zip(a, b))
+    return a != b and all(map(ge, a, b))
 
 
 def hilbert_basis(system: list[list[int]], budget: int = 1_000_000) -> MinimalBasis:
     """All minimal nonzero non-negative solutions of the homogeneous system
     given as coefficient rows (sum_i row[i]*z_i = 0 for each row)."""
-    basis = solve_system_nonneg(system, [0] * len(system), budget)
-    return basis
+    return solve_system_nonneg(system, [0] * len(system), budget)
 
 
 def solve_system_nonneg(system: list[list[int]], rhs: list[int],
@@ -200,18 +194,12 @@ def solve_system_nonneg(system: list[list[int]], rhs: list[int],
     if any(len(row) != n for row in system) or len(rhs) != len(system):
         raise ValueError("ragged system")
     homogeneous = rhs == [0] * len(rhs)
-    if homogeneous:
-        rows = [list(row) for row in system]
-        width = n
-    else:
-        rows = [list(row) + [-b] for row, b in zip(system, rhs)]
-        width = n + 1
+    rows = [list(row) + ([] if homogeneous else [-b])
+            for row, b in zip(system, rhs)]
+    width = len(rows[0])
 
-    def apply(v: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(sum(r[i] * v[i] for i in range(width)) for r in rows)
-
-    col_values = [apply(tuple(1 if j == i else 0 for j in range(width)))
-                  for i in range(width)]
+    # A z of a node is its parent's plus the column of the unit it adds
+    col_values = [tuple(r[i] for r in rows) for i in range(width)]
     minimals: list[tuple[int, ...]] = []
     frontier: deque[tuple[tuple[int, ...], tuple[int, ...]]] = deque()
     seen: set[tuple[int, ...]] = set()
@@ -223,7 +211,7 @@ def solve_system_nonneg(system: list[list[int]], rhs: list[int],
     expansions = 0
     while frontier:
         node, value = frontier.popleft()
-        if any(_dominates_eq(node, m) and node != m for m in minimals):
+        if any(_dominates(node, m) for m in minimals):
             continue
         if all(v == 0 for v in value):
             minimals = [m for m in minimals if not _dominates(m, node)]
@@ -233,22 +221,22 @@ def solve_system_nonneg(system: list[list[int]], rhs: list[int],
         if expansions > budget:
             status = "budget"
             break
-        for i in range(width):
-            if sum(a * b for a, b in zip(value, col_values[i])) >= 0:
+        for i, col in enumerate(col_values):
+            if sum(map(mul, value, col)) >= 0:
                 continue
-            child = tuple(node[j] + (1 if j == i else 0) for j in range(width))
+            child = node[:i] + (node[i] + 1,) + node[i + 1:]
             if child in seen:
                 continue
-            if any(_dominates_eq(child, m) for m in minimals):
+            if any(all(map(ge, child, m)) for m in minimals):
                 continue
             seen.add(child)
-            frontier.append((child, apply(child)))
+            frontier.append((child, tuple(map(add, value, col))))
 
     if homogeneous:
-        return MinimalBasis(sorted(minimals), [], status, True, n)
+        return MinimalBasis(sorted(minimals), [], status)
     hom = sorted(v[:n] for v in minimals if v[n] == 0)
     part = sorted(v[:n] for v in minimals if v[n] == 1)
-    return MinimalBasis(hom, part, status, False, n)
+    return MinimalBasis(hom, part, status)
 
 
 # ---------------------------------------------------------------------------
@@ -264,22 +252,15 @@ class DivisibilityMinimalSet:
 
 def _minimal_inequality(e: list[int], target: int) -> list[tuple[int, ...]]:
     """Minimal non-negative u with sum(e_k * u_k) >= target (target >= 1)."""
-    n = len(e)
-    out: list[tuple[int, ...]] = []
-
-    def rec(idx: int, prefix: list[int], remaining: int):
-        if idx == n:
-            if remaining <= 0:
-                out.append(tuple(prefix))
-            return
-        if e[idx] == 0:
-            rec(idx + 1, prefix + [0], remaining)
-            return
-        cap = (remaining + e[idx] - 1) // e[idx] if remaining > 0 else 0
-        for u in range(cap + 1):
-            rec(idx + 1, prefix + [u], remaining - e[idx] * u)
-
-    rec(0, [], target)
+    # each prefix with what it leaves of the target; a position never takes
+    # more than it needs to cover what is left
+    partial = [((), target)]
+    for ek in e:
+        partial = [(prefix + (u,), remaining - ek * u)
+                   for prefix, remaining in partial
+                   for u in range(-(-remaining // ek) + 1
+                                  if ek and remaining > 0 else 1)]
+    out = [prefix for prefix, remaining in partial if remaining <= 0]
     minimal = [u for u in out if not any(_dominates(u, v) for v in out)]
     return sorted(set(minimal))
 

@@ -7,6 +7,11 @@ routine of the linear base equation, which this module re-exports.  The
 solutions with a zero coordinate come from twomon.trivial_solutions, the one
 routine for them, with a zero family per minimal zero set only; this module
 re-exports it too.
+
+A reduction's lift family lists its reduced solution set only as far as the
+branches' bases and particular solutions let a box point reach, and lifts
+that listing in one call, each distinct input once through a plan per
+branch.  The solve and verify routes build no reference cycles.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from .intcore import (
     divisors,
     factorize,
     integer_roots,
+    iroot,
     valuation,
 )
 from .lindioph import (
@@ -334,11 +340,11 @@ class ReducedEquation:
     A term with a variable of odd exponent is sign-free: negating its
     coefficient and that variable maps the solutions one to one and keeps
     every term value, and the lift reads only the term values up to a
-    global sign and the magnitudes of the reduced variables.  So branches
-    equal up to negating sign-free coefficients and all three coefficients
-    at once lift to the same points: a sign class, which
-    reduce_to_independent emits once, with its sign-free coefficients and
-    its first other coefficient positive.
+    global sign and the magnitudes of the reduced variables (which fix the
+    former, see _reduced_lift).  So branches equal up to negating sign-free
+    coefficients and all three coefficients at once lift to the same
+    points: a sign class, which reduce_to_independent emits once, with its
+    sign-free coefficients and its first other coefficient positive.
     Only primitive solutions (block variables pairwise coprime across
     blocks) are needed; the solvers here do not exploit that, which is
     sound."""
@@ -493,83 +499,109 @@ def reduce_to_independent(eq: TrinomialEquation) -> list[ReducedEquation]:
     sign_table = _sign_table(eq.coeffs, eq.rows)
     primes = factorize(a * b * c).primes()
 
-    # particular minimal solutions per prime and class
-    per_prime: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    # per prime and class, each particular minimal solution z0 as what it
+    # multiplies into the particular solution and into one of A, B, C:
+    # (p^z0, index, numerator, denominator)
+    per_prime: dict[tuple[int, int], list] = {}
     for p in primes:
         ap, bp, cp = valuation(a, p), valuation(b, p), valuation(c, p)
         for cls, (coefrow, rhs) in enumerate((
                 (diff_ab, bp - ap), (diff_ag, cp - ap), (diff_bg, cp - bp))):
             if rhs == 0:
-                per_prime[(p, cls)] = [tuple([0] * nv)]
-                continue
-            mb = solve_system_nonneg([coefrow], [rhs], budget=200000)
-            if mb.status == "budget":
-                raise ResourceLimit(f"minimal solutions of {coefrow}.z = "
-                                    f"{rhs} cut at the node budget")
-            per_prime[(p, cls)] = list(mb.particular)
+                sols = [(0,) * nv]
+            else:
+                mb = solve_system_nonneg([coefrow], [rhs], budget=200000)
+                if mb.status == "budget":
+                    raise ResourceLimit(f"minimal solutions of {coefrow}.z = "
+                                        f"{rhs} cut at the node budget")
+                sols = mb.particular
+            factors = per_prime[(p, cls)] = []
+            for z0 in sols:
+                ab, ag, bg = (sum(d * z for d, z in zip(row, z0))
+                              for row in (diff_ab, diff_ag, diff_bg))
+                # P1: a-term = b-term <= c-term scales C, P2: a-term =
+                # c-term < b-term scales B, P3: b-term = c-term < a-term
+                # scales A
+                k = (cp - ap - ag, bp - cp + bg, ap - bp + ab)[cls]
+                factors.append((tuple(p ** z for z in z0), 2 - cls,
+                                p ** max(k, 0), p ** max(-k, 0)))
 
-    term_options: dict[tuple[int, Fraction], list] = {}  # by |value|
+    exps = (g_exp, f_exp, e_exp)
+    # (pos, signed numerator, denominator) -> the options of that value
+    term_options: dict[tuple[int, int, int], list] = {}
+    term_ids: dict[ReducedTerm, int] = {}
 
-    def options(pos, value):
-        """Each option of block pos's term value * prod U^exps as its class
-        form and that form negated, the same term when it is sign-free."""
+    def options(pos, num, den):
+        """Each option of block pos's term num/den * prod U^exps as (flip,
+        class form, that form negated), the same term twice and flip None
+        when it is sign-free, else flip True when the class form's
+        coefficient is negative; each term as (term, its index among the
+        distinct terms)."""
         # the options of -X are those of X with every coefficient negated;
         # _block_term_options lists a constant term's options positive
         # first, but when they take both signs X and -X have the same
         # options, so the negated order meets no class form earlier
-        key = (pos, abs(value))
-        if key not in term_options:
-            term_options[key] = [
-                (replace(t, coeff=abs(t.coeff)),) * 2
-                if any(e % 2 for e in t.exps) else
-                (t, replace(t, coeff=-t.coeff))
-                for t in _block_term_options(
-                    abs(value), (g_exp, f_exp, e_exp)[pos], "wvu"[pos])]
-        return ([(n, t) for t, n in term_options[key]] if value < 0
-                else term_options[key])
+        if (pos, num, den) not in term_options:
+            entries = []
+            for t in _block_term_options(Fraction(abs(num), den), exps[pos],
+                                         "wvu"[pos]):
+                pair = ((replace(t, coeff=abs(t.coeff)),) * 2
+                        if any(e % 2 for e in t.exps) else
+                        (t, replace(t, coeff=-t.coeff)))
+                form, neg = ((u, term_ids.setdefault(u, len(term_ids)))
+                             for u in pair)
+                entries.append((None if pair[0] is pair[1] else t.coeff < 0,
+                                form, neg))
+            term_options[(pos, abs(num), den)] = entries
+            term_options[(pos, -abs(num), den)] = [
+                (flip if flip is None else not flip, neg, form)
+                for flip, form, neg in entries]
+        return term_options[(pos, num, den)]
 
     out: list[ReducedEquation] = []
     seen_coeffs, seen_branches = set(), set()
     for split in itertools.product(range(3), repeat=len(primes)):
-        for combo in itertools.product(*[
-                [(p, cls, z0) for z0 in per_prime[(p, cls)]]
-                for p, cls in zip(primes, split)]):
-            A = B = C = Fraction(1)
-            particular = [1] * nv
-            for p, cls, z0 in combo:
-                ap, bp, cp = valuation(a, p), valuation(b, p), valuation(c, p)
-                particular = [x * p ** z for x, z in zip(particular, z0)]
-                ab, ag, bg = (sum(d * z for d, z in zip(row, z0))
-                              for row in (diff_ab, diff_ag, diff_bg))
-                if cls == 2:  # P3: b-term = c-term < a-term
-                    A *= Fraction(p) ** (ap - bp + ab)
-                elif cls == 1:  # P2: a-term = c-term < b-term
-                    B *= Fraction(p) ** (bp - cp + bg)
-                else:  # P1: a-term = b-term <= c-term
-                    C *= Fraction(p) ** (cp - ap - ag)
-            particular = tuple(particular)
-            if (A, B, C, particular) in seen_coeffs:
+        for combo in itertools.product(*[per_prime[(p, cls)]
+                                         for p, cls in zip(primes, split)]):
+            num, den = [1, 1, 1], [1, 1, 1]
+            particular = (1,) * nv
+            for factors, idx, up, down in combo:
+                particular = tuple(map(int.__mul__, particular, factors))
+                num[idx] *= up
+                den[idx] *= down
+            # each prime scales one coefficient, so num/den is in lowest
+            # terms and the pair is the coefficient
+            key = (*num, *den, particular)
+            if key in seen_coeffs:
                 continue
-            seen_coeffs.add((A, B, C, particular))
+            seen_coeffs.add(key)
             # the four sign patterns (1, s2, s3) cover all eight up to a
             # global flip; each branch is emitted in its class form, the
-            # first time it is met
-            a_opts = options(0, A)
+            # first time it is met: the flip of its first option that is
+            # not sign-free decides whether every option is negated
+            a_opts = options(0, num[0], den[0])
             for b_opts, c_opts in itertools.product(
-                    (options(1, B), options(1, -B)),
-                    (options(2, C), options(2, -C))):
-                for opts in itertools.product(a_opts, b_opts, c_opts):
-                    flip = next((t.coeff < 0 for t, neg in opts
-                                 if t is not neg), False)
-                    terms = tuple(opt[flip] for opt in opts)
-                    if (particular, terms) in seen_branches:
-                        continue
-                    seen_branches.add((particular, terms))
-                    out.append(ReducedEquation(
-                        source=eq, terms=terms, particular=particular,
-                        bases=bases, sign_table=sign_table))
-                    if len(out) > _MAX_BRANCHES:
-                        raise ResourceLimit("reduction branch explosion")
+                    (options(1, num[1], den[1]), options(1, -num[1], den[1])),
+                    (options(2, num[2], den[2]), options(2, -num[2], den[2]))):
+                for oa in a_opts:
+                    for ob in b_opts:
+                        for oc in c_opts:
+                            flip = (oa[0] if oa[0] is not None else
+                                    ob[0] if ob[0] is not None else
+                                    bool(oc[0]))
+                            ta, tb, tc = (oa[1 + flip], ob[1 + flip],
+                                          oc[1 + flip])
+                            branch = (particular, ta[1], tb[1], tc[1])
+                            if branch in seen_branches:
+                                continue
+                            seen_branches.add(branch)
+                            out.append(ReducedEquation(
+                                source=eq, terms=(ta[0], tb[0], tc[0]),
+                                particular=particular, bases=bases,
+                                sign_table=sign_table))
+                            if len(out) > _MAX_BRANCHES:
+                                raise ResourceLimit(
+                                    "reduction branch explosion")
     return out
 
 
@@ -577,145 +609,138 @@ def reduce_to_independent(eq: TrinomialEquation) -> list[ReducedEquation]:
 # solving reduced equations and lifting back
 # ---------------------------------------------------------------------------
 
-def _fiber_core_options(term: ReducedTerm, values: dict[str, int],
-                        bound: int):
-    """Positive magnitude assignments for the non-free block positions of a
-    term, each at most the bound: (positions, list of magnitude tuples).
-    Signs of block variables never matter downstream (term values come from
-    the transformed variables and the back map uses absolute values)."""
-    if term.kind == "const":
-        support = [i for i, e in enumerate(term.side_exps) if e]
-        if not support:
-            return [], [()]
-        return support, [t for t in term.side_mags if max(t) <= bound]
-
-    if term.kind == "case3":
-        support = [i for i, e in enumerate(term.exps) if e]
-        core = []
-        for i in support:
-            val = abs(values[term.varnames[i]]) * term.scales[i]
-            if val > bound:
-                return support, []
-            core.append(val)
-        return support, [tuple(core)]
-
-    # case2: prod U^{e_k/d} = +- qstar * U' / vdiv, with U' nonzero
-    support = [i for i, e in enumerate(term.orig_exps) if e]
-    red_exps = [term.orig_exps[i] // term.d for i in support]
-    return support, power_fiber(
-        red_exps, abs(term.qstar * values[term.varnames[0]]), term.vdiv,
-        bound)
+def _sparse(vec) -> list[tuple[int, int]]:
+    return [(i, e) for i, e in enumerate(vec) if e]
 
 
-def lift_reduced_solution(red: ReducedEquation, values: dict[str, int],
-                          bound: int) -> list[tuple[int, ...]]:
-    """Original solutions generated by one solution of the reduced equation,
-    restricted to the box.
-
-    The cheap rejections come first: the particular solution past the bound,
-    then term values that do not sum to zero, then an empty term fiber.
-    Core block magnitudes come from the term fibers; free block variables
-    (zero exponent in the reduced term) sweep positive magnitudes with early
-    pruning.  A candidate magnitude vector lifts iff the three source
-    monomial magnitudes are in proportion |M_j| = F * |T_j| for a common
-    F > 0; its variable signs are the source's sign table entries that give
-    the monomials the signs of the T_j or of the -T_j, the two global sign
-    interpretations of the branch.
-    """
+def _branch_plan(red: ReducedEquation, names: list[str], bound: int):
+    """What lifting a reduced point through branch red into the cube of
+    bound `bound` needs from the branch alone, or None when no point can
+    reach the cube: (particular solution, per term with block variables its
+    kind, data and sparse basis vectors, the sparse free basis vectors).
+    Term data: a constant term's side magnitudes inside the cube; a case3
+    term's (point index, scale) per block variable; a case2 term's
+    (reduced exponents, qstar, point index, vdiv)."""
     if any(m > bound for m in red.particular):
-        return []
-    tvals = [_term_value(t, values) for t in red.terms]
-    if sum(tvals) != 0 or any(t == 0 for t in tvals):
-        return []
-
-    term_data = []
-    free_vecs = []
+        return None
+    terms, free = [], []
     for term, basis in zip(red.terms, red.bases):
-        positions, opts = _fiber_core_options(term, values, bound)
-        if positions and not opts:
+        free += [_sparse(basis[i]) for i in term.free_idx]
+        if term.kind == "const":
+            support = [k for k, e in enumerate(term.side_exps) if e]
+            data = [t for t in term.side_mags if max(t) <= bound]
+            if support and not data:
+                return None
+        elif term.kind == "case3":
+            support = [k for k, e in enumerate(term.exps) if e]
+            data = [(names.index(term.varnames[k]), term.scales[k])
+                    for k in support]
+        else:
+            support = [k for k, e in enumerate(term.orig_exps) if e]
+            data = ([term.orig_exps[k] // term.d for k in support],
+                    term.qstar, names.index(term.varnames[0]), term.vdiv)
+        if support:
+            terms.append((term.kind, data, [_sparse(basis[k])
+                                            for k in support]))
+    return red.particular, terms, free
+
+
+def _lift_through(plan, mags, bound: int) -> list[list[int]]:
+    """The candidate magnitude vectors of the source variables that branch
+    plan gives a reduced point with magnitudes `mags`: the particular
+    solution times the block values of each term's fiber, then times every
+    power of each free basis vector, kept while inside the cube.  Block
+    values are at least 1, so magnitudes only grow and a vector that leaves
+    the cube never comes back."""
+    particular, terms, free = plan
+    cands = [particular]
+    for kind, data, vecs in terms:
+        if kind == "const":
+            fiber = data
+        elif kind == "case3":
+            fiber = [[mags[i] * scale for i, scale in data]]
+        else:
+            exps, qstar, i, vdiv = data
+            fiber = power_fiber(exps, qstar * mags[i], vdiv, bound)
+        grown = []
+        for base in cands:
+            for values in fiber:
+                cand = list(base)
+                for val, vec in zip(values, vecs):
+                    for i, e in vec:
+                        cand[i] *= val ** e
+                if max(cand) <= bound:
+                    grown.append(cand)
+        if not grown:
             return []
-        term_data.append((basis, positions, opts))
-        for i in term.free_idx:
-            free_vecs.append(basis[i])
-
-    pattern = tuple(t > 0 for t in tvals)
-    eps_union = (red.sign_table.get(pattern, [])
-                 + red.sign_table.get(tuple(not p for p in pattern), []))
-    if not eps_union:
-        return []
-    eq = red.source
-    nv = len(eq.variables)
-    tabs = [abs(t) for t in tvals]
-    out = set()
-    coeff_abs = [abs(c) for c in eq.coeffs]
-
-    def emit(mags):
-        m = []
-        for j in range(3):
-            val = coeff_abs[j]
-            for i in range(nv):
-                if eq.rows[j][i]:
-                    val *= mags[i] ** eq.rows[j][i]
-            m.append(val)
-        # common positive ratio |M_j| / |T_j|
-        if m[0] * tabs[1] != m[1] * tabs[0] or m[1] * tabs[2] != m[2] * tabs[1]:
-            return
-        for eps in eps_union:
-            out.add(tuple(v if not e else -v for v, e in zip(mags, eps)))
-
-    def sweep_free(idx, mags):
-        if idx == len(free_vecs):
-            emit(mags)
-            return
-        vec = free_vecs[idx]
-        val = 1
-        while val <= bound:
-            nxt = [m * val ** vec[i] for i, m in enumerate(mags)]
-            if any(m > bound for m in nxt):
-                break
-            sweep_free(idx + 1, nxt)
-            val += 1
-
-    def walk_terms(t_idx, mags):
-        if t_idx == 3:
-            sweep_free(0, list(mags))
-            return
-        basis, positions, opts = term_data[t_idx]
-        if not positions:
-            walk_terms(t_idx + 1, mags)
-            return
-        for tup in opts:
-            nxt = list(mags)
-            dead = False
-            for pos, val in zip(positions, tup):
-                vec = basis[pos]
-                for i in range(nv):
-                    if vec[i]:
-                        nxt[i] *= val ** vec[i]
-                        if nxt[i] > bound:
-                            dead = True
-                            break
-                if dead:
+        cands = grown
+    for vec in free:
+        grown = []
+        for base in cands:
+            for val in itertools.count(1):
+                cand = list(base)
+                for i, e in vec:
+                    cand[i] *= val ** e
+                if max(cand) > bound:
                     break
-            if not dead:
-                walk_terms(t_idx + 1, nxt)
-
-    walk_terms(0, list(red.particular))
-    return sorted(out)
+                grown.append(cand)
+        cands = grown
+    return cands
 
 
-def _term_value(term: ReducedTerm, values: dict[str, int]) -> int:
-    if term.kind == "const":
-        return term.coeff
-    val = term.coeff
-    if term.kind == "case3":
-        for name, e in zip(term.varnames, term.exps):
-            if e:
-                val *= values[name] ** e
-        return val
-    # case2
-    val *= values[term.varnames[0]] ** term.d
-    return val
+def _reduced_lift(branches: list[ReducedEquation], names: list[str]):
+    """The batch lift of the branches of one reduced equation over `names`.
+    A point lifts only with no zero coordinate and term values T_j that sum
+    to zero, whose signs their magnitudes then fix up to a global sign; so
+    the point's magnitudes alone decide its lifts, and each distinct one is
+    lifted once, through a plan per branch built once per call.  A candidate
+    magnitude vector lifts iff the source monomial magnitudes are in
+    proportion |M_j| = F * |T_j| for a common F > 0, under every sign vector
+    of the source's sign table that gives the monomials the signs of the
+    T_j or of the -T_j."""
+    eq = branches[0].source
+    # the branches print the same, so their terms share coefficients and
+    # exponents, hence term values; they share the source's sign table
+    recipe = [(t.coeff, [(names.index(v), e)
+                         for v, e in zip(t.varnames, t.exps) if e])
+              for t in branches[0].terms]
+    table = branches[0].sign_table
+    # each source monomial as |coefficient|, variable indices, exponents
+    monos = [(abs(co), [i for i, e in enumerate(row) if e],
+              [e for e in row if e]) for co, row in zip(eq.coeffs, eq.rows)]
+
+    def lift(points, bound):
+        plans = [plan for plan in (_branch_plan(red, names, bound)
+                                   for red in branches) if plan]
+        out, seen = set(), set()
+        for point in points:
+            tvals = []
+            for coeff, powers in recipe:
+                for i, e in powers:
+                    coeff *= point[i] ** e
+                tvals.append(coeff)
+            mags = tuple(map(abs, point))
+            if 0 in point or sum(tvals) or 0 in tvals or mags in seen:
+                continue
+            seen.add(mags)
+            pattern = tuple(t > 0 for t in tvals)
+            signs = (table.get(pattern, [])
+                     + table.get(tuple(not p for p in pattern), []))
+            if not signs:
+                continue
+            t0, t1, t2 = map(abs, tvals)
+            for plan in plans:
+                for cand in _lift_through(plan, mags, bound):
+                    m0, m1, m2 = [co * prod(map(pow, map(cand.__getitem__,
+                                                         idx), exps))
+                                  for co, idx, exps in monos]
+                    if m0 * t1 == m1 * t0 and m1 * t2 == m2 * t1:
+                        out.update(tuple([-v if s else v
+                                          for v, s in zip(cand, eps)])
+                                   for eps in signs)
+        return out
+
+    return lift
 
 
 def solve_reduced(red: ReducedEquation, bound: int = 10_000,
@@ -796,27 +821,21 @@ def _unsub_blocks(poly: Polynomial, inner: SolutionSet, blocks, names):
     variables = list(poly.variables)
     live = [b for b in blocks if b]
 
-    def lift(point, bound):
-        vals = dict(zip(inner.variables, point))
-        fibers = []
-        for wname, d, parts in live:
-            wval = vals.get(wname)
-            if wval is None or wval == 0:
-                return []
-            tuples = [t for t in exact_products(
-                [e for _, e in parts], wval)
-                if all(abs(x) <= bound for x in t)]
-            if not tuples:
-                return []
-            fibers.append((parts, tuples))
+    def lift(points, bound):
         out = []
-        for combo in itertools.product(*[f[1] for f in fibers]):
-            env = {}
-            for (parts, _), tup in zip(fibers, combo):
-                for (v, _), val in zip(parts, tup):
-                    env[v] = val
-            if poly.evaluate(env) == 0:
-                out.append(tuple(env[v] for v in variables))
+        for point in points:
+            vals = dict(zip(inner.variables, point))
+            # a block that is not a variable or is 0 lifts nothing
+            fibers = [[t for t in exact_products([e for _, e in parts],
+                                                 vals[wname])
+                       if all(abs(x) <= bound for x in t)]
+                      if vals.get(wname) else []
+                      for wname, _, parts in live]
+            for combo in itertools.product(*fibers):
+                env = {v: val for (_, _, parts), tup in zip(live, combo)
+                       for (v, _), val in zip(parts, tup)}
+                if poly.evaluate(env) == 0:
+                    out.append(tuple(env[v] for v in variables))
         return out
 
     degree = {wname: sum(e for _, e in parts) for wname, _, parts in live}
@@ -870,8 +889,9 @@ def solve_prop4(eq: TrinomialEquation, bound: int = 10_000) -> SolutionSet:
 def _lift_reduced(reduced: list[ReducedEquation], bound, backend=None):
     """Solve each distinct reduced equation once and map its solutions back
     to the source variables through every branch (one per sign class) that
-    gives it: one family per reduced equation, listed from the reduced
-    solution set, and the weakest status among them."""
+    gives it: one family per reduced equation, which lists the reduced
+    solution set at the bounds of _reduced_inner_bound and lifts that
+    listing in one _reduced_lift call, and the weakest status among them."""
     groups: dict[str, list[ReducedEquation]] = {}
     for red in reduced:
         groups.setdefault(red.describe(), []).append(red)
@@ -880,40 +900,53 @@ def _lift_reduced(reduced: list[ReducedEquation], bound, backend=None):
     for text, branches in groups.items():
         inner = solve_reduced(branches[0], bound=bound, backend=backend)
         status = status.combine(inner.status)
-        # every block value U_k of a box point is at most the box bound b, so
-        # a reduced variable is at most ceil(vdiv * b^p / qstar): a case2
-        # variable is vdiv/qstar * prod U_k^(e_k/d) with p the sum of the
-        # positive e_k/d, and any other is a block value divided by its
-        # scale (vdiv = p = qstar = 1)
-        caps = {(t.varnames[0], t.vdiv,
-                 sum(e for e in t.orig_exps if e > 0) // t.d, t.qstar)
-                if t.kind == "case2" else (name, 1, 1, 1)
-                for red in branches for t in red.terms
-                for name in t.varnames}
-
-        def lift(point, box, branches=branches, names=inner.variables):
-            if any(x == 0 for x in point):
-                return []
-            values = dict(zip(names, point))
-            return [p for red in branches
-                    for p in lift_reduced_solution(red, values, box)]
-
-        def inner_bound(b, caps=caps, names=inner.variables):
-            need = {}
-            for name, v, p, q in caps:
-                need[name] = max(need.get(name, 0), -(-v * b**p // q))
-            bounds = tuple(need.get(name, b) for name in names)
-            if max(bounds, default=0) > _BLOCK_INNER_LIMIT:
-                raise ResourceLimit(f"a reduced lift needs the inner set to "
-                                    f"bound {max(bounds)}")
-            return bounds
-
         families.append(MappedFamily(
             variables=list(branches[0].source.variables), inner=inner,
-            lift=lift, inner_bound=inner_bound,
+            lift=_reduced_lift(branches, inner.variables),
+            inner_bound=_reduced_inner_bound(branches, inner.variables),
             exact_box=all(f.exact_box for f in inner.families),
             note=f"lift of {text}"))
     return families, status
+
+
+def _reduced_inner_bound(branches: list[ReducedEquation], names: list[str]):
+    """The bound per reduced variable that the lift family of the branches
+    lists its inner set at for a cube of bound b: the most the variable can
+    be at a box point, over the branches whose particular solution fits the
+    cube.  A source coordinate is x_i = +-P_i * prod U_k^{v_k,i} over the
+    block variables U_k and their basis vectors v_k, and every |U_k| >= 1,
+    so |U_k| is at most cap_k, the least (b // P_i)^{1/v_k,i}.  A case3
+    variable is U_k / scale_k; a case2 variable is vdiv * prod
+    U_k^(e_k/d) / qstar up to sign, where a factor of negative exponent is
+    at most 1."""
+    def inner_bound(b):
+        need = dict.fromkeys(names, 0)
+        for red in branches:
+            if any(m > b for m in red.particular):
+                continue
+            room = [b // m for m in red.particular]
+            for term, basis in zip(red.terms, red.bases):
+                caps = [min(iroot(room[i], v) for i, v in _sparse(vec))
+                        for vec in basis]
+                if term.kind == "case3":
+                    for name, e, cap, scale in zip(term.varnames, term.exps,
+                                                   caps, term.scales):
+                        if e:
+                            need[name] = max(need[name], cap // scale)
+                elif term.kind == "case2":
+                    name = term.varnames[0]
+                    need[name] = max(need[name], term.vdiv * prod(
+                        cap ** (e // term.d)
+                        for cap, e in zip(caps, term.orig_exps) if e > 0)
+                        // term.qstar)
+        bounds = tuple(need.values())
+        if max(bounds, default=0) > _BLOCK_INNER_LIMIT:
+            raise ResourceLimit(f"a reduced lift needs the inner set to "
+                                f"bound {max(bounds)}")
+        return bounds
+
+    return inner_bound
+
 
 # ---------------------------------------------------------------------------
 # classification of coefficient families

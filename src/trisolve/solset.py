@@ -80,6 +80,8 @@ class ParamDomain:
         raise NotImplementedError
 
     def enumerate(self, env: dict[str, int], sweep: int) -> Iterable[int]:
+        """The members of magnitude at most sweep, given the values of the
+        earlier parameters in env."""
         raise NotImplementedError
 
     def describe(self) -> str:
@@ -91,10 +93,7 @@ class AllIntegers(ParamDomain):
         return True
 
     def enumerate(self, env, sweep):
-        yield 0
-        for v in range(1, sweep + 1):
-            yield v
-            yield -v
+        return range(-sweep, sweep + 1)
 
     def describe(self):
         return "Z"
@@ -105,9 +104,7 @@ class NonzeroIntegers(ParamDomain):
         return value != 0
 
     def enumerate(self, env, sweep):
-        for v in range(1, sweep + 1):
-            yield v
-            yield -v
+        return [v for v in range(-sweep, sweep + 1) if v]
 
     def describe(self):
         return "Z\\{0}"
@@ -129,11 +126,8 @@ class DivisorSet(ParamDomain):
     def enumerate(self, env, sweep):
         m = self.of.eval(env)
         if m == 0:
-            for v in range(1, sweep + 1):
-                yield v
-                yield -v
-        else:
-            yield from divisors_k(m, self.k)
+            return [v for v in range(-sweep, sweep + 1) if v]
+        return [v for v in divisors_k(m, self.k) if abs(v) <= sweep]
 
     def describe(self):
         return f"D_{self.k}({self.of})"
@@ -166,16 +160,19 @@ class SolutionFamily(Family):
 
     `witness` maps a concrete solution tuple to a parameter assignment
     regenerating it; its presence justifies exact box enumeration
-    (`exact_box`), because free parameters of box solutions are bounded
-    while divisor parameters enumerate exactly.  `param_bound` maps the
-    box, as {variable: bound}, to a sweep bound per parameter; without it
-    every parameter sweeps to the largest bound of the box.  The divisor
-    families, whose parameters need not be small at a box solution, list
-    their box through `box_enumerator(B)` instead, B the largest bound: it
-    evaluates the expressions at the witnesses of candidate points (see
-    `twomon.divisor_family`).  Either way every listed point is a value of
-    the expressions: evaluated by `Expr.eval` in a parameter sweep, by one
-    kernel generated per listing for `box_enumerator`.
+    (`exact_box`), because the parameters of box solutions are bounded.
+    `param_bound` maps the box, as {variable: bound}, to a bound per
+    parameter that its witness value at every box solution keeps, divisor
+    parameters included; without it every parameter sweeps to the largest
+    bound of the box.  A sweep lists each parameter's domain members up to
+    its bound and drops an assignment at its first coordinate outside the
+    box.  The divisor families, whose parameters need not be small at a box
+    solution, list their box through `box_enumerator(B)` instead, B the
+    largest bound: it evaluates the expressions at the witnesses of
+    candidate points (see `twomon.divisor_family`).  Either way every listed
+    point is a value of the expressions: evaluated by `Expr.eval` in a
+    parameter sweep, by one kernel generated per listing for
+    `box_enumerator`.
     """
 
     variables: list[str]
@@ -207,30 +204,24 @@ class SolutionFamily(Family):
         names = [name for name, _ in self.params]
         limits = (self.param_bound(dict(zip(self.variables, bounds)))
                   if self.param_bound else dict.fromkeys(names, top))
-        sweeps = [(name, domain.enumerate, limits[name])
-                  for name, domain in self.params]
         exprs = [self.exprs[v] for v in self.variables]
         out: set[tuple[int, ...]] = set()
-
-        def emit(env):
+        assignments = [{}]
+        for name, domain in self.params:
+            assignments = _extended(assignments, name, domain, limits[name])
+        for env in assignments:
+            # a coordinate outside the box ends the point, as one that
+            # raises does
+            tup = []
             try:
-                tup = tuple([e.eval(env) for e in exprs])
+                for e, b in zip(exprs, bounds):
+                    tup.append(e.eval(env))
+                    if abs(tup[-1]) > b:
+                        break
+                else:
+                    out.add(tuple(tup))
             except ExactDivisionError:
-                return
-            if in_box(tup, bounds):
-                out.add(tup)
-
-        def rec(idx: int, env: dict[str, int]):
-            if idx == len(sweeps):
-                emit(env)
-                return
-            name, values, limit = sweeps[idx]
-            for value in values(env, limit):
-                env[name] = value
-                rec(idx + 1, env)
-            env.pop(name, None)
-
-        rec(0, {})
+                continue
         return out
 
     def describe(self):
@@ -240,6 +231,13 @@ class SolutionFamily(Family):
             "kind": "parametric",
             "note": self.note,
         }
+
+
+def _extended(assignments, name: str, domain: ParamDomain, limit: int):
+    """Each assignment extended by every value of the parameter `name` in
+    its domain up to the limit, lazily; the domain reads the assignment."""
+    return ({**env, name: value} for env in assignments
+            for value in domain.enumerate(env, limit))
 
 
 def pinned_family(variables: list[str], fixed: dict[str, int], note: str,
@@ -347,18 +345,18 @@ class RecurrenceFamily(Family):
 @dataclass
 class MappedFamily(Family):
     """Solutions of an inner set pushed through a lift map (back-substitution
-    of reduced, grouped or embedded equations).  `lift(point, B)` lists the
-    images of one inner point that may lie in the cube of bound B.  Box
-    enumeration lists the inner set at the box `inner_bound(B)`, B the
-    largest bound of the box, from its own families and lifts, which is
-    complete whenever the lift cannot shrink coordinates below the box.
-    Like every family, it lists its box points from its own parametrization
-    and never from the oracle, so that `verify` stays an independent
-    check."""
+    of reduced, grouped or embedded equations).  `lift(points, B)` lists the
+    images of a batch of inner points that may lie in the cube of bound B; a
+    listing makes one call with every inner point it lists.  Box enumeration
+    lists the inner set at the box `inner_bound(B)`, B the largest bound of
+    the box, from its own families and lifts, which is complete whenever the
+    lift cannot shrink coordinates below the box.  Like every family, it
+    lists its box points from its own parametrization and never from the
+    oracle, so that `verify` stays an independent check."""
 
     variables: list[str]
     inner: "SolutionSet"
-    lift: Callable[[tuple[int, ...], int], list[tuple[int, ...]]]
+    lift: Callable[[list[tuple[int, ...]], int], Iterable[tuple[int, ...]]]
     inner_bound: Callable[[int], Box] = staticmethod(lambda b: b)
     exact_box: bool = True
     note: str = ""
@@ -367,12 +365,7 @@ class MappedFamily(Family):
         bounds = box_bounds(box, self.variables)
         top = max(bounds, default=0)
         inner_pts, _ = self.inner.enumerate_box(self.inner_bound(top))
-        out: set[tuple[int, ...]] = set()
-        for pt in inner_pts:
-            for lifted in self.lift(pt, top):
-                if in_box(lifted, bounds):
-                    out.add(lifted)
-        return out
+        return {p for p in self.lift(inner_pts, top) if in_box(p, bounds)}
 
     def describe(self):
         return {

@@ -96,13 +96,13 @@ def _embed_nonzero(out: SolutionSet, zeros: set[str], inner: SolutionSet):
     where = [None if v in zeros else inner.variables.index(v)
              for v in out.variables]
 
-    def lift(point, bound=None):
-        if 0 in point:
-            return []  # another zero set's solution
-        return [tuple(0 if i is None else point[i] for i in where)]
+    def lift(points, bound=None):
+        # a point with a zero coordinate is another zero set's solution
+        return [tuple([0 if i is None else point[i] for i in where])
+                for point in points if 0 not in point]
 
-    for point in inner.finite:
-        out.add_finite(lift(point)[0])
+    for point in lift(inner.finite):
+        out.add_finite(point)
     if inner.families:
         out.families.append(MappedFamily(
             variables=list(out.variables),
@@ -190,19 +190,13 @@ def solve_power_product(exponents: list[int], r: Fraction,
 
 def exact_products(exps: list[int], target: int) -> list[tuple[int, ...]]:
     """All tuples of nonzero integers with prod(x_i**e_i) == target."""
-    results: list[tuple[int, ...]] = []
-
-    def rec(idx: int, rem: int, prefix: list[int]):
-        if idx == len(exps) - 1:
-            for cand in exact_roots(rem, exps[idx]):
-                if cand != 0:
-                    results.append(tuple(prefix + [cand]))
-            return
-        for z in divisors_k(rem, exps[idx]):
-            rec(idx + 1, rem // z**exps[idx], prefix + [z])
-
-    rec(0, target, [])
-    return sorted(set(results))
+    # each chosen prefix with what it leaves of the target
+    partial = [((), target)]
+    for e in exps[:-1]:
+        partial = [(prefix + (z,), rem // z**e) for prefix, rem in partial
+                   for z in divisors_k(rem, e)]
+    return sorted({prefix + (cand,) for prefix, rem in partial
+                   for cand in exact_roots(rem, exps[-1]) if cand != 0})
 
 
 def power_fiber(exps: list[int], num: int, den: int, bound: int
@@ -251,9 +245,9 @@ def divisor_family(variables: list[str], u_params, lhs: ex.Expr,
     give back x.  The box listing evaluates the expressions at the witness
     of every point of `candidates(bound)` and keeps the integral values,
     through one kernel generated per call by `expr.listing_kernel` from
-    `exprs` and rhs as they stand then.  The candidates must include every
-    box solution the family stands for; a wrong expression then moves
-    listed points off the solutions."""
+    `exprs` and rhs as they stand then; a call with no candidate builds
+    none.  The candidates must include every box solution the family stands
+    for; a wrong expression then moves listed points off the solutions."""
     unames = [name for name, _ in u_params]
     params = list(u_params) + [("w", DivisorSet(1, ex.Gcd(lhs, rhs)))]
     exprs = {}
@@ -275,9 +269,13 @@ def divisor_family(variables: list[str], u_params, lhs: ex.Expr,
         return env
 
     def box_enumerator(bound):
+        points = iter(candidates(bound))
+        first = next(points, None)
+        if first is None:
+            return set()
         kernel = ex.listing_kernel(unames, {"w": rhs},
                                    [exprs[v] for v in variables], zpos)
-        return kernel(candidates(bound))
+        return kernel(itertools.chain((first,), points))
 
     return SolutionFamily(
         variables=list(variables), params=params, exprs=exprs,

@@ -207,11 +207,12 @@ def solve_strict_case(form: TwoVarForm, bound: int = 10_000,
 def _lifted_family(fam, variables, xi, yi, lp, np_, mp, kp):
     inner = SolutionSet(["v", "u"], families=[fam], status=COMPLETE)
 
-    def lift(point, bound):
-        v0, u0 = point
-        x = xi * u0**lp * v0**mp
-        y = yi * u0**np_ * v0**kp
-        return [(x, y)] if x != 0 and y != 0 else []
+    def lift(points, bound):
+        for v0, u0 in points:
+            x = xi * u0**lp * v0**mp
+            y = yi * u0**np_ * v0**kp
+            if x != 0 and y != 0:
+                yield x, y
 
     return MappedFamily(
         variables=list(variables), inner=inner, lift=lift,

@@ -393,7 +393,8 @@ def test_acceptance_8c_hilbert_completeness():
         mb = solve_system_nonneg(rows, rhs)
         assert mb.status == "complete"
         bound = 20
-        generated = {s for s in generate_solutions(mb, bound)
+        generated = {s for s in generate_solutions(mb, nvars, rhs == [0],
+                                                   bound)
                      if max(s) <= bound}
         exhaustive = set()
         for point in itertools.product(range(bound + 1), repeat=nvars):

@@ -11,6 +11,7 @@ each entry whose file it changed:
 
 import ast
 import contextlib
+import gc
 import io
 import json
 import os
@@ -121,6 +122,31 @@ def test_golden_answer_verifies(name, argv):
     with contextlib.redirect_stdout(out):
         code = main(["verify", *argv, "--box", str(box), "--json"])
     assert code == 0, out.getvalue()
+
+
+def test_solve_and_verify_leave_no_cyclic_garbage():
+    # the n-variable and two-variable routes build no reference cycles, so
+    # the cyclic collector has nothing to do inside an operation
+    entries = []
+    for name, argv in CASES:
+        with open(path_of(name), encoding="utf-8") as fh:
+            path = json.load(fh)["path"]
+        if "n-variable" in path or "two-variable" in path:
+            args = build_parser().parse_args(["solve", *argv])
+            poly = parse_equation(args.equation)
+            entries.append((args, poly, VERIFY_BOX[len(poly.variables)]))
+    assert len(entries) >= 30
+    gc.collect()
+    gc.disable()
+    try:
+        for args, poly, box in entries:
+            report = multivar.solve(args.equation, bound=args.bound,
+                                    budget=args.budget)
+            verify_against_oracle(report.solutions, poly,
+                                  brute_force(poly, box).solutions, box)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_golden_covers_every_reachable_path():

@@ -143,7 +143,8 @@ def test_completeness_small_boxes():
         rhs = [rng.randint(-3, 3)]
         mb = solve_system_nonneg(rows, rhs)
         bound = 20
-        generated = {s for s in generate_solutions(mb, bound)
+        generated = {s for s in generate_solutions(mb, nvars, rhs == [0],
+                                                   bound)
                      if max(s) <= bound}
         exhaustive = set()
         for point in itertools.product(range(bound + 1), repeat=nvars):

@@ -6,8 +6,10 @@ import json
 import os
 import random
 from fractions import Fraction
+from operator import le
 
 import pytest
+from references import lift_reduced_solution, plain_inner_bound
 from test_golden import CASES
 from test_lindioph import fits_a_circuit
 
@@ -423,9 +425,8 @@ def test_small_reduced_trinomials_keep_two_variables():
 
 def test_reduction_backmap_soundness():
     # for solutions of each reduced equation found by search, the lift lands
-    # on solutions of the source equation (verified inside the lift)
-    from trisolve.multivar import lift_reduced_solution
-
+    # on solutions of the source equation (verified inside the lift), both
+    # through the branch plan and through the reference walk
     for text in ("x+x^2*y-y*z^2", "x^2*y+y*z-z^2"):
         eq = parse_trinomial(text)
         poly = eq.polynomial()
@@ -435,9 +436,11 @@ def test_reduction_backmap_soundness():
                 continue
             sols = [t for t in brute_force(rpoly, 6).solutions
                     if all(x != 0 for x in t)]
+            lift = multivar._reduced_lift([red], rpoly.variables)
             for tup in sols[:15]:
                 values = dict(zip(rpoly.variables, tup))
-                for lifted in lift_reduced_solution(red, values, 30):
+                for lifted in (*lift([tup], 30),
+                               *lift_reduced_solution(red, values, 30)):
                     assert poly.evaluate(
                         dict(zip(eq.variables, lifted))) == 0
 
@@ -619,6 +622,42 @@ def test_lift_family_refuses_a_capped_inner_listing():
         assert fam.inner_bound(1000) == (1000, 10**6)
         with pytest.raises(ResourceLimit, match="reduced lift"):
             fam.enumerate_box(1001)
+
+
+def test_lift_listing_matches_the_reference_walk():
+    # each lift family lists what the reference lists: the inner set at the
+    # plain bound, every inner point lifted through every branch by the
+    # point-by-point walk, kept in the box; and every reduced point that the
+    # walk lifts into the box lies inside the family's own inner bound
+    polys = [parse_equation(text) for text in _golden_reduction_inputs()]
+    rng = random.Random(44)
+    polys += [_draw_trinomial(rng) for _ in range(60)]
+    checked = reaching = 0
+    for poly in polys:
+        box = 3 if len(poly.variables) == 4 else 4
+        groups = {}
+        for red in reduce_to_independent(canonicalize(poly)):
+            groups.setdefault(f"lift of {red.describe()}", []).append(red)
+        for fam in _lifts(solve(poly, bound=1000).solutions):
+            branches, names = groups[fam.note], fam.inner.variables
+            bounds = fam.inner_bound(box)
+            inner, _ = fam.inner.enumerate_box(
+                plain_inner_bound(branches, names, box))
+            want = set()
+            for point in inner:
+                if 0 in point:
+                    continue
+                values = dict(zip(names, point))
+                lifted = {p for red in branches
+                          for p in lift_reduced_solution(red, values, box)}
+                if lifted:
+                    reaching += 1
+                    assert all(map(le, map(abs, point), bounds)), (
+                        fam.note, point, bounds)
+                want |= lifted
+            assert fam.enumerate_box(box) == want, (str(poly), fam.note)
+            checked += 1
+    assert checked >= 150 and reaching >= 400, (checked, reaching)
 
 
 def _draw_trinomial(rng):
@@ -907,8 +946,10 @@ def test_divisor_family_listings_equal_witness_and_eval(monkeypatch):
     # every direct-formula and power-product listing, nested ones included,
     # lists what the witness and eval give on the candidates it sweeps:
     # the golden direct-formula and two-monomial entries in three and four
-    # variables, and 60 seeded trinomials, at the corpus boxes
-    swept = []
+    # variables, and 60 seeded trinomials, at the corpus boxes; it builds a
+    # kernel only for a sweep with a candidate, and that kernel sees every
+    # candidate
+    swept, offered = [], []
     real_kernel, real_family = ex.listing_kernel, twomon.divisor_family
 
     def recording_kernel(*args):
@@ -922,13 +963,19 @@ def test_divisor_family_listings_equal_witness_and_eval(monkeypatch):
     checked = collections.Counter()
 
     def checked_family(*args):
-        fam = real_family(*args)
+        def candidates(bound):
+            offered.append(list(args[-1](bound)))
+            return offered[-1]
+
+        fam = real_family(*args[:-1], candidates)
         listing = fam.box_enumerator
 
         def box_enumerator(bound):
             swept.clear()
+            offered.clear()
             out = listing(bound)
-            (points,) = swept
+            (points,) = offered
+            assert swept == ([points] if points else []), fam.note
             assert out == _witness_listing(fam, points), fam.note
             checked[fam.note.split(",")[0]] += 1
             return out
@@ -971,7 +1018,7 @@ def _cut_at_budget(real):
     def run(*args, **kwargs):
         mb = real(*args, **kwargs)
         return MinimalBasis(mb.homogeneous[:-1], mb.particular[:-1],
-                            "budget", mb.homogeneous_system, mb.nvars)
+                            "budget")
     return run
 
 
