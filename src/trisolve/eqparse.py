@@ -49,17 +49,17 @@ class Monomial:
     def make(coeff: int, exps: dict[str, int]) -> "Monomial":
         return Monomial(coeff, tuple(sorted((v, e) for v, e in exps.items() if e)))
 
-    def exp_map(self) -> dict[str, int]:
-        return dict(self.exps)
-
     def exp_of(self, var: str) -> int:
-        return self.exp_map().get(var, 0)
+        for v, e in self.exps:
+            if v == var:
+                return e
+        return 0
 
     def variables(self) -> set[str]:
         return {v for v, _ in self.exps}
 
     def mul(self, other: "Monomial") -> "Monomial":
-        exps = self.exp_map()
+        exps = dict(self.exps)
         for v, e in other.exps:
             exps[v] = exps.get(v, 0) + e
         return Monomial.make(self.coeff * other.coeff, exps)

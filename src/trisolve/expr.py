@@ -130,6 +130,26 @@ class Gcd(Expr):
         return f"gcd({self.a},{self.b})"
 
 
+def _children(expr: Expr) -> tuple[Expr, ...]:
+    """The subtrees whose values evaluating expr reads."""
+    if isinstance(expr, (Add, Mul)):
+        return expr.items
+    if isinstance(expr, Pow):
+        return (expr.base,)
+    if isinstance(expr, ExactDiv):
+        return expr.num, expr.den
+    if isinstance(expr, Gcd):
+        return expr.a, expr.b
+    return ()
+
+
+def parameters(expr: Expr) -> set[str]:
+    """The names of the parameters whose values evaluating expr reads."""
+    if isinstance(expr, Param):
+        return {expr.name}
+    return set().union(*map(parameters, _children(expr)))
+
+
 def _split_constants(items, unit: int, combine, build) -> tuple[int, list]:
     """The items of one value at every env folded into one value from
     `unit`, and the other items built in order."""
@@ -155,13 +175,8 @@ def _fixed_value(expr: Expr) -> int | None:
 
 def _division_free(expr: Expr) -> bool:
     """True when evaluating expr cannot raise ExactDivisionError."""
-    if isinstance(expr, (Add, Mul)):
-        return all(map(_division_free, expr.items))
-    if isinstance(expr, Pow):
-        return _division_free(expr.base)
-    if isinstance(expr, Gcd):
-        return _division_free(expr.a) and _division_free(expr.b)
-    return not isinstance(expr, ExactDiv)
+    return (not isinstance(expr, ExactDiv)
+            and all(map(_division_free, _children(expr))))
 
 
 class _KernelBody:

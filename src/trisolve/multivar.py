@@ -1221,12 +1221,10 @@ def solve(text_or_poly, bound: int = 10_000, backend: str | None = None,
     complete pipeline, n-variable trinomials through the direct formula, the
     sufficient condition, or the reduction to independent monomials."""
     start = time.perf_counter()
-    if isinstance(text_or_poly, str):
-        poly = parse_equation(text_or_poly)
-        text = text_or_poly
-    else:
-        poly = text_or_poly
-        text = poly_to_string(poly) + "=0"
+    is_text = isinstance(text_or_poly, str)
+    poly = parse_equation(text_or_poly) if is_text else text_or_poly
+    canonical = poly_to_string(poly) + "=0"
+    text = text_or_poly if is_text else canonical
     path: list[str] = []
     records: list[BaseSolveRecord] = []
     reduced_strs: list[str] = []
@@ -1265,10 +1263,8 @@ def solve(text_or_poly, bound: int = 10_000, backend: str | None = None,
             sols, extra_path, reduced_strs = _solve_multivar(
                 eq, bound, backend, budget)
             path.extend(extra_path)
-    report = SolveReport(text, poly_to_string(poly) + "=0", path, sols,
-                         reduced_strs, records,
-                         time.perf_counter() - start)
-    return report
+    return SolveReport(text, canonical, path, sols, reduced_strs, records,
+                       time.perf_counter() - start)
 
 
 def _solve_multivar(eq: TrinomialEquation, bound, backend, budget):

@@ -22,6 +22,11 @@ class BoxTooLarge(ValueError):
 #: Most points of the swept (n-1)-dimensional box brute_force accepts.
 _BOX_GUARD = 10**9
 
+#: Most points of one coefficient column: the trailing swept variables whose
+#: grid fits it form the column, so the sweep's extra memory is bounded by
+#: this, never by the box's volume.
+_COLUMN_CAP = 256
+
 
 @dataclass
 class OracleRun:
@@ -36,10 +41,16 @@ def brute_force(poly: Polynomial, bound: int) -> OracleRun:
 
     The variable with the fewest distinct exponents (the later one on a tie)
     is solved exactly from the residual univariate polynomial, so the sweep
-    is over the other n-1 variables.  Each monomial's part in the swept
-    variables is read from per-exponent power tables.  A residual with two
-    nonzero terms is solved by one exact division and an exact root; one
-    with three or more by a bounded divisor scan.
+    is over the other n-1 variables.  The trailing swept variables whose
+    grid holds at most `_COLUMN_CAP` points form a column, and an outer
+    loop sweeps the leading ones point by point, so the extra memory stays
+    within the cap whatever the box.  At each outer point, the coefficient
+    of each exponent of the solved variable is built as a list over the
+    column from per-monomial columns and per-exponent power tables.  When
+    the solved variable takes two exponents, a residual with both terms
+    nonzero is solved by one exact division, followed by an exact root when
+    the exponents differ by more than 1; any other nonzero residual is
+    solved by a bounded divisor scan.
     """
     variables = list(poly.variables)
     n = len(variables)
@@ -54,46 +65,80 @@ def brute_force(poly: Polynomial, bound: int) -> OracleRun:
     exps = [[m.exp_of(v) for v in variables] for m in poly.monomials]
     solved = min(reversed(range(n)), key=lambda i: len({e[i] for e in exps}))
     swept = [i for i in range(n) if i != solved]
-    degrees = sorted({e[solved] for e in exps})
+    trail = 0  # the trailing swept variables in the column
+    while trail < len(swept) and width ** (trail + 1) <= _COLUMN_CAP:
+        trail += 1
+    lead = len(swept) - trail
+    # the zero polynomial gets one empty layer, whose residual is zero
+    degrees = sorted({e[solved] for e in exps}) or [0]
     rng = range(-bound, bound + 1)
     # power tables indexed by a coordinate's offset v + bound
     tables = {k: [v**k for v in rng]
-              for e in exps for k in (e[i] for i in swept) if k}
-    # per exponent of the solved variable: (coefficient, [(slot, table)])
+              for e in exps for k in (e[i] for i in swept)}
+    zeros = [0] * width ** trail
+    # per exponent of the solved variable: (the monomial's coefficient times
+    # its trailing part over the column, [(leading slot, table)])
     layers: list[list] = [[] for _ in degrees]
     for m, e in zip(poly.monomials, exps):
-        factors = [(j, tables[e[i]]) for j, i in enumerate(swept) if e[i]]
-        layers[degrees.index(e[solved])].append((m.coeff, factors))
+        column = [m.coeff]
+        for i in swept[lead:]:
+            column = [c * p for c in column for p in tables[e[i]]]
+        factors = [(j, tables[e[i]])
+                   for j, i in enumerate(swept[:lead]) if e[i]]
+        layers[degrees.index(e[solved])].append((column, factors))
 
     out = []
-    for offsets in itertools.product(range(width), repeat=n - 1):
-        terms = []
-        for k, layer in zip(degrees, layers):
-            total = 0
-            for c, factors in layer:
+    for prefix in itertools.product(range(width), repeat=lead):
+        cols = []
+        for layer in layers:
+            total = zeros
+            for column, factors in layer:
+                f = 1
                 for j, table in factors:
-                    c *= table[offsets[j]]
-                total += c
-            if total:
-                terms.append((k, total))
-        if not terms:
+                    f *= table[prefix[j]]
+                if f:
+                    if f != 1:
+                        column = [f * c for c in column]
+                    total = (column if total is zeros else
+                             [a + b for a, b in zip(total, column)])
+            cols.append(total)
+        head = tuple(o - bound for o in prefix)
+        tails = itertools.product(rng, repeat=trail)
+        if len(cols) == 2:
+            # a*x^lo + b*x^hi: one exact division, and an exact root when
+            # the exponents differ by more than 1
+            lo, hi = degrees
+            for tail, a, b in zip(tails, *cols):
+                if not b:
+                    roots = rng if not a else [0] if lo else ()
+                elif not a:
+                    roots = [0]
+                else:
+                    roots = [0] if lo else []
+                    if a % b == 0:
+                        x = -a // b
+                        if hi - lo == 1:
+                            if -bound <= x <= bound:
+                                roots.append(x)
+                        else:
+                            roots += [r for r in exact_roots(x, hi - lo)
+                                      if -bound <= r <= bound]
+                if roots:
+                    point = head + tail
+                    out.extend(point[:solved] + (x,) + point[solved:]
+                               for x in roots)
+            continue
+        for tail, coeffs in zip(tails, zip(*cols)):
             roots = rng
-        elif len(terms) == 1:
-            roots = [0] if terms[0][0] else []
-        elif len(terms) == 2:
-            (lo, c_lo), (hi, c_hi) = terms
-            roots = [0] if lo else []
-            if c_lo % c_hi == 0:
-                roots += [x for x in exact_roots(-c_lo // c_hi, hi - lo)
-                          if -bound <= x <= bound]
-        else:
-            coeffs = [0] * (terms[-1][0] + 1)
-            for k, c in terms:
-                coeffs[k] = c
-            roots = integer_roots_bounded(coeffs, bound)
-        if roots:
-            head = tuple(o - bound for o in offsets)
-            out.extend(head[:solved] + (x,) + head[solved:] for x in roots)
+            if any(coeffs):
+                dense = [0] * (degrees[-1] + 1)
+                for k, c in zip(degrees, coeffs):
+                    dense[k] = c
+                roots = integer_roots_bounded(dense, bound)
+            if roots:
+                point = head + tail
+                out.extend(point[:solved] + (x,) + point[solved:]
+                           for x in roots)
     out.sort()
     return OracleRun(variables, bound, out, time.perf_counter() - start)
 

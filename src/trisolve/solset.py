@@ -10,7 +10,7 @@ from operator import le
 from typing import Callable, Iterable, Optional, Union
 
 from .eqparse import Polynomial
-from .expr import ExactDivisionError, Expr, const, param
+from .expr import ExactDivisionError, Expr, const, param, parameters
 from .intcore import divisors_k, in_divisor_set
 
 # A box is one bound per variable, |x_v| <= bound_v: an int stands for the
@@ -164,9 +164,12 @@ class SolutionFamily(Family):
     `param_bound` maps the box, as {variable: bound}, to a bound per
     parameter that its witness value at every box solution keeps, divisor
     parameters included; without it every parameter sweeps to the largest
-    bound of the box.  A sweep lists each parameter's domain members up to
-    its bound and drops an assignment at its first coordinate outside the
-    box.  The divisor families, whose parameters need not be small at a box
+    bound of the box.  A sweep binds the parameters depth-first in one
+    environment, each to its domain's members up to its bound, and
+    evaluates each coordinate once, as soon as its last parameter is bound;
+    a coordinate outside the box or a failed division, in a coordinate or a
+    domain, drops the partial assignment with all its extensions.  The
+    divisor families, whose parameters need not be small at a box
     solution, list their box through `box_enumerator(B)` instead, B the
     largest bound: it evaluates the expressions at the witnesses of
     candidate points (see `twomon.divisor_family`).  Either way every listed
@@ -204,24 +207,17 @@ class SolutionFamily(Family):
         names = [name for name, _ in self.params]
         limits = (self.param_bound(dict(zip(self.variables, bounds)))
                   if self.param_bound else dict.fromkeys(names, top))
-        exprs = [self.exprs[v] for v in self.variables]
+        # levels[d]: the coordinates (position, expression, bound) whose
+        # last parameter is the d-th, and the parameter to bind next
+        levels = [([], (name, domain, limits[name]))
+                  for name, domain in self.params] + [([], None)]
+        depth = {name: d for d, name in enumerate(names, 1)}
+        for pos, v in enumerate(self.variables):
+            at = max(map(depth.__getitem__, parameters(self.exprs[v])),
+                     default=0)
+            levels[at][0].append((pos, self.exprs[v], bounds[pos]))
         out: set[tuple[int, ...]] = set()
-        assignments = [{}]
-        for name, domain in self.params:
-            assignments = _extended(assignments, name, domain, limits[name])
-        for env in assignments:
-            # a coordinate outside the box ends the point, as one that
-            # raises does
-            tup = []
-            try:
-                for e, b in zip(exprs, bounds):
-                    tup.append(e.eval(env))
-                    if abs(tup[-1]) > b:
-                        break
-                else:
-                    out.add(tuple(tup))
-            except ExactDivisionError:
-                continue
+        _sweep(levels, 0, {}, [0] * len(self.variables), out)
         return out
 
     def describe(self):
@@ -233,11 +229,29 @@ class SolutionFamily(Family):
         }
 
 
-def _extended(assignments, name: str, domain: ParamDomain, limit: int):
-    """Each assignment extended by every value of the parameter `name` in
-    its domain up to the limit, lazily; the domain reads the assignment."""
-    return ({**env, name: value} for env in assignments
-            for value in domain.enumerate(env, limit))
+def _sweep(levels, d: int, env: dict[str, int], point: list[int],
+           out: set) -> None:
+    """With the first d parameters bound in env, write the coordinates of
+    levels[d] into point, then bind the next parameter to each value of its
+    domain in turn and recurse; add the point once every parameter is
+    bound.  A coordinate outside its bound or a failed division, in a
+    coordinate or a domain, ends the partial assignment."""
+    coords, nxt = levels[d]
+    try:
+        for pos, expr, bound in coords:
+            x = expr.eval(env)
+            if abs(x) > bound:
+                return
+            point[pos] = x
+        if nxt is None:
+            out.add(tuple(point))
+            return
+        name, domain, limit = nxt
+        for value in domain.enumerate(env, limit):
+            env[name] = value
+            _sweep(levels, d + 1, env, point, out)
+    except ExactDivisionError:
+        return
 
 
 def pinned_family(variables: list[str], fixed: dict[str, int], note: str,
@@ -456,15 +470,14 @@ class VerificationReport:
 def verify_against_oracle(solset: SolutionSet, equation: Polynomial,
                           oracle_solutions: list[tuple[int, ...]],
                           bound: int) -> VerificationReport:
-    """Check a solution set against ground-truth box enumeration."""
+    """Check a solution set against ground-truth box enumeration.  The
+    equation is evaluated only when the set lists some point."""
     produced, exact = solset.enumerate_box(bound)
-    truth = set(oracle_solutions)
     spurious = []
-    for tup in produced:
-        point = dict(zip(solset.variables, tup))
-        if equation.evaluate(point) != 0:
-            spurious.append(tup)
-    missing = sorted(truth - set(produced))
+    if produced:
+        value = _tuple_evaluator(equation, solset.variables)
+        spurious = [tup for tup in produced if value(tup)]
+    missing = sorted(set(oracle_solutions) - set(produced))
     return VerificationReport(
         sound=not spurious,
         complete_in_box=not missing,
@@ -472,3 +485,22 @@ def verify_against_oracle(solset: SolutionSet, equation: Polynomial,
         spurious=sorted(spurious),
         heuristic=not exact,
     )
+
+
+def _tuple_evaluator(equation: Polynomial, variables: list[str]
+                     ) -> Callable[[tuple[int, ...]], int]:
+    """The equation's value at a tuple over `variables`, from one
+    (coefficient, [(index, exponent)]) pair per monomial."""
+    index = {v: i for i, v in enumerate(variables)}
+    terms = [(m.coeff, [(index[v], e) for v, e in m.exps])
+             for m in equation.monomials]
+
+    def value(tup):
+        total = 0
+        for c, factors in terms:
+            for i, e in factors:
+                c *= tup[i] ** e
+            total += c
+        return total
+
+    return value

@@ -1,13 +1,15 @@
 """Reference code the tests compare the package against.  The package
 itself uses none of it: a full sweep for the oracle, the solutions a
-minimal basis generates, the lemma of the three valuations, and the
+minimal basis generates, the lemma of the three valuations, the
 point-by-point lift of a reduced solution with the inner bound it was
-listed at."""
+listed at, and a parameter sweep over full assignments."""
 
 import itertools
 from math import inf
 
+from trisolve.expr import ExactDivisionError
 from trisolve.intcore import ResourceLimit, valuation
+from trisolve.solset import box_bounds
 from trisolve.twomon import power_fiber
 
 
@@ -220,3 +222,38 @@ def plain_inner_bound(branches, names, b):
     if max(bounds, default=0) > 10**6:
         raise ResourceLimit(f"the inner set to bound {max(bounds)}")
     return bounds
+
+
+def _extended(assignments, name, domain, limit):
+    """Each assignment extended by every value of the parameter `name` in
+    its domain up to the limit, lazily; the domain reads the assignment."""
+    return ({**env, name: value} for env in assignments
+            for value in domain.enumerate(env, limit))
+
+
+def sweep_by_assignments(family, box):
+    """The box points of a SolutionFamily without a box_enumerator, from
+    every full assignment of its parameters: the coordinates of each are
+    evaluated in order until one leaves the box or a division fails."""
+    bounds = box_bounds(box, family.variables)
+    top = max(bounds, default=0)
+    names = [name for name, _ in family.params]
+    limits = (family.param_bound(dict(zip(family.variables, bounds)))
+              if family.param_bound else dict.fromkeys(names, top))
+    exprs = [family.exprs[v] for v in family.variables]
+    out = set()
+    assignments = [{}]
+    for name, domain in family.params:
+        assignments = _extended(assignments, name, domain, limits[name])
+    for env in assignments:
+        tup = []
+        try:
+            for e, b in zip(exprs, bounds):
+                tup.append(e.eval(env))
+                if abs(tup[-1]) > b:
+                    break
+            else:
+                out.add(tuple(tup))
+        except ExactDivisionError:
+            continue
+    return out

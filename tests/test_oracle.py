@@ -4,6 +4,7 @@ import random
 import pytest
 from references import brute_force_naive
 
+from trisolve import oracle
 from trisolve.eqparse import Monomial, Polynomial, parse_equation
 from trisolve.oracle import BoxTooLarge, brute_force
 
@@ -81,12 +82,14 @@ def _draw(rng, names):
 def _residual_sizes(poly, bound):
     """Per point of the swept box, the number of nonzero coefficients of the
     residual in the variable with the fewest distinct exponents (the later
-    one on a tie), and that variable's index."""
+    one on a tie), and that variable's index.  Also the exponent gaps of the
+    residuals with two nonzero terms when that variable takes two
+    exponents."""
     names = poly.variables
     solved = min(reversed(range(len(names))), key=lambda i: len(
         {m.exp_of(names[i]) for m in poly.monomials}))
     swept = names[:solved] + names[solved + 1:]
-    sizes = set()
+    sizes, gaps = set(), set()
     for point in itertools.product(range(-bound, bound + 1),
                                    repeat=len(swept)):
         env = dict(zip(swept, point), **{names[solved]: 1})
@@ -94,21 +97,31 @@ def _residual_sizes(poly, bound):
         for m in poly.monomials:
             k = m.exp_of(names[solved])
             coeffs[k] = coeffs.get(k, 0) + m.evaluate(env)
-        sizes.add(min(3, sum(1 for c in coeffs.values() if c)))
-    return solved, sizes
+        terms = sorted(k for k, c in coeffs.items() if c)
+        sizes.add(min(3, len(terms)))
+        if len(coeffs) == 2 and len(terms) == 2:
+            gaps.add(terms[1] - terms[0])
+    return solved, sizes, gaps
 
 
-def test_sweep_equals_the_full_sweep_on_seeded_polynomials():
+def test_sweep_equals_the_full_sweep_on_seeded_polynomials(monkeypatch):
     rng = random.Random(2210)
-    sizes, solved_early, shared = set(), 0, 0
+    sizes, gaps, solved_early, shared, prefixed = set(), set(), 0, 0, 0
     for _ in range(400):
         names = ["x", "y", "z", "t"][:rng.randint(1, 4)]
         poly = _draw(rng, names)
         bound = rng.randint(1, 4)
-        assert brute_force(poly, bound).solutions == sorted(
-            brute_force_naive(poly, bound)), poly
-        solved, seen = _residual_sizes(poly, bound)
+        truth = sorted(brute_force_naive(poly, bound))
+        assert brute_force(poly, bound).solutions == truth, poly
+        # with columns of at most 4 points, a swept grid of more takes the
+        # outer loop over the leading swept variables
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "_COLUMN_CAP", 4)
+            assert brute_force(poly, bound).solutions == truth, poly
+        prefixed += (2 * bound + 1) ** (len(names) - 1) > 4
+        solved, seen, two = _residual_sizes(poly, bound)
         sizes |= seen
+        gaps |= two
         solved_early += solved < len(names) - 1
         shared += len(poly.monomials) == 3 and any(
             all(m.exp_of(v) for m in poly.monomials) for v in names)
@@ -116,6 +129,10 @@ def test_sweep_equals_the_full_sweep_on_seeded_polynomials():
     # variable other than the last
     assert sizes == {0, 1, 2, 3}
     assert solved_early >= 20 and shared >= 20
+    # one exact division (gap 1), an exact root (gap 2 or more), and the
+    # outer loop
+    assert 1 in gaps and max(gaps) >= 2
+    assert prefixed >= 200
 
 
 def test_determinism():

@@ -2,10 +2,12 @@ import itertools
 import random
 
 import pytest
+from references import sweep_by_assignments
 from test_golden import CASES
 
 from trisolve import expr as ex, multivar
 from trisolve.eqparse import parse_equation
+from trisolve.oracle import brute_force
 from trisolve.solset import (
     COMPLETE,
     REDUCED_ONLY,
@@ -14,6 +16,7 @@ from trisolve.solset import (
     ConstructionError,
     DivisorSet,
     DomainError,
+    MappedFamily,
     NonzeroIntegers,
     RecurrenceFamily,
     SolutionFamily,
@@ -205,6 +208,17 @@ def test_verify_against_oracle_negative_control():
     assert not report.sound and (1, 2) in report.spurious
 
 
+def test_an_empty_listing_is_verified_without_evaluating_the_equation():
+    # a set that lists no point is never evaluated, even when its variables
+    # miss some of the equation's: it is sound, and incomplete by the
+    # oracle's points
+    poly = parse_equation("x*z+y*z+3*z")
+    truth = brute_force(poly, 2).solutions
+    report = verify_against_oracle(SolutionSet(["x", "y"]), poly, truth, 2)
+    assert report.sound and not report.spurious
+    assert not report.complete_in_box and report.missing == truth
+
+
 def test_nonzero_domain():
     dom = NonzeroIntegers()
     assert dom.contains(3, {}) and not dom.contains(0, {})
@@ -219,6 +233,105 @@ def test_parameter_sweep_drops_the_points_where_a_division_fails():
     with pytest.raises(ex.ExactDivisionError):
         fam.evaluate({"u": 1})
     assert fam.enumerate_box(3) == {(0, 0), (1, 2), (-1, -2)}
+
+
+def _swept_families(solset):
+    """The expression families of solset that list their box by a parameter
+    sweep, inner sets of mapped families included."""
+    for fam in solset.families:
+        if isinstance(fam, MappedFamily):
+            yield from _swept_families(fam.inner)
+        elif isinstance(fam, SolutionFamily) and fam.box_enumerator is None:
+            yield fam
+
+
+def _draw_expr(rng, names, depth, divide):
+    """A small expression over names: a constant, a parameter, or a sum,
+    product, power, gcd or (when divide) exact quotient of smaller ones."""
+    if depth == 0 or not names or rng.random() < 0.3:
+        if names and rng.random() < 0.7:
+            return ex.param(rng.choice(names))
+        return ex.const(rng.randint(-3, 3))
+    kind = rng.choice(["add", "mul", "pow", "gcd", "div", "div"])
+    if kind == "div" and not divide:
+        kind = "add"
+
+    def sub():
+        return _draw_expr(rng, names, depth - 1, divide)
+
+    if kind == "add":
+        return ex.Add(sub(), sub())
+    if kind == "mul":
+        return ex.Mul(sub(), sub())
+    if kind == "pow":
+        return ex.Pow(sub(), rng.randint(0, 3))
+    if kind == "gcd":
+        return ex.Gcd(sub(), sub())
+    return ex.ExactDiv(sub(), sub())
+
+
+def _draw_family(rng):
+    """A family of 1-3 variables over 0-3 parameters, each over Z, Z without
+    0, or a divisor domain of a division-free expression in the earlier
+    ones; its coordinates may divide."""
+    params = []
+    for i in range(rng.randint(0, 3)):
+        name, earlier = f"p{i}", [n for n, _ in params]
+        kind = rng.choice(["all", "nonzero", "divisor", "divisor"])
+        if kind == "divisor" and earlier:
+            domain = DivisorSet(rng.randint(1, 2),
+                                _draw_expr(rng, earlier, 2, False))
+        else:
+            domain = NonzeroIntegers() if kind == "nonzero" else AllIntegers()
+        params.append((name, domain))
+    variables = ["x", "y", "z"][:rng.randint(1, 3)]
+    return SolutionFamily(
+        variables=variables, params=params,
+        exprs={v: _draw_expr(rng, [n for n, _ in params], 3, True)
+               for v in variables})
+
+
+def test_depth_first_sweep_lists_what_full_assignments_list(monkeypatch):
+    # each coordinate is evaluated once its last parameter is bound and ends
+    # the partial assignment when it leaves the box or its division fails:
+    # that must list what evaluating every full assignment lists
+    families = [yzt_family()]
+    for _, argv in CASES:
+        opts = dict(zip(argv[1::2], argv[2::2]))
+        families += _swept_families(multivar.solve(
+            argv[0], bound=int(opts.get("-B", 1000)),
+            budget=int(opts.get("--budget", 10**6))).solutions)
+    assert len(families) >= 20
+    rng = random.Random(4507)
+    u = ex.param("u")
+    families += [_draw_family(rng) for _ in range(300)] + [SolutionFamily(
+        variables=["x", "y"], params=[("u", AllIntegers())],
+        exprs={"x": ex.ExactDiv(u, ex.const(2)), "y": u})]
+    failures = []
+    plain = ex.ExactDiv.eval
+
+    def counted(self, env):
+        try:
+            return plain(self, env)
+        except ex.ExactDivisionError:
+            failures.append(self)
+            raise
+
+    monkeypatch.setattr(ex.ExactDiv, "eval", counted)
+    failing, listing = 0, 0
+    for fam in families:
+        before = len(failures)
+        for box in (3, tuple(range(1, len(fam.variables) + 1))):
+            listed = fam.enumerate_box(box)
+            assert listed == sweep_by_assignments(fam, box), (
+                fam.describe(), box)
+            listing += bool(listed)
+        failing += len(failures) > before
+    # the families reach every domain kind, divisions that fail and
+    # nonempty listings
+    assert {type(d) for fam in families for _, d in fam.params} == {
+        AllIntegers, NonzeroIntegers, DivisorSet}
+    assert failing >= 100 and listing >= 400
 
 
 def _within(point, box):
